@@ -9,11 +9,18 @@ import argparse
 import sys
 
 from .dataset import SpatialDataset, WeightParams, site_id_key, validate_dataset
-from .detect import REGIMES, compare_models, default_regime, detect_outliers, neighborhood_weights
+from .detect import (
+    REGIMES,
+    _check_regime,
+    _neighbor_ids,
+    compare_models,
+    default_regime,
+    detect_outliers,
+    neighborhood_weights,
+)
 from .errors import NoNeighborsError, SpatialOutlierError
 from .fileio import load_edges, load_polygons, load_sites, render_report
 from .fixtures import write_fixture_files
-from .neighborhood import buffer_neighbors, graph_neighbors, polygon_adjacent_neighbors
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -143,16 +150,6 @@ def _attribute(args, dataset) -> str:
     )
 
 
-def _neighbor_fn(dataset, regime, params):
-    if regime == "graph":
-        return lambda c: graph_neighbors(dataset, c)
-    if regime == "polygon":
-        return lambda c: polygon_adjacent_neighbors(dataset, c)
-    if params.radius is None:
-        raise UsageError(f"regime {regime!r} requires --radius")
-    return lambda c: buffer_neighbors(dataset, c, params.radius)
-
-
 def _cmd_validate(args) -> int:
     dataset = _load_dataset(args)
     violations = validate_dataset(dataset)
@@ -168,10 +165,10 @@ def _cmd_neighbors(args) -> int:
     dataset = _checked(_load_dataset(args))
     params = _params(args)
     regime = args.regime or default_regime(dataset)
-    find = _neighbor_fn(dataset, regime, params)
+    _check_regime(dataset, regime)
     lines = []
     for sid in sorted(dataset.site_ids(), key=site_id_key):
-        found = sorted(find(sid), key=site_id_key)
+        found = _neighbor_ids(dataset, sid, regime, params)
         lines.append(f"{sid}: {' '.join(str(n) for n in found)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -181,6 +178,7 @@ def _cmd_weights(args) -> int:
     dataset = _checked(_load_dataset(args))
     params = _params(args)
     regime = args.regime or default_regime(dataset)
+    _check_regime(dataset, regime)
     lines = ["center,neighbor,weight"]
     empty = []
     for sid in sorted(dataset.site_ids(), key=site_id_key):

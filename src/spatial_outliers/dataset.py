@@ -103,6 +103,8 @@ class SpatialDataset:
         for site in self.sites:
             index.setdefault(site.id, site)
         object.__setattr__(self, "_index", index)
+        # lookup structures the neighborhood module builds on first use
+        object.__setattr__(self, "_prepared", {})
 
     @property
     def kind(self) -> str:
@@ -342,13 +344,19 @@ def validate_dataset(dataset: SpatialDataset) -> list[str]:
             else:
                 locations.append((site.id, (site.x, site.y)))
 
-    for i in range(len(locations)):
-        for j in range(i + 1, len(locations)):
-            id_i, loc_i = locations[i]
-            id_j, loc_j = locations[j]
-            if loc_i == loc_j:
-                what = "coincident centroids" if dataset.kind == "polygon" else "coincident sites"
-                violations.append(f"sites {id_i!r} and {id_j!r}: {what} at {loc_i}")
+    positions: dict[tuple[float, float], list[int]] = {}
+    for i, (_, loc) in enumerate(locations):
+        positions.setdefault(loc, []).append(i)
+    coincident = sorted(
+        (i, j)
+        for group in positions.values()
+        for k, i in enumerate(group)
+        for j in group[k + 1:]
+    )
+    what = "coincident centroids" if dataset.kind == "polygon" else "coincident sites"
+    for i, j in coincident:
+        (id_i, loc_i), (id_j, _) = locations[i], locations[j]
+        violations.append(f"sites {id_i!r} and {id_j!r}: {what} at {loc_i}")
 
     for site in sites:
         for name in dataset.attribute_names:

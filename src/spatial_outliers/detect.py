@@ -34,6 +34,11 @@ from .weights import (
 REGIMES = ("buffer", "graph", "polygon", "combined")
 MODES = ("classical", "weighted")
 
+# Rounding mu shifts every z by up to ulp(max|d|) / (2 sigma), so a spread of
+# at most this many ulps of the largest |difference| is degenerate: above it,
+# rounding moves no z by more than 2**-31.
+SPREAD_ULPS = 2.0 ** 30
+
 
 @dataclass(frozen=True)
 class SiteScore:
@@ -140,16 +145,29 @@ def significance_scores(diffs: dict[SiteId, float], theta: float) -> Significanc
     """Standardize the differences and flag |z| > theta.
 
     sigma is the population (divide-by-N) standard deviation; z keeps its
-    sign even though the flag test is two-sided.
+    sign even though the flag test is two-sided.  A spread at or below
+    SPREAD_ULPS * ulp(max|d|) is rounding noise and raises.
     """
     if not diffs:
         raise DegenerateDistributionError("no differences to standardize")
     ordered = sorted(diffs, key=site_id_key)
     n = len(ordered)
     mu = math.fsum(diffs[sid] for sid in ordered) / n
-    sigma = math.sqrt(math.fsum((diffs[sid] - mu) ** 2 for sid in ordered) / n)
-    if sigma == 0.0:
-        raise DegenerateDistributionError("differences have zero spread")
+    largest = max(abs(diffs[sid]) for sid in ordered)
+    # squares are taken in units of a power of two near max|d|: exact, and
+    # tiny differences no longer underflow
+    _, exp = math.frexp(largest)
+    sigma = math.ldexp(
+        math.sqrt(
+            math.fsum(math.ldexp(diffs[sid] - mu, -exp) ** 2 for sid in ordered) / n
+        ),
+        exp,
+    )
+    if sigma <= SPREAD_ULPS * math.ulp(largest):
+        raise DegenerateDistributionError(
+            "differences have no spread beyond rounding: "
+            "sigma at or below 2**30 ulps of max|d|"
+        )
     z = {sid: (diffs[sid] - mu) / sigma for sid in ordered}
     return Significance(
         mu=mu,
@@ -206,9 +224,7 @@ def neighborhood_weights(
     return combined_weights(factors, params)
 
 
-def _check_regime(dataset: SpatialDataset, regime: str, mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+def _check_regime(dataset: SpatialDataset, regime: str) -> None:
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if regime == "polygon" and dataset.kind != "polygon":
@@ -233,8 +249,10 @@ def detect_outliers(
     """
     if attribute not in dataset.attribute_names:
         raise UnknownAttributeError(f"attribute {attribute!r} not declared")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     regime = regime or default_regime(dataset)
-    _check_regime(dataset, regime, mode)
+    _check_regime(dataset, regime)
 
     values = dataset.values(attribute)
     order = sorted(dataset.site_ids(), key=site_id_key)

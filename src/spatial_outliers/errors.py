@@ -30,7 +30,11 @@ class DegenerateFactorsError(SpatialOutlierError):
 
 
 class DegenerateDistributionError(SpatialOutlierError):
-    """Difference values have zero spread; z-scores are undefined."""
+    """Difference values have no spread beyond rounding noise.
+
+    The bound is detect.SPREAD_ULPS ulps of the largest |difference|; at or
+    below it z-scores are undefined.
+    """
 
 
 class ParseError(SpatialOutlierError):

@@ -5,10 +5,19 @@ direct graph connections, and shared polygon boundaries.  For each
 center/neighbor pair the module also measures the three weighting factors:
 separation distance, number of parallel direct connections, and cheapest
 traversal cost (None when unreachable or over the cost limit).
+
+Every lookup goes through a prepared index kept on the dataset.  Each of its
+structures is built the first time a regime needs it: a uniform grid over
+site locations for the last buffer radius, edge counts per unordered
+endpoint pair, cheapest-edge adjacency (which also gives graph neighbors),
+and polygon rook adjacency found through a grid over polygon bounding boxes.  The exact membership tests run on the
+candidates the index yields.
 """
 
 import heapq
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .dataset import (
@@ -18,10 +27,25 @@ from .dataset import (
     WeightParams,
     site_distance,
     site_id_key,
+    site_location,
 )
+from .errors import GeometryError
 
 # minimum shared-boundary length for polygon adjacency
 BOUNDARY_TOLERANCE = 1e-9
+
+# Buffer grid cells are this much wider than the radius, so that rounding in
+# x / cell never puts two sites within the radius two cells apart, provided
+# every |coordinate| / cell stays below _MAX_CELL_INDEX; otherwise every site
+# is a candidate.
+_CELL_PAD = 1.0 + 2.0 ** -20
+_MAX_CELL_INDEX = 2.0 ** 31
+
+# Polygon bounding boxes are padded far past BOUNDARY_TOLERANCE, plus a share
+# of the largest coordinate that dwarfs the rounding in _overlap_length, so
+# polygons whose padded boxes are disjoint never share a boundary.
+_BOX_PAD = 1e3 * BOUNDARY_TOLERANCE
+_BOX_PAD_RELATIVE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,14 +62,72 @@ class NeighborFactors:
     min_cost: float | None
 
 
+def _prepared(dataset: SpatialDataset, key, build, *args):
+    """Structure ``key`` of the dataset's prepared index, built on first use.
+
+    Structures hold sites and ids but never the dataset itself, so a dataset
+    is still freed by reference counting.  Each is a pure function of the
+    dataset, so threads racing to build one store equal values.
+    """
+    cache = dataset._prepared
+    if key not in cache:
+        cache[key] = build(dataset, *args)
+    return cache[key]
+
+
+def _site_grid(dataset: SpatialDataset, cell: float):
+    """Sites bucketed by grid cell, or None to scan them all.
+
+    None covers locations that give no trustworthy cell numbers: non-finite
+    values, cells too small for the coordinates, and polygons without a
+    centroid.
+    """
+    grid: dict[tuple[int, int], list] = {}
+    try:
+        for site in dataset.sites:
+            x, y = site_location(site)
+            gx, gy = x / cell, y / cell
+            if not (abs(gx) < _MAX_CELL_INDEX and abs(gy) < _MAX_CELL_INDEX):
+                return None
+            grid.setdefault((math.floor(gx), math.floor(gy)), []).append(site)
+    except GeometryError:
+        return None
+    return grid
+
+
+def _radius_grid(dataset: SpatialDataset, radius: float, cell: float):
+    """The site grid for radius, kept in one slot that a new radius replaces."""
+    slot = dataset._prepared.get("grid")
+    if slot is None or slot[0] != radius:
+        slot = (radius, _site_grid(dataset, cell))
+        dataset._prepared["grid"] = slot
+    return slot[1]
+
+
 def buffer_neighbors(
     dataset: SpatialDataset, center: SiteId, radius: float
 ) -> set[SiteId]:
     """All other sites within `radius` of the center, edges ignored."""
     center_site = dataset.site(center)
+    cell = radius * _CELL_PAD
+    grid = None
+    # tiny, non-finite and non-positive radii get no grid (and no cache entry)
+    if sys.float_info.min <= radius and math.isfinite(cell):
+        grid = _radius_grid(dataset, radius, cell)
+    if grid is None:
+        candidates = dataset.sites
+    else:
+        x, y = site_location(center_site)
+        gx, gy = math.floor(x / cell), math.floor(y / cell)
+        candidates = [
+            site
+            for ix in (gx - 1, gx, gx + 1)
+            for iy in (gy - 1, gy, gy + 1)
+            for site in grid.get((ix, iy), ())
+        ]
     return {
         site.id
-        for site in dataset.sites
+        for site in candidates
         if site.id != center and site_distance(center_site, site) <= radius
     }
 
@@ -53,14 +135,7 @@ def buffer_neighbors(
 def graph_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:
     """All sites sharing at least one edge with the center (undirected)."""
     dataset.site(center)
-    out = set()
-    for edge in dataset.edges:
-        if edge.source == center:
-            out.add(edge.target)
-        elif edge.target == center:
-            out.add(edge.source)
-    out.discard(center)
-    return out
+    return {v for v, _ in _prepared(dataset, "costs", _cost_adjacency).get(center, ())}
 
 
 def _ring_segments(polygon: PolygonSite):
@@ -100,25 +175,118 @@ def polygons_share_boundary(a: PolygonSite, b: PolygonSite) -> bool:
     return False
 
 
+def _bounds(polygon: PolygonSite, pad: float):
+    """Bounding box of every ring grown by pad, or None without vertices."""
+    points = [p for ring in (polygon.exterior, *polygon.holes) for p in ring]
+    if not points:
+        return None
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    return min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad
+
+
+def _cells(box, cell: float):
+    x0, y0, x1, y1 = box
+    return [
+        (ix, iy)
+        for ix in range(math.floor(x0 / cell), math.floor(x1 / cell) + 1)
+        for iy in range(math.floor(y0 / cell), math.floor(y1 / cell) + 1)
+    ]
+
+
+def _box_grid(dataset: SpatialDataset):
+    """Padded polygon boxes on a grid, or None to scan every polygon.
+
+    Returns (pad, cell, boxes, grid): boxes[i] belongs to dataset.sites[i]
+    and grid maps a cell to the positions whose boxes cover it.  The cell
+    side is at least the mean box extent and the root of the mean box area,
+    which bounds the cells all boxes cover to a small multiple of the
+    polygon count.  None covers non-finite vertices.
+    """
+    values = [
+        v
+        for site in dataset.sites
+        for ring in (site.exterior, *site.holes)
+        for point in ring
+        for v in point
+    ]
+    if not all(map(math.isfinite, values)):
+        return None
+    scale = max(map(abs, values), default=0.0)
+    pad = _BOX_PAD + _BOX_PAD_RELATIVE * scale
+    boxes = [_bounds(site, pad) for site in dataset.sites]
+    present = [box for box in boxes if box is not None]
+    if not present:
+        return None
+    extent = math.fsum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in present)
+    area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in present)
+    cell = max(extent / len(present), math.sqrt(area / len(present)))
+    if not math.isfinite((scale + pad) / cell):
+        return None
+    grid: dict[tuple[int, int], list[int]] = {}
+    for i, box in enumerate(boxes):
+        if box is not None:
+            for key in _cells(box, cell):
+                grid.setdefault(key, []).append(i)
+    return pad, cell, boxes, grid
+
+
+def _box_candidates(dataset: SpatialDataset, center_site: PolygonSite):
+    """Polygons whose padded boxes meet the center's padded box."""
+    prepared = _prepared(dataset, "boxes", _box_grid)
+    if prepared is None:
+        return dataset.sites
+    pad, cell, boxes, grid = prepared
+    box = _bounds(center_site, pad)
+    if box is None:
+        return []
+    x0, y0, x1, y1 = box
+    found = {i for key in _cells(box, cell) for i in grid.get(key, ())}
+    return [
+        dataset.sites[i]
+        for i in found
+        if boxes[i][0] <= x1 and x0 <= boxes[i][2]
+        and boxes[i][1] <= y1 and y0 <= boxes[i][3]
+    ]
+
+
+def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
+    """Polygons sharing a boundary line with each polygon.
+
+    The predicate runs as (center, candidate) on box candidates only.
+    """
+    rook = {}
+    for center in dataset.site_ids():
+        center_site = dataset.site(center)
+        rook[center] = frozenset(
+            site.id
+            for site in _box_candidates(dataset, center_site)
+            if site.id != center and polygons_share_boundary(center_site, site)
+        )
+    return rook
+
+
 def polygon_adjacent_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:
     """All polygons sharing a boundary line with the center polygon."""
-    center_site = dataset.site(center)
-    return {
-        site.id
-        for site in dataset.sites
-        if site.id != center and polygons_share_boundary(center_site, site)
-    }
+    dataset.site(center)
+    return set(_prepared(dataset, "rook", _rook)[center])
+
+
+def _pair(a: SiteId, b: SiteId) -> tuple[SiteId, SiteId]:
+    """Key of an unordered endpoint pair: the ids in sort order."""
+    return (a, b) if site_id_key(a) <= site_id_key(b) else (b, a)
+
+
+def _pair_counts(dataset: SpatialDataset) -> Counter:
+    """Number of edges per unordered endpoint pair."""
+    return Counter(_pair(edge.source, edge.target) for edge in dataset.edges)
 
 
 def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> int:
     """Number of parallel edges joining a and b, either orientation."""
     dataset.site(a)
     dataset.site(b)
-    return sum(
-        1
-        for edge in dataset.edges
-        if {edge.source, edge.target} == {a, b}
-    )
+    return _prepared(dataset, "pairs", _pair_counts)[_pair(a, b)]
 
 
 def _cost_adjacency(dataset: SpatialDataset) -> dict[SiteId, list[tuple[SiteId, float]]]:
@@ -127,7 +295,7 @@ def _cost_adjacency(dataset: SpatialDataset) -> dict[SiteId, list[tuple[SiteId, 
     for edge in dataset.edges:
         if edge.source == edge.target:
             continue
-        key = tuple(sorted((edge.source, edge.target), key=site_id_key))
+        key = _pair(edge.source, edge.target)
         if key not in best or edge.cost < best[key]:
             best[key] = edge.cost
     adjacency: dict[SiteId, list[tuple[SiteId, float]]] = {}
@@ -137,24 +305,37 @@ def _cost_adjacency(dataset: SpatialDataset) -> dict[SiteId, list[tuple[SiteId, 
     return adjacency
 
 
-def _dijkstra(adjacency, source: SiteId) -> dict[SiteId, float]:
-    """Cheapest traversal cost from source to every reachable site."""
+def _costs_from(
+    dataset: SpatialDataset, source: SiteId, targets, cost_limit: float | None
+) -> dict[SiteId, float]:
+    """Cheapest traversal cost from source to every target within the limit.
+
+    Dijkstra over the cheapest-edge adjacency that stops once every target
+    is settled or the next cost popped exceeds cost_limit.  Edge costs are
+    non-negative, so every settled cost is final and equals the cost an
+    unbounded search would give.
+    """
+    adjacency = _prepared(dataset, "costs", _cost_adjacency)
+    remaining = set(targets)
+    settled: dict[SiteId, float] = {}
     dist = {source: 0.0}
-    done = set()
     frontier = [(0.0, 0, source)]
     counter = 1  # tie-break so heterogeneous ids never get compared
-    while frontier:
+    while frontier and remaining:
         d, _, node = heapq.heappop(frontier)
-        if node in done:
+        if node in settled:
             continue
-        done.add(node)
+        if cost_limit is not None and d > cost_limit:
+            break
+        settled[node] = d
+        remaining.discard(node)
         for nbr, cost in adjacency.get(node, ()):
             nd = d + cost
             if nbr not in dist or nd < dist[nbr]:
                 dist[nbr] = nd
                 heapq.heappush(frontier, (nd, counter, nbr))
                 counter += 1
-    return dist
+    return settled
 
 
 def min_cost(
@@ -169,13 +350,7 @@ def min_cost(
     """
     dataset.site(a)
     dataset.site(b)
-    dist = _dijkstra(_cost_adjacency(dataset), a)
-    if b not in dist:
-        return None
-    cost = dist[b]
-    if cost_limit is not None and cost > cost_limit:
-        return None
-    return cost
+    return _costs_from(dataset, a, (b,), cost_limit).get(b)
 
 
 def collect_factors(
@@ -191,20 +366,18 @@ def collect_factors(
     """
     center_site = dataset.site(center)
     ordered = sorted(neighbors, key=site_id_key)
-    costs = _dijkstra(_cost_adjacency(dataset), center) if dataset.edges else {}
+    costs = _costs_from(dataset, center, ordered, params.cost_limit)
+    pairs = _prepared(dataset, "pairs", _pair_counts)
     out = []
     for neighbor in ordered:
         neighbor_site = dataset.site(neighbor)
-        cost = costs.get(neighbor)
-        if cost is not None and params.cost_limit is not None and cost > params.cost_limit:
-            cost = None
         out.append(
             NeighborFactors(
                 center=center,
                 neighbor=neighbor,
                 distance=site_distance(center_site, neighbor_site),
-                connection_count=direct_connection_count(dataset, center, neighbor),
-                min_cost=cost,
+                connection_count=pairs[_pair(center, neighbor)],
+                min_cost=costs.get(neighbor),
             )
         )
     return out

@@ -116,6 +116,17 @@ class TestNeighbors:
         assert code == 0
         assert "A: B H J K" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["neighbors", "weights"])
+    def test_graph_regime_on_polygons_is_a_usage_error(self, command, tmp_path, capsys):
+        from spatial_outliers.fileio import write_polygons_json
+        from conftest import grid_polygons
+
+        polys = tmp_path / "grid.json"
+        write_polygons_json(grid_polygons(3).sites, polys)
+        code = main([command, "--polygons", _p(polys), "--regime", "graph"])
+        assert code == 2
+        assert "graph regime requires a point dataset" in capsys.readouterr().err
+
 
 class TestWeights:
     def test_weight_rows(self, fixture_dir, capsys):

@@ -214,6 +214,18 @@ class TestValidateDataset:
         assert len(report) == 1
         assert "coincident sites" in report[0]
 
+    def test_coincident_pairs_follow_site_order(self):
+        spots = [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (-0.0, 0.0)]
+        ds = SpatialDataset(
+            sites=tuple(_point(sid, x, y) for sid, (x, y) in zip("ABCDE", spots))
+        )
+        assert validate_dataset(ds) == [
+            "sites 'A' and 'C': coincident sites at (0.0, 0.0)",
+            "sites 'A' and 'E': coincident sites at (0.0, 0.0)",
+            "sites 'B' and 'D': coincident sites at (1.0, 1.0)",
+            "sites 'C' and 'E': coincident sites at (0.0, 0.0)",
+        ]
+
     def test_missing_attribute(self):
         ds = SpatialDataset(
             sites=(_point("A", 0, 0), PointSite(id="B", x=1.0, y=0.0)),

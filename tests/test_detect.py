@@ -160,6 +160,23 @@ class TestSignificanceScores:
         with pytest.raises(DegenerateDistributionError):
             significance_scores({"a": 1.0, "b": 1.0}, theta=2.0)
 
+    @pytest.mark.parametrize("value, n", [(0.1, 3), (4.3e-98, 11), (99.7, 13)])
+    def test_equal_differences_rejected_despite_rounding(self, value, n):
+        # fsum(d) / n misses the value by an ulp, so sigma is tiny, not zero
+        with pytest.raises(DegenerateDistributionError):
+            significance_scores({i: value for i in range(n)}, theta=2.0)
+
+    def test_spread_below_rounding_bound_rejected(self):
+        # sigma = 5e-9 is under 2**30 ulps of 1.0 (about 2.4e-7)
+        with pytest.raises(DegenerateDistributionError, match="2\\*\\*30 ulps"):
+            significance_scores({0: 1.0, 1: 1.0 + 1e-8}, theta=2.0)
+
+    def test_spread_above_rounding_bound_scored(self):
+        # sigma = 5e-7 is over 2**30 ulps of 1.0, so both sites get |z| = 1
+        sig = significance_scores({0: 1.0, 1: 1.0 + 1e-6}, theta=2.0)
+        assert sig.z[0] == pytest.approx(-1.0, abs=1e-6)
+        assert sig.z[1] == pytest.approx(1.0, abs=1e-6)
+
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             significance_scores({}, theta=2.0)

@@ -1,0 +1,409 @@
+"""Differential tests: the prepared index against brute-force scans.
+
+Every neighbor and factor lookup in the library goes through a per-dataset
+index (grid hash, pair counter, shared adjacency, bounded Dijkstra, polygon
+bounding-box candidates).  The scans below are the straightforward
+implementations the index replaced; each property requires both to give the
+same result, or to raise the same error, on the same input.
+"""
+
+import gc
+import heapq
+import math
+import weakref
+from unittest import mock
+
+from hypothesis import given, strategies as st
+
+from spatial_outliers import (
+    Edge,
+    PointSite,
+    PolygonSite,
+    SpatialDataset,
+    SpatialOutlierError,
+    WeightParams,
+    buffer_neighbors,
+    collect_factors,
+    detect_outliers,
+    direct_connection_count,
+    graph_neighbors,
+    min_cost,
+    polygon_adjacent_neighbors,
+    site_distance,
+)
+from spatial_outliers import detect
+from spatial_outliers.dataset import site_id_key
+from spatial_outliers.neighborhood import NeighborFactors, polygons_share_boundary
+
+from conftest import grid_point_dataset
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def scan_buffer(dataset, center, radius):
+    center_site = dataset.site(center)
+    return {
+        site.id
+        for site in dataset.sites
+        if site.id != center and site_distance(center_site, site) <= radius
+    }
+
+
+def scan_graph(dataset, center):
+    dataset.site(center)
+    out = set()
+    for edge in dataset.edges:
+        if edge.source == center:
+            out.add(edge.target)
+        elif edge.target == center:
+            out.add(edge.source)
+    out.discard(center)
+    return out
+
+
+def scan_polygon(dataset, center):
+    center_site = dataset.site(center)
+    return {
+        site.id
+        for site in dataset.sites
+        if site.id != center and polygons_share_boundary(center_site, site)
+    }
+
+
+def scan_connection_count(dataset, a, b):
+    dataset.site(a)
+    dataset.site(b)
+    return sum(1 for edge in dataset.edges if {edge.source, edge.target} == {a, b})
+
+
+def scan_costs(dataset, source):
+    """Unbounded Dijkstra over a cheapest-edge adjacency built per call."""
+    best = {}
+    for edge in dataset.edges:
+        if edge.source == edge.target:
+            continue
+        key = tuple(sorted((edge.source, edge.target), key=site_id_key))
+        if key not in best or edge.cost < best[key]:
+            best[key] = edge.cost
+    adjacency = {}
+    for (u, v), cost in best.items():
+        adjacency.setdefault(u, []).append((v, cost))
+        adjacency.setdefault(v, []).append((u, cost))
+    dist = {source: 0.0}
+    done = set()
+    frontier = [(0.0, 0, source)]
+    counter = 1
+    while frontier:
+        d, _, node = heapq.heappop(frontier)
+        if node in done:
+            continue
+        done.add(node)
+        for nbr, cost in adjacency.get(node, ()):
+            nd = d + cost
+            if nbr not in dist or nd < dist[nbr]:
+                dist[nbr] = nd
+                heapq.heappush(frontier, (nd, counter, nbr))
+                counter += 1
+    return dist
+
+
+def scan_min_cost(dataset, a, b, cost_limit=None):
+    dataset.site(a)
+    dataset.site(b)
+    cost = scan_costs(dataset, a).get(b)
+    if cost is None or (cost_limit is not None and cost > cost_limit):
+        return None
+    return cost
+
+
+def scan_collect_factors(dataset, center, neighbors, params):
+    center_site = dataset.site(center)
+    costs = scan_costs(dataset, center) if dataset.edges else {}
+    out = []
+    for neighbor in sorted(neighbors, key=site_id_key):
+        neighbor_site = dataset.site(neighbor)
+        cost = costs.get(neighbor)
+        if cost is not None and params.cost_limit is not None and cost > params.cost_limit:
+            cost = None
+        out.append(
+            NeighborFactors(
+                center=center,
+                neighbor=neighbor,
+                distance=site_distance(center_site, neighbor_site),
+                connection_count=scan_connection_count(dataset, center, neighbor),
+                min_cost=cost,
+            )
+        )
+    return out
+
+
+def outcome(fn, *args, **kwargs):
+    """The value fn returns, or the type of library error it raises."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except SpatialOutlierError as exc:
+        return "raised", type(exc)
+
+
+# ------------------------------------------------------------- strategies
+
+radii = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+    st.sampled_from([5e-324, 1e-300, 1e-9, 0.1, 0.3, 1.0, 2.0, 1e12]),
+)
+
+
+@st.composite
+def buffer_cases(draw):
+    """Lattice sites exactly `radius` apart, plus arbitrary extra sites.
+
+    Extras may be huge, infinite or NaN, so some layouts have no usable
+    grid cells and must fall back to a full scan.
+    """
+    radius = draw(radii)
+    ox, oy = draw(st.tuples(
+        st.one_of(st.just(0.0), st.floats(-1e9, 1e9)),
+        st.one_of(st.just(0.0), st.floats(-1e9, 1e9)),
+    ))
+    steps = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        min_size=1, max_size=10, unique=True,
+    ))
+    points = [(ox + i * radius, oy + j * radius) for i, j in steps]
+    points += draw(st.lists(
+        st.tuples(st.floats(), st.floats()) | st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        max_size=4,
+    ))
+    sites = tuple(PointSite(id=k, x=x, y=y) for k, (x, y) in enumerate(points))
+    return SpatialDataset(sites=sites), radius
+
+
+@st.composite
+def multigraphs(draw, max_sites=8, dangling=True):
+    """Point sites on distinct integer spots with a multigraph over them.
+
+    Endpoints may repeat (parallel edges), coincide (self-loops) and, with
+    dangling, name no site; costs are non-negative, as validation demands.
+    """
+    n = draw(st.integers(2, max_sites))
+    spots = draw(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        min_size=n, max_size=n, unique=True,
+    ))
+    values = draw(st.lists(st.floats(0, 100), min_size=n, max_size=n))
+    sites = tuple(
+        PointSite(id=k, x=float(x), y=float(y), attributes={"v": v})
+        for k, ((x, y), v) in enumerate(zip(spots, values))
+    )
+    cost = st.one_of(st.integers(0, 6).map(float), st.floats(0, 10))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n - 1 + dangling), st.integers(0, n - 1 + dangling), cost),
+        max_size=3 * n,
+    ))
+    edges = tuple(Edge(u, v, 1.0, c) for u, v, c in rows)
+    return SpatialDataset(sites=sites, edges=edges, attribute_names=("v",))
+
+
+def _tiling(draw, cols, rows):
+    """Quadrilaterals on a jittered, scaled and shifted unit lattice."""
+    scale = draw(st.floats(0.01, 100))
+    ox, oy = draw(st.tuples(st.floats(-1000, 1000), st.floats(-1000, 1000)))
+    jitter = draw(st.floats(0, 0.25))
+    offsets = st.floats(-jitter, jitter)
+    vertex = {}
+    for i in range(cols + 1):
+        for j in range(rows + 1):
+            dx, dy = draw(st.tuples(offsets, offsets))
+            vertex[i, j] = (ox + (i + dx) * scale, oy + (j + dy) * scale)
+    values = draw(st.lists(st.floats(0, 100), min_size=cols * rows, max_size=cols * rows))
+    sites = []
+    for i in range(cols):
+        for j in range(rows):
+            ring = (vertex[i, j], vertex[i + 1, j], vertex[i + 1, j + 1], vertex[i, j + 1])
+            sites.append(PolygonSite(
+                id=f"{i}-{j}", exterior=ring, attributes={"v": values[i * rows + j]},
+            ))
+    return SpatialDataset(sites=tuple(sites), attribute_names=("v",))
+
+
+@st.composite
+def tilings(draw):
+    cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return _tiling(draw, cols, rows), cols, rows
+
+
+# ----------------------------------------------------------------- properties
+
+
+@given(buffer_cases())
+def test_buffer_sets_match_scan(case):
+    dataset, radius = case
+    for center in dataset.site_ids():
+        assert outcome(buffer_neighbors, dataset, center, radius) == outcome(
+            scan_buffer, dataset, center, radius
+        )
+
+
+def test_radius_sweep_keeps_one_grid():
+    dataset = grid_point_dataset(5, 5, [0.0] * 25)
+    for radius in (0.5, 1.0, 1.5, 2.0, 1.0, 3.0):
+        for center in dataset.site_ids():
+            assert buffer_neighbors(dataset, center, radius) == scan_buffer(
+                dataset, center, radius
+            )
+        grids = [key for key in dataset._prepared if "grid" in repr(key)]
+        assert grids == ["grid"]
+
+
+@given(multigraphs())
+def test_graph_sets_and_connection_counts_match_scan(dataset):
+    ids = dataset.site_ids()
+    for center in ids:
+        assert graph_neighbors(dataset, center) == scan_graph(dataset, center)
+        for other in ids:
+            assert direct_connection_count(dataset, center, other) == (
+                scan_connection_count(dataset, center, other)
+            )
+
+
+@given(multigraphs(), st.one_of(st.none(), st.floats(0, 12)))
+def test_min_cost_matches_scan(dataset, limit):
+    ids = dataset.site_ids()
+    for a in ids:
+        for b in ids:
+            assert min_cost(dataset, a, b) == scan_min_cost(dataset, a, b)
+            assert min_cost(dataset, a, b, limit) == scan_min_cost(dataset, a, b, limit)
+            cost = scan_min_cost(dataset, a, b)
+            if cost is not None:
+                # a path whose cost is exactly the limit is usable; one ulp less is not
+                assert min_cost(dataset, a, b, cost) == cost
+                assert min_cost(dataset, a, b, math.nextafter(cost, -math.inf)) is None
+
+
+@given(
+    multigraphs(),
+    st.one_of(st.none(), st.floats(0.5, 12)),
+    st.data(),
+)
+def test_collect_factors_matches_scan(dataset, limit, data):
+    params = WeightParams(radius=3.0, cost_limit=limit)
+    ids = dataset.site_ids()
+    for center in ids:
+        # the center itself is not a discovered neighbor, but callers may pass it
+        neighbors = data.draw(st.sets(st.sampled_from(ids)))
+        assert outcome(collect_factors, dataset, center, neighbors, params) == outcome(
+            scan_collect_factors, dataset, center, neighbors, params
+        )
+
+
+@given(tilings(), st.floats(0.5, 2.5))
+def test_polygon_buffer_sets_match_scan(case, reach):
+    dataset, _, _ = case
+    (x0, _), (x1, _) = dataset.sites[0].exterior[:2]
+    radius = reach * abs(x1 - x0)  # in widths of one jittered cell
+    for center in dataset.site_ids():
+        assert buffer_neighbors(dataset, center, radius) == scan_buffer(dataset, center, radius)
+
+
+@given(tilings())
+def test_rook_adjacency_matches_scan_on_jittered_tilings(case):
+    dataset, cols, rows = case
+    for i in range(cols):
+        for j in range(rows):
+            center = f"{i}-{j}"
+            found = polygon_adjacent_neighbors(dataset, center)
+            assert found == scan_polygon(dataset, center)
+            # shared edges only: diagonal cells touch at a corner and do not count
+            assert found == {
+                f"{a}-{b}"
+                for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                if 0 <= a < cols and 0 <= b < rows
+            }
+
+
+@given(
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    st.floats(1e-3, 1e3),
+    st.one_of(st.sampled_from([1e-10, 5e-10, 9e-10, 2e-9]), st.floats(-3e-9, 3e-9)),
+    st.floats(-1.0, 1.0),
+)
+def test_rook_adjacency_matches_scan_across_tiny_gaps(origin, side, gap, slide):
+    # a gap below BOUNDARY_TOLERANCE still counts as a shared boundary, though
+    # the unpadded bounding boxes are disjoint
+    ox, oy = origin
+
+    def square(sid, x, y):
+        return PolygonSite(
+            id=sid, exterior=((x, y), (x + side, y), (x + side, y + side), (x, y + side))
+        )
+
+    dataset = SpatialDataset(
+        sites=(square("a", ox, oy), square("b", ox + side + gap, oy + slide * side))
+    )
+    for center in ("a", "b"):
+        assert polygon_adjacent_neighbors(dataset, center) == scan_polygon(dataset, center)
+
+
+def _detect_with_scans(*args, **kwargs):
+    # results may hold nan, which never compares equal: callers compare reprs,
+    # which round-trip every float exactly
+    with mock.patch.multiple(
+        detect,
+        buffer_neighbors=scan_buffer,
+        graph_neighbors=scan_graph,
+        polygon_adjacent_neighbors=scan_polygon,
+        collect_factors=scan_collect_factors,
+    ):
+        return outcome(detect_outliers, *args, **kwargs)
+
+
+@given(
+    multigraphs(max_sites=10, dangling=False),
+    st.sampled_from(["buffer", "graph", "combined"]),
+    st.sampled_from(["classical", "weighted"]),
+    st.sampled_from([1.0, 1.5, 2.5, 4.0]),
+    st.one_of(st.none(), st.floats(0.5, 8)),
+)
+def test_point_z_values_match_scan(dataset, regime, mode, radius, limit):
+    params = WeightParams(
+        alpha=0.5, beta=0.25, delta=0.25, radius=radius, cost_limit=limit, theta=1.5
+    )
+    got = outcome(detect_outliers, dataset, "v", params, mode=mode, regime=regime)
+    assert repr(got) == repr(_detect_with_scans(dataset, "v", params, mode=mode, regime=regime))
+
+
+@given(tilings(), st.sampled_from(["classical", "weighted"]))
+def test_polygon_z_values_match_scan(case, mode):
+    dataset, _, _ = case
+    params = WeightParams(gamma=0.5, theta=1.5)
+    got = outcome(detect_outliers, dataset, "v", params, mode=mode, regime="polygon")
+    assert repr(got) == repr(_detect_with_scans(dataset, "v", params, mode=mode, regime="polygon"))
+
+
+def test_dataset_is_freed_by_reference_counting():
+    points = grid_point_dataset(4, 4, [float(k * k % 11) for k in range(16)])
+    polygons = SpatialDataset(
+        sites=tuple(
+            PolygonSite(
+                id=f"{i}-{j}",
+                exterior=((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)),
+                attributes={"v": float((i * 7 + j * 3) % 5)},
+            )
+            for i in range(3)
+            for j in range(3)
+        ),
+        attribute_names=("v",),
+    )
+    params = WeightParams(alpha=0.5, beta=0.25, delta=0.25, radius=1.5, cost_limit=3.0)
+    gc.disable()
+    try:
+        for regime in ("buffer", "graph", "combined"):
+            detect_outliers(points, "v", params, regime=regime)
+        for regime in ("buffer", "polygon"):
+            detect_outliers(polygons, "v", params, regime=regime)
+        refs = [weakref.ref(points), weakref.ref(polygons)]
+        del points, polygons
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
