@@ -18,6 +18,7 @@ from .errors import (
     UnknownAttributeError,
 )
 from .neighborhood import (
+    _sorted_ids,
     buffer_neighbors,
     collect_factors,
     graph_neighbors,
@@ -107,15 +108,30 @@ class ComparisonReport:
     mean_sq_error_reduction_pct: float | None
 
 
+def _common_value(neighbor_values: list[float]) -> float | None:
+    """The value every neighbor has, or None when they differ or are absent.
+
+    Weights sum to one, so such a neighborhood expects exactly that value;
+    rounded products can miss it by an ulp, which would turn a constant
+    attribute into z-scores of rounding noise.
+    """
+    if neighbor_values and neighbor_values.count(neighbor_values[0]) == len(neighbor_values):
+        return neighbor_values[0] + 0.0  # -0.0 becomes 0.0, as in math.fsum
+    return None
+
+
 def expected_classical(neighbor_values: list[float]) -> float:
     """Plain neighbor mean, computed as a uniform weighted sum.
 
     Using the same product-and-exact-sum evaluation as
     :func:`expected_weighted` keeps uniform weighting bit-identical to the
-    classical expectation.
+    classical expectation.  Equal neighbor values give exactly that value.
     """
     if not neighbor_values:
         raise NoNeighborsError("expectation over an empty neighborhood")
+    common = _common_value(neighbor_values)
+    if common is not None:
+        return common
     share = 1.0 / len(neighbor_values)
     return math.fsum(share * v for v in neighbor_values)
 
@@ -123,13 +139,18 @@ def expected_classical(neighbor_values: list[float]) -> float:
 def expected_weighted(
     weights: WeightedNeighborhood, values: dict[SiteId, float]
 ) -> float:
-    """Weight-of-effect average of the neighbor values."""
-    products = []
-    for neighbor, weight in weights.entries:
-        if neighbor not in values:
-            raise SiteLookupError(f"no value for weighted neighbor {neighbor!r}")
-        products.append(weight * values[neighbor])
-    return math.fsum(products)
+    """Weight-of-effect average of the neighbor values.
+
+    Equal neighbor values give exactly that value.
+    """
+    try:
+        neighbor_values = [values[neighbor] for neighbor, _ in weights.entries]
+    except KeyError as exc:
+        raise SiteLookupError(f"no value for weighted neighbor {exc.args[0]!r}") from None
+    common = _common_value(neighbor_values)
+    if common is not None:
+        return common
+    return math.fsum([w * v for (_, w), v in zip(weights.entries, neighbor_values)])
 
 
 def difference_scores(
@@ -192,7 +213,7 @@ def _neighbor_ids(dataset, center, regime, params) -> list[SiteId]:
         if params.radius is None:
             raise ValueError(f"regime {regime!r} requires a buffer radius")
         found = buffer_neighbors(dataset, center, params.radius)
-    return sorted(found, key=site_id_key)
+    return _sorted_ids(dataset, found)
 
 
 def neighborhood_weights(

@@ -95,12 +95,19 @@ def load_edges(path) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
+# what float() raises on a JSON value that is not a number, or too large
+_NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
+
+
 def _ring_from_json(path, where, raw):
     if not isinstance(raw, list) or any(
         not isinstance(v, list) or len(v) != 2 for v in raw
     ):
         raise ParseError(path, where, "ring must be a list of [x, y] pairs")
-    ring = [(float(x), float(y)) for x, y in raw]
+    try:
+        ring = [(float(x), float(y)) for x, y in raw]
+    except _NOT_A_FLOAT:
+        raise ParseError(path, where, "ring coordinates must be numbers") from None
     if len(ring) > 1 and ring[0] == ring[-1]:
         ring = ring[:-1]
     if len(set(ring)) < 3:
@@ -115,6 +122,8 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
             document = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, exc.msg) from None
+        except ValueError as exc:  # bytes that are not UTF-8, overlong integers
+            raise ParseError(path, 1, str(exc)) from None
     if not isinstance(document, list):
         raise ParseError(path, 1, "document must be a list of polygon records")
     polygons = []
@@ -136,14 +145,18 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
         if not isinstance(rings, list) or not rings:
             raise ParseError(path, where, "rings must be a non-empty list")
         parsed = [_ring_from_json(path, where, ring) for ring in rings]
+        attributes = record.get("attributes", {})
+        if not isinstance(attributes, dict):
+            raise ParseError(path, where, "attributes must be an object")
+        try:
+            attributes = {str(k): float(v) for k, v in attributes.items()}
+        except _NOT_A_FLOAT:
+            raise ParseError(path, where, "attribute values must be numbers") from None
         polygon = PolygonSite(
             id=site_id,
             exterior=parsed[0],
             holes=tuple(parsed[1:]),
-            attributes={
-                str(k): float(v)
-                for k, v in record.get("attributes", {}).items()
-            },
+            attributes=attributes,
         )
         for ring in (polygon.exterior, *polygon.holes):
             if abs(_ring_signed_area(ring)) < 1e-12:

@@ -7,11 +7,12 @@ separation distance, number of parallel direct connections, and cheapest
 traversal cost (None when unreachable or over the cost limit).
 
 Every lookup goes through a prepared index kept on the dataset.  Each of its
-structures is built the first time a regime needs it: a uniform grid over
-site locations for the last buffer radius, edge counts per unordered
-endpoint pair, cheapest-edge adjacency (which also gives graph neighbors),
-and polygon rook adjacency found through a grid over polygon bounding boxes.  The exact membership tests run on the
-candidates the index yields.
+structures is built the first time a regime needs it: a uniform grid of
+site ids and locations for the last buffer radius, the rank of every site id
+in sort order, edge counts per unordered endpoint pair, cheapest-edge
+adjacency (which also gives graph neighbors), and polygon rook adjacency
+found through a grid over polygon bounding boxes.  The exact membership
+tests run on the candidates the index yields.
 """
 
 import heapq
@@ -21,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dataset import (
+    PointSite,
     PolygonSite,
     SiteId,
     SpatialDataset,
@@ -29,7 +31,7 @@ from .dataset import (
     site_id_key,
     site_location,
 )
-from .errors import GeometryError
+from .errors import GeometryError, SiteLookupError
 
 # minimum shared-boundary length for polygon adjacency
 BOUNDARY_TOLERANCE = 1e-9
@@ -76,11 +78,11 @@ def _prepared(dataset: SpatialDataset, key, build, *args):
 
 
 def _site_grid(dataset: SpatialDataset, cell: float):
-    """Sites bucketed by grid cell, or None to scan them all.
+    """(id, x, y) per site, bucketed by grid cell, or None to scan them all.
 
-    None covers locations that give no trustworthy cell numbers: non-finite
-    values, cells too small for the coordinates, and polygons without a
-    centroid.
+    x, y is the site location, computed once here.  None covers locations
+    that give no trustworthy cell numbers: non-finite values, cells too small
+    for the coordinates, and polygons without a centroid.
     """
     grid: dict[tuple[int, int], list] = {}
     try:
@@ -89,7 +91,7 @@ def _site_grid(dataset: SpatialDataset, cell: float):
             gx, gy = x / cell, y / cell
             if not (abs(gx) < _MAX_CELL_INDEX and abs(gy) < _MAX_CELL_INDEX):
                 return None
-            grid.setdefault((math.floor(gx), math.floor(gy)), []).append(site)
+            grid.setdefault((math.floor(gx), math.floor(gy)), []).append((site.id, x, y))
     except GeometryError:
         return None
     return grid
@@ -115,21 +117,24 @@ def buffer_neighbors(
     if sys.float_info.min <= radius and math.isfinite(cell):
         grid = _radius_grid(dataset, radius, cell)
     if grid is None:
-        candidates = dataset.sites
-    else:
-        x, y = site_location(center_site)
-        gx, gy = math.floor(x / cell), math.floor(y / cell)
-        candidates = [
-            site
-            for ix in (gx - 1, gx, gx + 1)
-            for iy in (gy - 1, gy, gy + 1)
-            for site in grid.get((ix, iy), ())
-        ]
-    return {
-        site.id
-        for site in candidates
-        if site.id != center and site_distance(center_site, site) <= radius
-    }
+        return {
+            site.id
+            for site in dataset.sites
+            if site.id != center and site_distance(center_site, site) <= radius
+        }
+    cx, cy = site_location(center_site)
+    gx, gy = math.floor(cx / cell), math.floor(cy / cell)
+    found = set()
+    for ix in (gx - 1, gx, gx + 1):
+        for iy in (gy - 1, gy, gy + 1):
+            for sid, x, y in grid.get((ix, iy), ()):
+                # the arithmetic of site_distance(center_site, site)
+                d = math.hypot(cx - x, cy - y)
+                if d <= radius and sid != center:
+                    if d == 0.0:  # raises the error site_distance gives for the pair
+                        site_distance(center_site, PointSite(id=sid, x=x, y=y))
+                    found.add(sid)
+    return found
 
 
 def graph_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:
@@ -272,6 +277,25 @@ def polygon_adjacent_neighbors(dataset: SpatialDataset, center: SiteId) -> set[S
     return set(_prepared(dataset, "rook", _rook)[center])
 
 
+def _id_rank(dataset: SpatialDataset) -> dict[SiteId, int]:
+    """Position of each site id in site_id_key order.
+
+    site_id_key gives distinct str and int ids distinct keys, so sorting ids
+    by rank gives exactly the site_id_key order.
+    """
+    ordered = sorted(dataset.site_ids(), key=site_id_key)
+    return {sid: i for i, sid in enumerate(ordered)}
+
+
+def _sorted_ids(dataset: SpatialDataset, ids) -> list[SiteId]:
+    """Site ids in site_id_key order; raises SiteLookupError on a non-site."""
+    rank = _prepared(dataset, "rank", _id_rank)
+    try:
+        return sorted(ids, key=rank.__getitem__)
+    except KeyError as exc:
+        raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
+
+
 def _pair(a: SiteId, b: SiteId) -> tuple[SiteId, SiteId]:
     """Key of an unordered endpoint pair: the ids in sort order."""
     return (a, b) if site_id_key(a) <= site_id_key(b) else (b, a)
@@ -365,18 +389,22 @@ def collect_factors(
     are deterministic.
     """
     center_site = dataset.site(center)
-    ordered = sorted(neighbors, key=site_id_key)
+    ordered = _sorted_ids(dataset, neighbors)
     costs = _costs_from(dataset, center, ordered, params.cost_limit)
     pairs = _prepared(dataset, "pairs", _pair_counts)
+    rank = _prepared(dataset, "rank", _id_rank)
+    center_rank = rank[center]
     out = []
     for neighbor in ordered:
         neighbor_site = dataset.site(neighbor)
+        # _pair(center, neighbor): rank order is site_id_key order
+        pair = (center, neighbor) if center_rank <= rank[neighbor] else (neighbor, center)
         out.append(
             NeighborFactors(
                 center=center,
                 neighbor=neighbor,
                 distance=site_distance(center_site, neighbor_site),
-                connection_count=pairs[_pair(center, neighbor)],
+                connection_count=pairs[pair],
                 min_cost=costs.get(neighbor),
             )
         )

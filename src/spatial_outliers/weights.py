@@ -24,9 +24,6 @@ class WeightedNeighborhood:
     def as_dict(self) -> dict[SiteId, float]:
         return dict(self.entries)
 
-    def weight_sum(self) -> float:
-        return math.fsum(w for _, w in self.entries)
-
 
 def _normalized(center: SiteId, pairs: list[tuple[SiteId, float]]) -> WeightedNeighborhood:
     """Drop zero-weight neighbors and rescale the rest to sum to one."""

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from spatial_outliers import Edge, PolygonSite, PointSite, SpatialDataset
 from spatial_outliers.fixtures import (
@@ -6,6 +7,9 @@ from spatial_outliers.fixtures import (
     survey_dataset,
     village_dataset,
 )
+
+# heavier property runs, selected with --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -90,6 +90,15 @@ class TestValidate:
         assert main(["validate", "--sites", _p(sites)]) == 1
         assert "not a number" in capsys.readouterr().err
 
+    def test_polygon_value_error_exit_one(self, tmp_path, capsys):
+        polys = tmp_path / "polys.json"
+        polys.write_text(
+            json.dumps([{"id": "p", "rings": [[["x", 0], [1, 0], [0, 1]]]}]),
+            encoding="utf-8",
+        )
+        assert main(["validate", "--polygons", _p(polys)]) == 1
+        assert "record 0: ring coordinates must be numbers" in capsys.readouterr().err
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["validate", "--sites", _p(tmp_path / "nope.csv")]) == 1
         capsys.readouterr()
@@ -224,6 +233,26 @@ class TestCompare:
         assert float(cols[4]) == pytest.approx(361.0, abs=1e-6)   # 19^2
         assert float(cols[5]) == pytest.approx(4.0, abs=1e-6)     # 2^2
         assert float(cols[7]) == pytest.approx(98.89, abs=0.01)
+
+
+@pytest.mark.parametrize("command", ["detect", "compare"])
+def test_constant_attribute_exits_one_without_report(command, tmp_path, capsys):
+    # rounded weight products of 3.7 can sum to 3.7 plus an ulp; that noise
+    # must not be standardized into z-scores
+    sites = tmp_path / "sites.csv"
+    sites.write_text(
+        "id,x,y,v\n"
+        + "".join(f"s{i}{j},{i},{j},3.7\n" for i in range(4) for j in range(4)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.csv"
+    code = main([
+        command, "--sites", _p(sites), "--regime", "buffer", "--radius", "1.5",
+        "--out", _p(out),
+    ])
+    assert code == 1
+    assert "no spread beyond rounding" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestFixturesCommand:

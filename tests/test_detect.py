@@ -28,7 +28,7 @@ from spatial_outliers.fixtures import (
     VILLAGE_RADIUS,
 )
 
-from conftest import grid_point_dataset
+from conftest import grid_point_dataset, unit_square
 
 
 class TestExpectedClassical:
@@ -269,6 +269,28 @@ class TestDetectOutliers:
         ds = SpatialDataset(sites=sites)
         with pytest.raises(DegenerateDistributionError):
             detect_outliers(ds, "v", WeightParams(radius=2.0), regime="buffer")
+
+    @given(
+        st.floats(-1e6, 1e6),
+        st.sampled_from(["buffer", "graph", "combined", "polygon"]),
+        st.sampled_from(["classical", "weighted"]),
+    )
+    def test_constant_attribute_rejected(self, value, regime, mode):
+        # rounded weight products can miss a constant by an ulp; such noise
+        # must never be standardized into z-scores
+        if regime == "polygon":
+            ds = SpatialDataset(
+                sites=tuple(
+                    unit_square(f"{i}-{j}", ox=i, oy=j, attributes={"v": value})
+                    for i in range(4)
+                    for j in range(4)
+                )
+            )
+        else:
+            ds = grid_point_dataset(4, 4, [value] * 16)
+        params = WeightParams(alpha=0.5, beta=0.25, delta=0.25, radius=1.5)
+        with pytest.raises(DegenerateDistributionError, match="no spread beyond rounding"):
+            detect_outliers(ds, "v", params, mode=mode, regime=regime)
 
     def test_polygon_regime_requires_polygons(self, village):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -175,6 +176,34 @@ class TestLoadPolygons:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "polys.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_polygons(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"rings": [[["x", 0], [1, 0], [0, 1]]]}, "ring coordinates must be numbers"),
+            ({"attributes": {"v": "hi"}}, "attribute values must be numbers"),
+            ({"rings": [[[None, 0], [1, 0], [0, 1]]]}, "ring coordinates must be numbers"),
+            ({"attributes": [1]}, "attributes must be an object"),
+            ({"rings": [[[10 ** 400, 0], [1, 0], [0, 1]]]}, "ring coordinates must be numbers"),
+            ({"attributes": {"v": None}}, "attribute values must be numbers"),
+        ],
+    )
+    def test_bad_value_names_its_record(self, tmp_path, fields, message):
+        good = {"id": "a", "rings": [[[0, 0], [1, 0], [0, 1]]], "attributes": {"v": 1}}
+        path = tmp_path / "polys.json"
+        path.write_text(json.dumps([good, {**good, "id": "b", **fields}]), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f":record 1: {message}")):
+            load_polygons(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'[{"id": "p", "rings": [], "attributes": {"v": "\xff"}}]', b"[" + b"9" * 5000 + b"]"],
+    )
+    def test_undecodable_document_rejected(self, tmp_path, data):
+        path = tmp_path / "polys.json"
+        path.write_bytes(data)
         with pytest.raises(ParseError):
             load_polygons(path)
 

@@ -1,10 +1,11 @@
 """Differential tests: the prepared index against brute-force scans.
 
 Every neighbor and factor lookup in the library goes through a per-dataset
-index (grid hash, pair counter, shared adjacency, bounded Dijkstra, polygon
-bounding-box candidates).  The scans below are the straightforward
-implementations the index replaced; each property requires both to give the
-same result, or to raise the same error, on the same input.
+index (grid hash over cached coordinates, id rank, pair counter, shared
+adjacency, bounded Dijkstra, polygon bounding-box candidates).  The scans
+below are the straightforward implementations the index replaced; each
+property requires both to give the same result, or to raise the same error,
+on the same input.
 """
 
 import gc
@@ -13,12 +14,14 @@ import math
 import weakref
 from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from spatial_outliers import (
+    DegenerateDistanceError,
     Edge,
     PointSite,
     PolygonSite,
+    SiteLookupError,
     SpatialDataset,
     SpatialOutlierError,
     WeightParams,
@@ -146,6 +149,15 @@ def outcome(fn, *args, **kwargs):
         return "raised", type(exc)
 
 
+def error_text(fn, *args):
+    """The message of the library error fn raises, or None."""
+    try:
+        fn(*args)
+    except SpatialOutlierError as exc:
+        return str(exc)
+    return None
+
+
 # ------------------------------------------------------------- strategies
 
 radii = st.one_of(
@@ -205,6 +217,47 @@ def multigraphs(draw, max_sites=8, dangling=True):
     return SpatialDataset(sites=sites, edges=edges, attribute_names=("v",))
 
 
+@st.composite
+def coincident_cases(draw):
+    """Lattice sites where some spots hold several sites, and a radius.
+
+    The scaled, shifted lattice keeps every coordinate small next to the
+    radius, so the buffer grid is always built.
+    """
+    step = draw(st.floats(0.01, 100))
+    ox, oy = draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    spots = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        min_size=1, max_size=8, unique=True,
+    ))
+    repeats = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=4))
+    placed = draw(st.permutations(spots + repeats))
+    radius = step * draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    sites = tuple(
+        PointSite(id=k, x=ox + i * step, y=oy + j * step) for k, (i, j) in enumerate(placed)
+    )
+    return SpatialDataset(sites=sites), radius
+
+
+@st.composite
+def mixed_id_multigraphs(draw):
+    """multigraphs() with the sites renamed to distinct int and str ids."""
+    dataset = draw(multigraphs(dangling=False))
+    ids = draw(st.lists(
+        st.one_of(st.integers(-50, 50), st.text(max_size=3)),
+        min_size=len(dataset.sites), max_size=len(dataset.sites), unique=True,
+    ))
+    sites = tuple(
+        PointSite(id=ids[site.id], x=site.x, y=site.y, attributes=site.attributes)
+        for site in dataset.sites
+    )
+    edges = tuple(
+        Edge(ids[edge.source], ids[edge.target], edge.length, edge.cost)
+        for edge in dataset.edges
+    )
+    return SpatialDataset(sites=sites, edges=edges, attribute_names=("v",))
+
+
 def _tiling(draw, cols, rows):
     """Quadrilaterals on a jittered, scaled and shifted unit lattice."""
     scale = draw(st.floats(0.01, 100))
@@ -243,6 +296,21 @@ def test_buffer_sets_match_scan(case):
         assert outcome(buffer_neighbors, dataset, center, radius) == outcome(
             scan_buffer, dataset, center, radius
         )
+
+
+@given(coincident_cases())
+def test_coincident_sites_raise_like_scan(case):
+    dataset, radius = case
+    raised = 0
+    for center in dataset.site_ids():
+        got = outcome(buffer_neighbors, dataset, center, radius)
+        assert dataset._prepared["grid"][1] is not None  # the grid path ran
+        assert got == outcome(scan_buffer, dataset, center, radius)
+        assert error_text(buffer_neighbors, dataset, center, radius) == error_text(
+            scan_buffer, dataset, center, radius
+        )
+        raised += got == ("raised", DegenerateDistanceError)
+    assert raised >= 2  # both sites of a shared spot, at least
 
 
 def test_radius_sweep_keeps_one_grid():
@@ -295,6 +363,43 @@ def test_collect_factors_matches_scan(dataset, limit, data):
         assert outcome(collect_factors, dataset, center, neighbors, params) == outcome(
             scan_collect_factors, dataset, center, neighbors, params
         )
+
+
+@given(mixed_id_multigraphs(), st.one_of(st.none(), st.floats(0.5, 12)), st.data())
+def test_mixed_ids_come_back_in_key_order(dataset, limit, data):
+    params = WeightParams(radius=3.0, cost_limit=limit)
+    ids = dataset.site_ids()
+    for center in ids:
+        assert detect._neighbor_ids(dataset, center, "buffer", params) == sorted(
+            scan_buffer(dataset, center, 3.0), key=site_id_key
+        )
+        assert detect._neighbor_ids(dataset, center, "graph", params) == sorted(
+            scan_graph(dataset, center), key=site_id_key
+        )
+        neighbors = data.draw(st.sets(st.sampled_from(ids))) - {center}
+        got = collect_factors(dataset, center, neighbors, params)
+        assert [f.neighbor for f in got] == sorted(neighbors, key=site_id_key)
+        assert got == scan_collect_factors(dataset, center, neighbors, params)
+
+
+@given(
+    multigraphs(),
+    st.sets(st.one_of(st.integers(), st.text(max_size=3)), min_size=1, max_size=3),
+    st.data(),
+)
+def test_unknown_neighbor_id_raises_site_lookup_error(dataset, strangers, data):
+    unknown = {sid for sid in strangers if sid not in dataset}
+    assume(unknown)
+    ids = dataset.site_ids()
+    center = data.draw(st.sampled_from(ids))
+    # the center is left out: as its own neighbor it would raise
+    # DegenerateDistanceError, which the scan may meet before an unknown id
+    neighbors = (data.draw(st.sets(st.sampled_from(ids))) - {center}) | unknown
+    params = WeightParams(radius=3.0)
+    expected = ("raised", SiteLookupError)
+    assert outcome(scan_collect_factors, dataset, center, neighbors, params) == expected
+    assert outcome(collect_factors, dataset, center, neighbors, params) == expected
+    assert outcome(collect_factors, dataset, center, {"nope"}, params) == expected
 
 
 @given(tilings(), st.floats(0.5, 2.5))
