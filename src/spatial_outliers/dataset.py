@@ -175,30 +175,41 @@ class WeightParams:
 
 
 def _ring_signed_area(ring) -> float:
-    """Shoelace signed area of an implicitly closed ring."""
+    """Shoelace signed area of an implicitly closed ring.
+
+    Like _ring_centroid, it sums over offsets from the first vertex, so a
+    ring far from the origin keeps its precision.
+    """
+    ox, oy = ring[0]
     total = 0.0
     n = len(ring)
     for i in range(n):
         x1, y1 = ring[i]
         x2, y2 = ring[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
+        total += (x1 - ox) * (y2 - oy) - (x2 - ox) * (y1 - oy)
     return 0.5 * total
 
 
 def _ring_centroid(ring) -> tuple[float, float]:
-    """Area-weighted centroid of an implicitly closed ring."""
+    """Area-weighted centroid of an implicitly closed ring.
+
+    Sums run over offsets from the first vertex, so their rounding scales
+    with the ring's extent, not with its distance from the origin.
+    """
+    ox, oy = ring[0]
     a2 = cx = cy = 0.0
     n = len(ring)
     for i in range(n):
         x1, y1 = ring[i]
         x2, y2 = ring[(i + 1) % n]
+        x1, y1, x2, y2 = x1 - ox, y1 - oy, x2 - ox, y2 - oy
         det = x1 * y2 - x2 * y1
         a2 += det
         cx += (x1 + x2) * det
         cy += (y1 + y2) * det
     if abs(a2) < 2.0 * MIN_RING_AREA:
         raise GeometryError("degenerate ring: area is zero")
-    return cx / (3.0 * a2), cy / (3.0 * a2)
+    return ox + cx / (3.0 * a2), oy + cy / (3.0 * a2)
 
 
 def _checked_ring(polygon: PolygonSite, ring) -> None:
@@ -211,7 +222,13 @@ def _checked_ring(polygon: PolygonSite, ring) -> None:
 
 
 def polygon_area(polygon: PolygonSite) -> float:
-    """Planar area of the exterior ring minus any hole areas."""
+    """Planar area of the exterior ring minus any hole areas.
+
+    The result is remembered on the polygon (see polygon_centroid).
+    """
+    area = polygon.__dict__.get("_area")
+    if area is not None:
+        return area
     _checked_ring(polygon, polygon.exterior)
     area = abs(_ring_signed_area(polygon.exterior))
     for hole in polygon.holes:
@@ -219,6 +236,7 @@ def polygon_area(polygon: PolygonSite) -> float:
         area -= abs(_ring_signed_area(hole))
     if area < MIN_RING_AREA:
         raise GeometryError(f"polygon {polygon.id!r}: holes consume the exterior")
+    polygon.__dict__["_area"] = area
     return area
 
 
@@ -227,7 +245,16 @@ def polygon_centroid(polygon: PolygonSite) -> tuple[float, float]:
 
     The arithmetic mean of the vertices is deliberately not used: it drifts
     toward densely sampled stretches of the boundary.
+
+    The result is remembered in the polygon's instance dict, outside the
+    dataclass fields, so equality, hashing and repr do not see it.  Fields
+    are frozen, so it never goes stale; only results are stored, so a
+    degenerate polygon raises on every call; and threads racing to fill it
+    store equal values.
     """
+    centroid = polygon.__dict__.get("_centroid")
+    if centroid is not None:
+        return centroid
     _checked_ring(polygon, polygon.exterior)
     area = abs(_ring_signed_area(polygon.exterior))
     cx, cy = _ring_centroid(polygon.exterior)
@@ -241,7 +268,8 @@ def polygon_centroid(polygon: PolygonSite) -> tuple[float, float]:
         total -= h_area
     if total < MIN_RING_AREA:
         raise GeometryError(f"polygon {polygon.id!r}: holes consume the exterior")
-    return num_x / total, num_y / total
+    polygon.__dict__["_centroid"] = centroid = (num_x / total, num_y / total)
+    return centroid
 
 
 def site_location(site: Site) -> tuple[float, float]:

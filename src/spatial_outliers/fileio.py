@@ -6,6 +6,7 @@ with rings and attributes.  Detection and comparison reports render as CSV
 newline line endings, and identical inputs always produce identical bytes.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -27,9 +28,41 @@ def _parse_float(path, line_no, column, raw) -> float:
     return value
 
 
+def _not_utf8(path) -> ParseError:
+    """ParseError naming the line of the file's first byte that is not UTF-8.
+
+    Lines end at \n, \r\n or \r, as csv.reader splits them.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        return ParseError(
+            path, line, f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        )
+    return ParseError(path, 1, "not UTF-8")  # the file changed since it was read
+
+
+@contextlib.contextmanager
+def _csv_text(path):
+    """The file opened as UTF-8 text for csv.reader.
+
+    Decoding runs as rows are read; a byte that is not UTF-8 raises
+    ParseError naming its line.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
 def load_sites(path) -> tuple[PointSite, ...]:
     """Read point sites from CSV with columns id,x,y,<attr>,..."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _csv_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -68,7 +101,7 @@ def load_edges(path) -> tuple[Edge, ...]:
 
     Repeated rows for the same pair are kept as parallel connections.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _csv_text(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

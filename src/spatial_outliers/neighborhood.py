@@ -10,9 +10,16 @@ Every lookup goes through a prepared index kept on the dataset.  Each of its
 structures is built the first time a regime needs it: a uniform grid of
 site ids and locations for the last buffer radius, the rank of every site id
 in sort order, edge counts per unordered endpoint pair, cheapest-edge
-adjacency (which also gives graph neighbors), and polygon rook adjacency
-found through a grid over polygon bounding boxes.  The exact membership
-tests run on the candidates the index yields.
+adjacency (which also gives graph neighbors), and polygon rook adjacency.
+Rook adjacency is found through a grid over padded polygon bounding boxes,
+and the segment-overlap test runs only on segment pairs whose padded boxes
+meet.  The exact membership tests run on the candidates the index yields.
+
+Polygon centroids and areas are remembered on each PolygonSite by
+dataset.polygon_centroid and dataset.polygon_area, so validation, buffer
+grids, distances and polygon weights compute each one once.  Index
+structures and those memos are pure functions of immutable data: threads
+racing to fill one store equal values.
 """
 
 import heapq
@@ -180,16 +187,6 @@ def polygons_share_boundary(a: PolygonSite, b: PolygonSite) -> bool:
     return False
 
 
-def _bounds(polygon: PolygonSite, pad: float):
-    """Bounding box of every ring grown by pad, or None without vertices."""
-    points = [p for ring in (polygon.exterior, *polygon.holes) for p in ring]
-    if not points:
-        return None
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    return min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad
-
-
 def _cells(box, cell: float):
     x0, y0, x1, y1 = box
     return [
@@ -200,13 +197,15 @@ def _cells(box, cell: float):
 
 
 def _box_grid(dataset: SpatialDataset):
-    """Padded polygon boxes on a grid, or None to scan every polygon.
+    """Padded polygon and segment boxes on a grid, or None to scan every polygon.
 
-    Returns (pad, cell, boxes, grid): boxes[i] belongs to dataset.sites[i]
-    and grid maps a cell to the positions whose boxes cover it.  The cell
-    side is at least the mean box extent and the root of the mean box area,
-    which bounds the cells all boxes cover to a small multiple of the
-    polygon count.  None covers non-finite vertices.
+    Returns (cell, boxes, segments, grid): boxes[i] and segments[i] belong
+    to dataset.sites[i], each segment as (p, q, x0, y0, x1, y1) with its
+    padded box, each polygon box spans its segment boxes (None without
+    vertices), and grid maps a cell to the positions whose boxes cover it.
+    The cell side is at least the mean box extent and the root of the mean
+    box area, which bounds the cells all boxes cover to a small multiple of
+    the polygon count.  None covers non-finite vertices.
     """
     values = [
         v
@@ -219,7 +218,19 @@ def _box_grid(dataset: SpatialDataset):
         return None
     scale = max(map(abs, values), default=0.0)
     pad = _BOX_PAD + _BOX_PAD_RELATIVE * scale
-    boxes = [_bounds(site, pad) for site in dataset.sites]
+    segments = [
+        [
+            (p, q, min(p[0], q[0]) - pad, min(p[1], q[1]) - pad,
+             max(p[0], q[0]) + pad, max(p[1], q[1]) + pad)
+            for p, q in _ring_segments(site)
+        ]
+        for site in dataset.sites
+    ]
+    boxes = [
+        (min(s[2] for s in segs), min(s[3] for s in segs),
+         max(s[4] for s in segs), max(s[5] for s in segs)) if segs else None
+        for segs in segments
+    ]
     present = [box for box in boxes if box is not None]
     if not present:
         return None
@@ -233,41 +244,62 @@ def _box_grid(dataset: SpatialDataset):
         if box is not None:
             for key in _cells(box, cell):
                 grid.setdefault(key, []).append(i)
-    return pad, cell, boxes, grid
+    return cell, boxes, segments, grid
 
 
-def _box_candidates(dataset: SpatialDataset, center_site: PolygonSite):
-    """Polygons whose padded boxes meet the center's padded box."""
-    prepared = _prepared(dataset, "boxes", _box_grid)
-    if prepared is None:
-        return dataset.sites
-    pad, cell, boxes, grid = prepared
-    box = _bounds(center_site, pad)
-    if box is None:
-        return []
-    x0, y0, x1, y1 = box
-    found = {i for key in _cells(box, cell) for i in grid.get(key, ())}
-    return [
-        dataset.sites[i]
-        for i in found
-        if boxes[i][0] <= x1 and x0 <= boxes[i][2]
-        and boxes[i][1] <= y1 and y0 <= boxes[i][3]
-    ]
+def _segments_share_boundary(center_segments, candidate_segments) -> bool:
+    """polygons_share_boundary on segment lists, skipping pairs whose boxes miss."""
+    for p1, p2, ax0, ay0, ax1, ay1 in center_segments:
+        for q1, q2, bx0, by0, bx1, by1 in candidate_segments:
+            if (
+                bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1
+                and _overlap_length(p1, p2, q1, q2) > BOUNDARY_TOLERANCE
+            ):
+                return True
+    return False
 
 
 def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
     """Polygons sharing a boundary line with each polygon.
 
-    The predicate runs as (center, candidate) on box candidates only.
+    The predicate runs as (center, candidate) on box candidates only, and
+    _overlap_length only on segment pairs whose padded boxes meet.  Two
+    segments that overlap along more than BOUNDARY_TOLERANCE have points
+    within that tolerance of each other, so their padded boxes, like the
+    padded boxes of their polygons, always meet.
     """
-    rook = {}
-    for center in dataset.site_ids():
-        center_site = dataset.site(center)
-        rook[center] = frozenset(
-            site.id
-            for site in _box_candidates(dataset, center_site)
-            if site.id != center and polygons_share_boundary(center_site, site)
-        )
+    sites = dataset.sites
+    rook: dict[SiteId, frozenset[SiteId]] = {}
+    prepared = _box_grid(dataset)
+    if prepared is None:
+        for center in dataset.site_ids():
+            center_site = dataset.site(center)
+            rook[center] = frozenset(
+                site.id
+                for site in sites
+                if site.id != center and polygons_share_boundary(center_site, site)
+            )
+        return rook
+    cell, boxes, segments, grid = prepared
+    for i, center_site in enumerate(sites):
+        center = center_site.id
+        if center in rook:  # dataset.site(center) is the first site with the id
+            continue
+        box = boxes[i]
+        if box is None:
+            rook[center] = frozenset()
+            continue
+        x0, y0, x1, y1 = box
+        found = set()
+        for j in {j for key in _cells(box, cell) for j in grid.get(key, ())}:
+            bx0, by0, bx1, by1 = boxes[j]
+            if (
+                bx0 <= x1 and x0 <= bx1 and by0 <= y1 and y0 <= by1
+                and sites[j].id != center
+                and _segments_share_boundary(segments[i], segments[j])
+            ):
+                found.add(sites[j].id)
+        rook[center] = frozenset(found)
     return rook
 
 

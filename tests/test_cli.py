@@ -90,6 +90,12 @@ class TestValidate:
         assert main(["validate", "--sites", _p(sites)]) == 1
         assert "not a number" in capsys.readouterr().err
 
+    def test_undecodable_sites_exit_one(self, tmp_path, capsys):
+        sites = tmp_path / "sites.csv"
+        sites.write_bytes(b"id,x,y,v\nA,0,0,1\nB,\xff,0,2\n")
+        assert main(["validate", "--sites", _p(sites)]) == 1
+        assert f"{sites}:3: not UTF-8: byte 0xff" in capsys.readouterr().err
+
     def test_polygon_value_error_exit_one(self, tmp_path, capsys):
         polys = tmp_path / "polys.json"
         polys.write_text(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -30,6 +31,9 @@ def shoelace(vertices):
 
 TRIANGLE = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0))
 
+# projected coordinates (metres east and north) put rings far from the origin
+FAR_ORIGINS = [(1e6 + 0.1, 2e6 + 0.3), (123456.7, 7654321.9), (5e7, 5e7)]
+
 
 class TestPolygonArea:
     def test_unit_square(self):
@@ -51,6 +55,15 @@ class TestPolygonArea:
         poly = PolygonSite(id="bad", exterior=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
         with pytest.raises(GeometryError):
             polygon_area(poly)
+
+    @pytest.mark.parametrize("ox, oy", FAR_ORIGINS)
+    def test_far_from_origin(self, ox, oy):
+        tri = PolygonSite(id="t", exterior=((ox, oy), (ox + 3.0, oy), (ox, oy + 3.0)))
+        assert polygon_area(tri) == pytest.approx(4.5, rel=1e-12)
+        line = PolygonSite(id="l", exterior=((ox, oy), (ox + 1.0, oy + 1.0), (ox + 2.0, oy + 2.0)))
+        with pytest.raises(GeometryError):
+            polygon_area(line)
+        assert "degenerate exterior ring" in " ".join(validate_dataset(SpatialDataset(sites=(line,))))
 
     def test_hole_swallowing_exterior_rejected(self):
         poly = PolygonSite(
@@ -74,6 +87,18 @@ class TestPolygonCentroid:
     def test_translated_square(self):
         poly = unit_square("s", ox=10.0, oy=10.0)
         assert polygon_centroid(poly) == pytest.approx((10.5, 10.5))
+
+    @pytest.mark.parametrize("ox, oy", FAR_ORIGINS)
+    def test_far_from_origin(self, ox, oy):
+        tri = PolygonSite(id="t", exterior=((ox, oy), (ox + 3.0, oy), (ox, oy + 3.0)))
+        assert polygon_centroid(tri) == pytest.approx((ox + 1.0, oy + 1.0), rel=0, abs=1e-6)
+
+    def test_sliver_centroid_moves_with_the_sliver(self):
+        # shoelace terms of this sliver cancel to its 5e-10 area
+        ring = ((1.0, 0.0), (2.0, 2.8176947764319844e-32), (1.0, 1e-09))
+        cx, cy = polygon_centroid(PolygonSite(id="p", exterior=ring))
+        moved = PolygonSite(id="p", exterior=tuple((x, y + 5.0) for x, y in ring))
+        assert polygon_centroid(moved) == pytest.approx((cx, cy + 5.0), rel=1e-9, abs=1e-12)
 
     def test_hole_pulls_centroid_away(self):
         # hole in the right half pulls the centroid left
@@ -149,6 +174,61 @@ class TestGeometryProperties:
             return
         mx, my = polygon_centroid(_transformed(poly, dx=dx, dy=dy))
         assert (mx, my) == pytest.approx((cx + dx, cy + dy), rel=1e-9, abs=1e-6)
+
+
+def _geometry(poly):
+    """Centroid and area of poly, or the error each raises, for comparison."""
+    out = []
+    for fn in (polygon_centroid, polygon_area):
+        try:
+            out.append(fn(poly))
+        except GeometryError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+class TestGeometryMemo:
+    """Centroid and area are remembered on the polygon, invisibly."""
+
+    @given(star_polygons(), st.one_of(st.none(), st.floats(0.1, 0.9)))
+    def test_repeated_calls_match_a_fresh_copy(self, poly, hole_scale):
+        if hole_scale is not None:
+            # a shrunken copy of a star-shaped ring lies strictly inside it
+            hole = tuple((hole_scale * x, hole_scale * y) for x, y in poly.exterior)
+            poly = dataclasses.replace(poly, holes=(hole,))
+        first = _geometry(poly)
+        assert _geometry(poly) == first
+        assert _geometry(poly) == first
+        assert _geometry(dataclasses.replace(poly)) == first
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            PolygonSite(id="line", exterior=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))),
+            PolygonSite(
+                id="eaten",
+                exterior=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+                holes=(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),),
+            ),
+        ],
+        ids=["collinear", "hole-eats-exterior"],
+    )
+    def test_degenerate_ring_raises_on_every_call(self, poly):
+        for _ in range(3):
+            with pytest.raises(GeometryError):
+                polygon_centroid(poly)
+            with pytest.raises(GeometryError):
+                polygon_area(poly)
+
+    def test_memo_is_invisible_to_equality_and_repr(self):
+        hole = ((0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75))
+        used = PolygonSite(id="s", exterior=unit_square("x").exterior, holes=(hole,))
+        polygon_centroid(used)
+        polygon_area(used)
+        fresh = PolygonSite(id="s", exterior=unit_square("x").exterior, holes=(hole,))
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert used != dataclasses.replace(fresh, id="t")
 
 
 class TestSiteDistance:

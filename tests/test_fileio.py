@@ -82,6 +82,25 @@ class TestLoadSites:
         with pytest.raises(ParseError, match="expected 4 columns"):
             load_sites(path)
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"id,x,y,v\nA,1,2,3\nB,\xff,2,3\n", 3),
+            (b"id,x,y,v\r\nA,1,2,3\r\nB,1,\xc3(,3\r\n", 3),
+            (b"id,x,y,v\rA,1,2,3\rB,1,2,3\rC,1,2,\x80\r", 4),
+            (b"\xffid,x,y,v\n", 1),
+            (b"id,x,y,v\n" + b"".join(b"S%d,1,2,3\n" % k for k in range(3000)) + b"\xff", 3002),
+        ],
+        ids=["lf", "crlf", "cr", "header", "past-first-read"],
+    )
+    def test_undecodable_bytes_name_their_line(self, tmp_path, data, line):
+        path = tmp_path / "sites.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            load_sites(path)
+        assert err.value.line == line
+        assert err.value.path == str(path)
+
 
 class TestLoadEdges:
     def test_parallel_rows_kept(self, tmp_path):
@@ -115,6 +134,14 @@ class TestLoadEdges:
         path.write_text("from,to,weight\nA,B,1\n", encoding="utf-8")
         with pytest.raises(ParseError, match="header must be from,to,length,cost"):
             load_edges(path)
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"from,to,length,cost\nA,B,1,1\nA,C,1,1\nB,\xfe,1,1\n")
+        with pytest.raises(ParseError, match="not UTF-8: byte 0xfe") as err:
+            load_edges(path)
+        assert err.value.line == 4
+        assert err.value.path == str(path)
 
 
 class TestLoadPolygons:

@@ -2,10 +2,10 @@
 
 Every neighbor and factor lookup in the library goes through a per-dataset
 index (grid hash over cached coordinates, id rank, pair counter, shared
-adjacency, bounded Dijkstra, polygon bounding-box candidates).  The scans
-below are the straightforward implementations the index replaced; each
-property requires both to give the same result, or to raise the same error,
-on the same input.
+adjacency, bounded Dijkstra, polygon rook adjacency over bounding-box and
+segment-box candidates).  The scans below are the straightforward
+implementations the index replaced; each property requires both to give the
+same result, or to raise the same error, on the same input.
 """
 
 import gc
@@ -448,6 +448,97 @@ def test_rook_adjacency_matches_scan_across_tiny_gaps(origin, side, gap, slide):
     )
     for center in ("a", "b"):
         assert polygon_adjacent_neighbors(dataset, center) == scan_polygon(dataset, center)
+
+
+def _assert_rook_matches_scan(dataset):
+    for center in dataset.site_ids():
+        assert polygon_adjacent_neighbors(dataset, center) == scan_polygon(dataset, center)
+
+
+@given(
+    st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+    st.floats(0.01, 100),
+    st.tuples(st.floats(0.1, 0.4), st.floats(0.1, 0.4), st.floats(0.1, 0.4)),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_rook_adjacency_matches_scan_for_a_polygon_in_a_hole(
+    origin, scale, hole, turn, reverse
+):
+    # the island's exterior is the frame's hole ring, started at another
+    # vertex and possibly wound the other way; a box left of the frame
+    # shares its right side with the frame's left side
+    ox, oy = origin
+    hx, hy, side = hole
+
+    def at(x, y):
+        return ox + x * scale, oy + y * scale
+
+    frame = (at(0, 0), at(1, 0), at(1, 1), at(0, 1))
+    ring = (at(hx, hy), at(hx + side, hy), at(hx + side, hy + side), at(hx, hy + side))
+    island = ring[turn:] + ring[:turn]
+    if reverse:
+        island = island[::-1]
+    dataset = SpatialDataset(sites=(
+        PolygonSite(id="frame", exterior=frame, holes=(ring,)),
+        PolygonSite(id="island", exterior=island),
+        PolygonSite(id="left", exterior=(at(-1, 0), at(0, 0), at(0, 1), at(-1, 1))),
+    ))
+    _assert_rook_matches_scan(dataset)
+    assert polygon_adjacent_neighbors(dataset, "island") == {"frame"}
+    assert polygon_adjacent_neighbors(dataset, "frame") == {"island", "left"}
+
+
+@given(
+    st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+    st.floats(0.01, 100),
+    st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4, unique=True),
+    st.lists(st.floats(0.05, 0.95), min_size=0, max_size=4, unique=True),
+)
+def test_rook_adjacency_matches_scan_at_t_junctions(origin, scale, top_cuts, bottom_cuts):
+    # one strip of boxes above y = 0 and one below, cut at different x: each
+    # box side on y = 0 is shared with every box across whose x range overlaps
+    ox, oy = origin
+
+    def strip(name, cuts, y0, y1):
+        xs = [0.0, *sorted(cuts), 1.0]
+        return [
+            (f"{name}{k}", (a, b), PolygonSite(
+                id=f"{name}{k}",
+                exterior=((ox + a * scale, oy + y0 * scale), (ox + b * scale, oy + y0 * scale),
+                          (ox + b * scale, oy + y1 * scale), (ox + a * scale, oy + y1 * scale)),
+            ))
+            for k, (a, b) in enumerate(zip(xs, xs[1:]))
+        ]
+
+    top, bottom = strip("t", top_cuts, 0.0, 1.0), strip("b", bottom_cuts, -1.0, 0.0)
+    dataset = SpatialDataset(sites=tuple(site for _, _, site in top + bottom))
+    _assert_rook_matches_scan(dataset)
+    for tid, (ta, tb), _ in top:
+        found = polygon_adjacent_neighbors(dataset, tid)
+        for bid, (ba, bb), _ in bottom:
+            if (min(tb, bb) - max(ta, ba)) * scale > 1e-6:
+                assert bid in found
+
+
+@given(
+    tilings(),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(0, 24),
+    st.integers(0, 3),
+    st.integers(0, 1),
+)
+def test_rook_adjacency_matches_scan_with_a_non_finite_vertex(case, bad, which, vertex, axis):
+    # no box grid is built: every polygon is scanned against every other
+    dataset, _, _ = case
+    sites = list(dataset.sites)
+    k = which % len(sites)
+    ring = [list(point) for point in sites[k].exterior]
+    ring[vertex][axis] = bad
+    sites[k] = PolygonSite(
+        id=sites[k].id, exterior=tuple(map(tuple, ring)), attributes=sites[k].attributes
+    )
+    _assert_rook_matches_scan(SpatialDataset(sites=tuple(sites), attribute_names=("v",)))
 
 
 def _detect_with_scans(*args, **kwargs):
