@@ -7,17 +7,20 @@ separation distance, number of parallel direct connections, and cheapest
 traversal cost (None when unreachable or over the cost limit).
 
 Every lookup goes through a prepared index kept on the dataset.  Each of its
-structures is built the first time a regime needs it: a uniform grid of
-site ids and locations for the last buffer radius, the rank of every site id
+structures is built the first time a regime needs it: a buffer table of
+every site's neighbors for the last buffer radius, the rank of every site id
 in sort order, edge counts per unordered endpoint pair, cheapest-edge
-adjacency (which also gives graph neighbors), and polygon rook adjacency.
-Rook adjacency is found through a grid over padded polygon bounding boxes,
-and the segment-overlap test runs only on segment pairs whose padded boxes
-meet.  The exact membership tests run on the candidates the index yields.
+adjacency over numbered nodes (which also gives graph neighbors), and
+polygon rook adjacency.  The buffer table comes from one sweep over a
+uniform grid of site locations that measures each nearby pair once; a
+buffer query is then a lookup.  Rook adjacency is found through a grid over
+padded polygon bounding boxes, and the segment-overlap test runs only on
+segment pairs whose padded boxes meet.  The exact membership tests run on
+the candidates the index yields.
 
 Polygon centroids and areas are remembered on each PolygonSite by
 dataset.polygon_centroid and dataset.polygon_area, so validation, buffer
-grids, distances and polygon weights compute each one once.  Index
+tables, distances and polygon weights compute each one once.  Index
 structures and those memos are pure functions of immutable data: threads
 racing to fill one store equal values.
 """
@@ -29,8 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dataset import (
-    PointSite,
     PolygonSite,
+    Site,
     SiteId,
     SpatialDataset,
     WeightParams,
@@ -84,31 +87,76 @@ def _prepared(dataset: SpatialDataset, key, build, *args):
     return cache[key]
 
 
-def _site_grid(dataset: SpatialDataset, cell: float):
-    """(id, x, y) per site, bucketed by grid cell, or None to scan them all.
+def _buffer_table(dataset: SpatialDataset, radius: float, cell: float):
+    """Buffer neighbors of every site id, or None to scan every site per query.
 
-    x, y is the site location, computed once here.  None covers locations
-    that give no trustworthy cell numbers: non-finite values, cells too small
-    for the coordinates, and polygons without a centroid.
+    Returns (flat, bounds, coincident): the ids within radius of the first
+    site with an id, the one dataset.site gives, are the run
+    flat[bounds[2r]:bounds[2r + 1]], r being the id's rank (one list of runs
+    takes far fewer objects than one per id), and coincident maps an id to
+    the first site in dataset order, under another id, at that exact spot.
+    One sweep over each grid cell and its four forward cells measures every
+    candidate pair once: hypot(xa - xb, ya - yb) is bit for bit the distance
+    site_distance gives in either order.  None covers non-finite locations,
+    cells too small for the coordinates, and polygons without a centroid.
     """
+    sites = dataset.sites
+    # entries are lists, not tuples: CPython keeps freed small tuples for
+    # reuse by tuples of the same size, so a tuple per site would go on
+    # holding its memory once the table is built
     grid: dict[tuple[int, int], list] = {}
     try:
-        for site in dataset.sites:
+        for i, site in enumerate(sites):
             x, y = site_location(site)
             gx, gy = x / cell, y / cell
             if not (abs(gx) < _MAX_CELL_INDEX and abs(gy) < _MAX_CELL_INDEX):
                 return None
-            grid.setdefault((math.floor(gx), math.floor(gy)), []).append((site.id, x, y))
+            grid.setdefault((math.floor(gx), math.floor(gy)), []).append([i, site.id, x, y])
     except GeometryError:
         return None
-    return grid
+    rows = [[] for _ in sites]
+    first: dict[int, int] = {}  # position -> position of its first coincident site
+    rank = _prepared(dataset, "rank", _id_rank)
+    flat: list[SiteId] = []
+    # two int64 bounds per rank, every rank below len(sites), with no object
+    # per bound and no extension module to load
+    bounds = memoryview(bytearray(16 * len(sites))).cast("q")
+    coincident: dict[SiteId, Site] = {}
+    # cells in sorted order: the backward cells of a cell come before it, so
+    # the rows of its sites are complete once it is swept, and it is dropped
+    for gx, gy in sorted(grid):
+        members = grid.pop((gx, gy))
+        ahead = [
+            grid.get(key, ())
+            for key in ((gx, gy + 1), (gx + 1, gy - 1), (gx + 1, gy), (gx + 1, gy + 1))
+        ]
+        for k, (i, a, ax, ay) in enumerate(members):
+            for candidates in (members[k + 1:], *ahead):
+                for j, b, bx, by in candidates:
+                    d = math.hypot(ax - bx, ay - by)
+                    if d <= radius and a != b:
+                        rows[i].append(b)
+                        rows[j].append(a)
+                        if d == 0.0:  # same cell, swept in dataset order: first stays
+                            first.setdefault(i, j)
+                            first.setdefault(j, i)
+        for i, a, _, _ in members:
+            row, rows[i] = rows[i], None
+            if dataset.site(a) is sites[i]:  # the first site with the id
+                r = 2 * rank[a]
+                bounds[r] = len(flat)
+                flat += row
+                bounds[r + 1] = len(flat)
+                if i in first:
+                    coincident[a] = sites[first[i]]
+    return flat, bounds, coincident
 
 
-def _radius_grid(dataset: SpatialDataset, radius: float, cell: float):
-    """The site grid for radius, kept in one slot that a new radius replaces."""
+def _radius_table(dataset: SpatialDataset, radius: float, cell: float):
+    """The buffer table for radius, kept in one slot that a new radius replaces."""
     slot = dataset._prepared.get("grid")
     if slot is None or slot[0] != radius:
-        slot = (radius, _site_grid(dataset, cell))
+        slot = (radius, _buffer_table(dataset, radius, cell))
         dataset._prepared["grid"] = slot
     return slot[1]
 
@@ -119,35 +167,28 @@ def buffer_neighbors(
     """All other sites within `radius` of the center, edges ignored."""
     center_site = dataset.site(center)
     cell = radius * _CELL_PAD
-    grid = None
-    # tiny, non-finite and non-positive radii get no grid (and no cache entry)
+    table = None
+    # tiny, non-finite and non-positive radii get no table (and no cache entry)
     if sys.float_info.min <= radius and math.isfinite(cell):
-        grid = _radius_grid(dataset, radius, cell)
-    if grid is None:
+        table = _radius_table(dataset, radius, cell)
+    if table is None:
         return {
             site.id
             for site in dataset.sites
             if site.id != center and site_distance(center_site, site) <= radius
         }
-    cx, cy = site_location(center_site)
-    gx, gy = math.floor(cx / cell), math.floor(cy / cell)
-    found = set()
-    for ix in (gx - 1, gx, gx + 1):
-        for iy in (gy - 1, gy, gy + 1):
-            for sid, x, y in grid.get((ix, iy), ()):
-                # the arithmetic of site_distance(center_site, site)
-                d = math.hypot(cx - x, cy - y)
-                if d <= radius and sid != center:
-                    if d == 0.0:  # raises the error site_distance gives for the pair
-                        site_distance(center_site, PointSite(id=sid, x=x, y=y))
-                    found.add(sid)
-    return found
+    flat, bounds, coincident = table
+    if center in coincident:  # raises the error site_distance gives for the pair
+        site_distance(center_site, coincident[center])
+    r = 2 * _prepared(dataset, "rank", _id_rank)[center]
+    return set(flat[bounds[r]:bounds[r + 1]])
 
 
 def graph_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:
     """All sites sharing at least one edge with the center (undirected)."""
     dataset.site(center)
-    return {v for v, _ in _prepared(dataset, "costs", _cost_adjacency).get(center, ())}
+    number, ids, adjacency = _prepared(dataset, "costs", _cost_adjacency)
+    return {ids[v] for v, _ in adjacency[number[center]]} if center in number else set()
 
 
 def _ring_segments(polygon: PolygonSite):
@@ -345,8 +386,13 @@ def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> in
     return _prepared(dataset, "pairs", _pair_counts)[_pair(a, b)]
 
 
-def _cost_adjacency(dataset: SpatialDataset) -> dict[SiteId, list[tuple[SiteId, float]]]:
-    """Undirected adjacency keeping only the cheapest parallel edge."""
+def _cost_adjacency(dataset: SpatialDataset):
+    """Undirected adjacency over numbered nodes, keeping the cheapest parallel edge.
+
+    Returns (number, ids, adjacency): number maps every edge endpoint, named
+    site or not, to a node, ids[node] is its id, and adjacency[node] lists
+    (node, cost) per neighbor.  Self-loops are left out.
+    """
     best: dict[tuple, float] = {}
     for edge in dataset.edges:
         if edge.source == edge.target:
@@ -354,11 +400,13 @@ def _cost_adjacency(dataset: SpatialDataset) -> dict[SiteId, list[tuple[SiteId, 
         key = _pair(edge.source, edge.target)
         if key not in best or edge.cost < best[key]:
             best[key] = edge.cost
-    adjacency: dict[SiteId, list[tuple[SiteId, float]]] = {}
+    ids = list(dict.fromkeys(sid for pair in best for sid in pair))
+    number = {sid: node for node, sid in enumerate(ids)}
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
     for (u, v), cost in best.items():
-        adjacency.setdefault(u, []).append((v, cost))
-        adjacency.setdefault(v, []).append((u, cost))
-    return adjacency
+        adjacency[number[u]].append((number[v], cost))
+        adjacency[number[v]].append((number[u], cost))
+    return number, ids, adjacency
 
 
 def _costs_from(
@@ -366,32 +414,36 @@ def _costs_from(
 ) -> dict[SiteId, float]:
     """Cheapest traversal cost from source to every target within the limit.
 
-    Dijkstra over the cheapest-edge adjacency that stops once every target
-    is settled or the next cost popped exceeds cost_limit.  Edge costs are
-    non-negative, so every settled cost is final and equals the cost an
-    unbounded search would give.
+    Dijkstra over the numbered cheapest-edge adjacency that stops once every
+    target in the graph is settled or the next cost popped exceeds
+    cost_limit.  Edge costs are non-negative, so every settled cost is final
+    and equals the cost an unbounded search would give; ties between equal
+    costs pop in node order, which changes no settled cost.
     """
-    adjacency = _prepared(dataset, "costs", _cost_adjacency)
-    remaining = set(targets)
-    settled: dict[SiteId, float] = {}
-    dist = {source: 0.0}
-    frontier = [(0.0, 0, source)]
-    counter = 1  # tie-break so heterogeneous ids never get compared
+    number, ids, adjacency = _prepared(dataset, "costs", _cost_adjacency)
+    if cost_limit is not None and 0.0 > cost_limit:
+        return {}
+    if source not in number:  # on no edge: only the source is in reach
+        return {source: 0.0}
+    remaining = {number[t] for t in targets if t in number}
+    settled: dict[int, float] = {}
+    start = number[source]
+    dist = {start: 0.0}
+    frontier = [(0.0, start)]
     while frontier and remaining:
-        d, _, node = heapq.heappop(frontier)
+        d, node = heapq.heappop(frontier)
         if node in settled:
             continue
         if cost_limit is not None and d > cost_limit:
             break
         settled[node] = d
         remaining.discard(node)
-        for nbr, cost in adjacency.get(node, ()):
+        for nbr, cost in adjacency[node]:
             nd = d + cost
             if nbr not in dist or nd < dist[nbr]:
                 dist[nbr] = nd
-                heapq.heappush(frontier, (nd, counter, nbr))
-                counter += 1
-    return settled
+                heapq.heappush(frontier, (nd, nbr))
+    return {ids[node]: d for node, d in settled.items()}
 
 
 def min_cost(
@@ -422,6 +474,9 @@ def collect_factors(
     """
     center_site = dataset.site(center)
     ordered = _sorted_ids(dataset, neighbors)
+    if not ordered:  # nothing to measure: not even the center's location
+        return []
+    cx, cy = site_location(center_site)
     costs = _costs_from(dataset, center, ordered, params.cost_limit)
     pairs = _prepared(dataset, "pairs", _pair_counts)
     rank = _prepared(dataset, "rank", _id_rank)
@@ -429,14 +484,19 @@ def collect_factors(
     out = []
     for neighbor in ordered:
         neighbor_site = dataset.site(neighbor)
+        x, y = site_location(neighbor_site)
+        # the arithmetic of site_distance(center_site, neighbor_site)
+        distance = math.hypot(cx - x, cy - y)
+        if distance == 0.0:  # raises the error site_distance gives for the pair
+            site_distance(center_site, neighbor_site)
         # _pair(center, neighbor): rank order is site_id_key order
         pair = (center, neighbor) if center_rank <= rank[neighbor] else (neighbor, center)
         out.append(
             NeighborFactors(
                 center=center,
                 neighbor=neighbor,
-                distance=site_distance(center_site, neighbor_site),
-                connection_count=pairs[pair],
+                distance=distance,
+                connection_count=pairs.get(pair, 0),
                 min_cost=costs.get(neighbor),
             )
         )

@@ -1,8 +1,9 @@
 """Differential tests: the prepared index against brute-force scans.
 
 Every neighbor and factor lookup in the library goes through a per-dataset
-index (grid hash over cached coordinates, id rank, pair counter, shared
-adjacency, bounded Dijkstra, polygon rook adjacency over bounding-box and
+index (a buffer table swept once per radius from a grid over cached
+coordinates, id rank, pair counter, cheapest-edge adjacency over numbered
+nodes with a bounded Dijkstra, polygon rook adjacency over bounding-box and
 segment-box candidates).  The scans below are the straightforward
 implementations the index replaced; each property requires both to give the
 same result, or to raise the same error, on the same input.
@@ -160,6 +161,11 @@ def error_text(fn, *args):
 
 # ------------------------------------------------------------- strategies
 
+# str ids from ASCII letters, digits and punctuation, Latin-1, a BMP CJK
+# character and an astral code point; an explicit alphabet spares Hypothesis
+# building its full unicode table, which can trip the too_slow health check
+text_ids = st.text(alphabet="aZ0 _-éÿ中\U0001f600", max_size=3)
+
 radii = st.one_of(
     st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
     st.sampled_from([5e-324, 1e-300, 1e-9, 0.1, 0.3, 1.0, 2.0, 1e12]),
@@ -192,11 +198,12 @@ def buffer_cases(draw):
 
 
 @st.composite
-def multigraphs(draw, max_sites=8, dangling=True):
+def multigraphs(draw, max_sites=8, dangling=True, infinite=True):
     """Point sites on distinct integer spots with a multigraph over them.
 
     Endpoints may repeat (parallel edges), coincide (self-loops) and, with
-    dangling, name no site; costs are non-negative, as validation demands.
+    dangling, name no site.  Costs are non-negative and, with infinite, may
+    be infinite, which validation rejects but the lookups still answer.
     """
     n = draw(st.integers(2, max_sites))
     spots = draw(st.lists(
@@ -209,6 +216,8 @@ def multigraphs(draw, max_sites=8, dangling=True):
         for k, ((x, y), v) in enumerate(zip(spots, values))
     )
     cost = st.one_of(st.integers(0, 6).map(float), st.floats(0, 10))
+    if infinite:
+        cost |= st.just(math.inf)
     rows = draw(st.lists(
         st.tuples(st.integers(0, n - 1 + dangling), st.integers(0, n - 1 + dangling), cost),
         max_size=3 * n,
@@ -240,11 +249,28 @@ def coincident_cases(draw):
 
 
 @st.composite
+def duplicate_id_cases(draw):
+    """Lattice sites where some ids name several sites, and a radius.
+
+    Spots may repeat too, under the same id or another one.
+    """
+    spots = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=10,
+    ))
+    ids = draw(st.lists(
+        st.integers(0, len(spots) // 2), min_size=len(spots), max_size=len(spots),
+    ))
+    radius = draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    sites = tuple(PointSite(id=k, x=float(i), y=float(j)) for k, (i, j) in zip(ids, spots))
+    return SpatialDataset(sites=sites), radius
+
+
+@st.composite
 def mixed_id_multigraphs(draw):
     """multigraphs() with the sites renamed to distinct int and str ids."""
     dataset = draw(multigraphs(dangling=False))
     ids = draw(st.lists(
-        st.one_of(st.integers(-50, 50), st.text(max_size=3)),
+        st.one_of(st.integers(-50, 50), text_ids),
         min_size=len(dataset.sites), max_size=len(dataset.sites), unique=True,
     ))
     sites = tuple(
@@ -324,6 +350,32 @@ def test_radius_sweep_keeps_one_grid():
         assert grids == ["grid"]
 
 
+@given(duplicate_id_cases())
+def test_duplicate_ids_match_scan(case):
+    dataset, radius = case
+    for center in set(dataset.site_ids()):
+        got = outcome(buffer_neighbors, dataset, center, radius)
+        assert dataset._prepared["grid"][1] is not None  # the table path ran
+        assert got == outcome(scan_buffer, dataset, center, radius)
+        assert error_text(buffer_neighbors, dataset, center, radius) == error_text(
+            scan_buffer, dataset, center, radius
+        )
+
+
+def test_duplicate_id_centers_on_its_first_site():
+    # "d" names two sites far apart: as a center it is the first one, as a
+    # neighbor either copy counts
+    dataset = SpatialDataset(sites=(
+        PointSite(id="d", x=0.0, y=0.0),
+        PointSite(id="a", x=1.0, y=0.0),
+        PointSite(id="b", x=10.0, y=0.0),
+        PointSite(id="d", x=11.0, y=0.0),
+    ))
+    assert buffer_neighbors(dataset, "d", 1.5) == {"a"}
+    assert buffer_neighbors(dataset, "a", 1.5) == {"d"}
+    assert buffer_neighbors(dataset, "b", 1.5) == {"d"}
+
+
 @given(multigraphs())
 def test_graph_sets_and_connection_counts_match_scan(dataset):
     ids = dataset.site_ids()
@@ -347,6 +399,25 @@ def test_min_cost_matches_scan(dataset, limit):
                 # a path whose cost is exactly the limit is usable; one ulp less is not
                 assert min_cost(dataset, a, b, cost) == cost
                 assert min_cost(dataset, a, b, math.nextafter(cost, -math.inf)) is None
+
+
+@given(multigraphs(), st.floats(max_value=-5e-324))
+def test_min_cost_under_a_negative_limit_and_to_itself(dataset, limit):
+    # a negative limit rules out even the empty path; without a limit every
+    # site reaches itself at cost 0, whether or not an edge touches it
+    ids = dataset.site_ids()
+    for a in ids:
+        assert min_cost(dataset, a, a) == scan_min_cost(dataset, a, a) == 0.0
+        for b in ids:
+            assert min_cost(dataset, a, b, limit) is None
+            assert scan_min_cost(dataset, a, b, limit) is None
+
+
+def test_min_cost_to_itself_without_edges():
+    dataset = SpatialDataset(sites=(PointSite(id=1, x=0.0, y=0.0), PointSite(id=2, x=1.0, y=0.0)))
+    assert min_cost(dataset, 1, 1) == 0.0
+    assert min_cost(dataset, 1, 1, 1.0) == 0.0
+    assert min_cost(dataset, 1, 2) is None
 
 
 @given(
@@ -384,7 +455,7 @@ def test_mixed_ids_come_back_in_key_order(dataset, limit, data):
 
 @given(
     multigraphs(),
-    st.sets(st.one_of(st.integers(), st.text(max_size=3)), min_size=1, max_size=3),
+    st.sets(st.one_of(st.integers(), text_ids), min_size=1, max_size=3),
     st.data(),
 )
 def test_unknown_neighbor_id_raises_site_lookup_error(dataset, strangers, data):
@@ -555,7 +626,7 @@ def _detect_with_scans(*args, **kwargs):
 
 
 @given(
-    multigraphs(max_sites=10, dangling=False),
+    multigraphs(max_sites=10, dangling=False, infinite=False),
     st.sampled_from(["buffer", "graph", "combined"]),
     st.sampled_from(["classical", "weighted"]),
     st.sampled_from([1.0, 1.5, 2.5, 4.0]),
