@@ -19,7 +19,7 @@ from .detect import (
     neighborhood_weights,
 )
 from .errors import NoNeighborsError, SpatialOutlierError
-from .fileio import load_edges, load_polygons, load_sites, render_report
+from .fileio import _write_text, load_edges, load_polygons, load_sites, render_report
 from .fixtures import write_fixture_files
 
 USAGE_ERROR = 2
@@ -133,8 +133,7 @@ def _checked(dataset: SpatialDataset) -> SpatialDataset:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_text(text, out_path)
     else:
         sys.stdout.write(text)
 

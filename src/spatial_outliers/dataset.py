@@ -194,7 +194,8 @@ def _ring_centroid(ring) -> tuple[float, float]:
     """Area-weighted centroid of an implicitly closed ring.
 
     Sums run over offsets from the first vertex, so their rounding scales
-    with the ring's extent, not with its distance from the origin.
+    with the ring's extent, not with its distance from the origin.  The
+    caller has checked that the ring's area is at least MIN_RING_AREA.
     """
     ox, oy = ring[0]
     a2 = cx = cy = 0.0
@@ -207,18 +208,23 @@ def _ring_centroid(ring) -> tuple[float, float]:
         a2 += det
         cx += (x1 + x2) * det
         cy += (y1 + y2) * det
-    if abs(a2) < 2.0 * MIN_RING_AREA:
-        raise GeometryError("degenerate ring: area is zero")
     return ox + cx / (3.0 * a2), oy + cy / (3.0 * a2)
 
 
-def _checked_ring(polygon: PolygonSite, ring) -> None:
-    if len(ring) < 3:
-        raise GeometryError(
-            f"polygon {polygon.id!r}: ring needs at least 3 distinct vertices"
+def _ring_areas(polygon: PolygonSite) -> tuple[float, ...]:
+    """|Shoelace area| of the exterior, then of each hole; 0.0 below 3 vertices.
+
+    Remembered on the polygon like its centroid (see polygon_centroid), so
+    loading, validation and the geometry functions sum each ring once.
+    """
+    areas = polygon.__dict__.get("_ring_areas")
+    if areas is None:
+        areas = tuple(
+            abs(_ring_signed_area(ring)) if len(ring) >= 3 else 0.0
+            for ring in (polygon.exterior, *polygon.holes)
         )
-    if abs(_ring_signed_area(ring)) < MIN_RING_AREA:
-        raise GeometryError(f"polygon {polygon.id!r}: degenerate ring (zero area)")
+        polygon.__dict__["_ring_areas"] = areas
+    return areas
 
 
 def polygon_area(polygon: PolygonSite) -> float:
@@ -229,11 +235,17 @@ def polygon_area(polygon: PolygonSite) -> float:
     area = polygon.__dict__.get("_area")
     if area is not None:
         return area
-    _checked_ring(polygon, polygon.exterior)
-    area = abs(_ring_signed_area(polygon.exterior))
-    for hole in polygon.holes:
-        _checked_ring(polygon, hole)
-        area -= abs(_ring_signed_area(hole))
+    ring_areas = _ring_areas(polygon)
+    for ring, ring_area in zip((polygon.exterior, *polygon.holes), ring_areas):
+        if len(ring) < 3:
+            raise GeometryError(
+                f"polygon {polygon.id!r}: ring needs at least 3 distinct vertices"
+            )
+        if ring_area < MIN_RING_AREA:
+            raise GeometryError(f"polygon {polygon.id!r}: degenerate ring (zero area)")
+    area, *hole_areas = ring_areas
+    for h_area in hole_areas:
+        area -= h_area
     if area < MIN_RING_AREA:
         raise GeometryError(f"polygon {polygon.id!r}: holes consume the exterior")
     polygon.__dict__["_area"] = area
@@ -255,19 +267,14 @@ def polygon_centroid(polygon: PolygonSite) -> tuple[float, float]:
     centroid = polygon.__dict__.get("_centroid")
     if centroid is not None:
         return centroid
-    _checked_ring(polygon, polygon.exterior)
-    area = abs(_ring_signed_area(polygon.exterior))
+    total = polygon_area(polygon)  # raises for a degenerate polygon
+    area, *hole_areas = _ring_areas(polygon)
     cx, cy = _ring_centroid(polygon.exterior)
-    num_x, num_y, total = cx * area, cy * area, area
-    for hole in polygon.holes:
-        _checked_ring(polygon, hole)
-        h_area = abs(_ring_signed_area(hole))
+    num_x, num_y = cx * area, cy * area
+    for hole, h_area in zip(polygon.holes, hole_areas):
         hx, hy = _ring_centroid(hole)
         num_x -= hx * h_area
         num_y -= hy * h_area
-        total -= h_area
-    if total < MIN_RING_AREA:
-        raise GeometryError(f"polygon {polygon.id!r}: holes consume the exterior")
     polygon.__dict__["_centroid"] = centroid = (num_x / total, num_y / total)
     return centroid
 
@@ -317,6 +324,26 @@ def _ring_self_intersects(ring) -> bool:
     return False
 
 
+def _ring_problems(polygon: PolygonSite) -> list[str]:
+    """The first problem of each ring, in ring order."""
+    problems = []
+    rings = (polygon.exterior, *polygon.holes)
+    for i, (ring, area) in enumerate(zip(rings, _ring_areas(polygon))):
+        label = f"hole {i - 1}" if i else "exterior"
+        if len(ring) < 3:
+            problem = f"{label} ring has fewer than 3 distinct vertices"
+        elif any(not (math.isfinite(x) and math.isfinite(y)) for x, y in ring):
+            problem = f"{label} ring has non-finite vertex"
+        elif area < MIN_RING_AREA:
+            problem = f"degenerate {label} ring (zero area)"
+        elif _ring_self_intersects(ring):
+            problem = f"self-intersecting {label} ring"
+        else:
+            continue
+        problems.append(f"site {polygon.id!r}: {problem}")
+    return problems
+
+
 def validate_dataset(dataset: SpatialDataset) -> list[str]:
     """Collect every invariant violation; an empty list means valid.
 
@@ -326,87 +353,79 @@ def validate_dataset(dataset: SpatialDataset) -> list[str]:
     """
     violations = []
     sites = dataset.sites
+    inf = math.inf  # -inf < v < inf is math.isfinite(v) without a call
 
-    kinds = {type(site) for site in sites}
+    kinds = set(map(type, sites))
     if len(kinds) > 1:
         violations.append("dataset mixes point and polygon sites")
 
-    seen: dict[SiteId, int] = {}
-    for site in sites:
-        if site.id in seen:
-            violations.append(f"duplicate site id {site.id!r}")
-        seen[site.id] = seen.get(site.id, 0) + 1
+    if len(dataset._index) != len(sites):
+        seen: set[SiteId] = set()
+        for site in sites:
+            if site.id in seen:
+                violations.append(f"duplicate site id {site.id!r}")
+            seen.add(site.id)
 
     locations: list[tuple[SiteId, tuple[float, float]]] = []
-    for site in sites:
-        if isinstance(site, PolygonSite):
-            ring_problem = False
-            for label, ring in [("exterior", site.exterior)] + [
-                (f"hole {i}", h) for i, h in enumerate(site.holes)
-            ]:
-                if len(ring) < 3:
-                    violations.append(
-                        f"site {site.id!r}: {label} ring has fewer than 3 distinct vertices"
-                    )
-                    ring_problem = True
-                    continue
-                if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in ring):
-                    violations.append(f"site {site.id!r}: {label} ring has non-finite vertex")
-                    ring_problem = True
-                    continue
-                if abs(_ring_signed_area(ring)) < MIN_RING_AREA:
-                    violations.append(f"site {site.id!r}: degenerate {label} ring (zero area)")
-                    ring_problem = True
-                    continue
-                if _ring_self_intersects(ring):
-                    violations.append(f"site {site.id!r}: self-intersecting {label} ring")
-                    ring_problem = True
-            if not ring_problem:
-                try:
-                    locations.append((site.id, polygon_centroid(site)))
-                except GeometryError as exc:
-                    violations.append(f"site {site.id!r}: {exc}")
-        else:
-            if not (math.isfinite(site.x) and math.isfinite(site.y)):
+    if kinds == {PointSite}:
+        locations = [
+            (site.id, (site.x, site.y))
+            for site in sites
+            if -inf < site.x < inf and -inf < site.y < inf
+        ]
+    if len(locations) < len(sites):  # polygons, or points to name as non-finite
+        locations = []
+        for site in sites:
+            if isinstance(site, PolygonSite):
+                ring_problems = _ring_problems(site)
+                violations += ring_problems
+                if not ring_problems:
+                    try:
+                        locations.append((site.id, polygon_centroid(site)))
+                    except GeometryError as exc:
+                        violations.append(f"site {site.id!r}: {exc}")
+            elif not (math.isfinite(site.x) and math.isfinite(site.y)):
                 violations.append(f"site {site.id!r}: non-finite coordinates")
             else:
                 locations.append((site.id, (site.x, site.y)))
 
-    positions: dict[tuple[float, float], list[int]] = {}
-    for i, (_, loc) in enumerate(locations):
-        positions.setdefault(loc, []).append(i)
-    coincident = sorted(
-        (i, j)
-        for group in positions.values()
-        for k, i in enumerate(group)
-        for j in group[k + 1:]
-    )
-    what = "coincident centroids" if dataset.kind == "polygon" else "coincident sites"
-    for i, j in coincident:
-        (id_i, loc_i), (id_j, _) = locations[i], locations[j]
-        violations.append(f"sites {id_i!r} and {id_j!r}: {what} at {loc_i}")
+    if len({loc for _, loc in locations}) < len(locations):
+        positions: dict[tuple[float, float], list[int]] = {}
+        for i, (_, loc) in enumerate(locations):
+            positions.setdefault(loc, []).append(i)
+        what = "coincident centroids" if dataset.kind == "polygon" else "coincident sites"
+        for i, (id_i, loc_i) in enumerate(locations):
+            for j in positions[loc_i]:
+                if j > i:
+                    violations.append(f"sites {id_i!r} and {locations[j][0]!r}: {what} at {loc_i}")
 
+    names = dataset.attribute_names
     for site in sites:
-        for name in dataset.attribute_names:
-            if name not in site.attributes:
+        attributes = site.attributes
+        for name in names:
+            value = attributes.get(name)
+            if value is None:
                 violations.append(f"site {site.id!r}: missing attribute {name!r}")
-            else:
-                value = site.attributes[name]
-                if not math.isfinite(value):
-                    violations.append(f"site {site.id!r}: non-finite attribute {name!r}")
+            elif not -inf < value < inf:
+                violations.append(f"site {site.id!r}: non-finite attribute {name!r}")
 
     if dataset.edges and dataset.kind == "polygon":
         violations.append("edges are only valid for point datasets")
+    index = dataset._index
     for i, edge in enumerate(dataset.edges):
-        ref = f"edge {i} ({edge.source!r}->{edge.target!r})"
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in dataset:
+        source, target, length, cost = edge.source, edge.target, edge.length, edge.cost
+        if (source in index and target in index and source != target
+                and 0.0 < length < inf and 0.0 <= cost < inf):
+            continue
+        ref = f"edge {i} ({source!r}->{target!r})"
+        for endpoint in (source, target):
+            if endpoint not in index:
                 violations.append(f"{ref}: dangling endpoint {endpoint!r}")
-        if edge.source == edge.target:
+        if source == target:
             violations.append(f"{ref}: self-loop")
-        if not (math.isfinite(edge.length) and edge.length > 0):
-            violations.append(f"{ref}: length must be positive, got {edge.length}")
-        if not (math.isfinite(edge.cost) and edge.cost >= 0):
-            violations.append(f"{ref}: cost must be non-negative, got {edge.cost}")
+        if not 0.0 < length < inf:
+            violations.append(f"{ref}: length must be positive, got {length}")
+        if not 0.0 <= cost < inf:
+            violations.append(f"{ref}: cost must be non-negative and finite, got {cost}")
 
     return violations

@@ -11,7 +11,8 @@ import csv
 import json
 import math
 
-from .dataset import Edge, PointSite, PolygonSite, _ring_signed_area, site_id_key
+from .dataset import MIN_RING_AREA, Edge, PointSite, PolygonSite, site_id_key
+from .dataset import _normalize_ring, _ring_areas
 from .detect import ComparisonReport, DetectionResult
 from .errors import ParseError
 
@@ -26,6 +27,22 @@ def _parse_float(path, line_no, column, raw) -> float:
     if not math.isfinite(value):
         raise ParseError(path, line_no, f"column {column!r}: non-finite value {raw!r}")
     return value
+
+
+def _row_floats(path, line_no, columns, fields) -> list[float]:
+    """A row's numeric fields as floats, converted in one step.
+
+    Only a row that fails that step or whose sum is not finite is walked in
+    column order, which names the first bad field or accepts the row.
+    """
+    try:
+        if "_" not in "".join(fields):
+            values = [*map(float, fields)]
+            if math.isfinite(sum(values)):
+                return values
+    except ValueError:
+        pass
+    return [_parse_float(path, line_no, c, raw) for c, raw in zip(columns, fields)]
 
 
 def _not_utf8(path) -> ParseError:
@@ -47,33 +64,33 @@ def _not_utf8(path) -> ParseError:
 
 
 @contextlib.contextmanager
-def _csv_text(path):
-    """The file opened as UTF-8 text for csv.reader.
+def _csv_rows(path):
+    """The stripped header of a UTF-8 CSV file and its rows, numbered from 2.
 
     Decoding runs as rows are read; a byte that is not UTF-8 raises
     ParseError naming its line.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         try:
-            yield handle
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(path, 1, "missing header")
+            yield [h.strip() for h in header], enumerate(reader, start=2)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
 
 
 def load_sites(path) -> tuple[PointSite, ...]:
     """Read point sites from CSV with columns id,x,y,<attr>,..."""
-    with _csv_text(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(path, 1, "missing header")
-        header = [h.strip() for h in header]
+    with _csv_rows(path) as (header, rows):
         if header[:3] != ["id", "x", "y"]:
             raise ParseError(path, 1, f"header must start with id,x,y, got {header[:3]}")
+        columns = header[1:]
         attr_names = header[3:]
         sites = []
         seen = set()
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows:
             if not row:
                 continue
             if len(row) != len(header):
@@ -86,13 +103,8 @@ def load_sites(path) -> tuple[PointSite, ...]:
             if site_id in seen:
                 raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
             seen.add(site_id)
-            x = _parse_float(path, line_no, "x", row[1])
-            y = _parse_float(path, line_no, "y", row[2])
-            attributes = {
-                name: _parse_float(path, line_no, name, raw)
-                for name, raw in zip(attr_names, row[3:])
-            }
-            sites.append(PointSite(id=site_id, x=x, y=y, attributes=attributes))
+            x, y, *values = _row_floats(path, line_no, columns, row[1:])
+            sites.append(PointSite(site_id, x, y, dict(zip(attr_names, values))))
     return tuple(sites)
 
 
@@ -101,30 +113,35 @@ def load_edges(path) -> tuple[Edge, ...]:
 
     Repeated rows for the same pair are kept as parallel connections.
     """
-    with _csv_text(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(path, 1, "missing header")
-        header = [h.strip() for h in header]
+    with _csv_rows(path) as (header, rows):
         if header != ["from", "to", "length", "cost"]:
             raise ParseError(path, 1, f"header must be from,to,length,cost, got {header}")
         edges = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows:
             if not row:
                 continue
             if len(row) != 4:
                 raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
-            source, target = row[0].strip(), row[1].strip()
+            source, target, raw_length, raw_cost = row
+            source, target = source.strip(), target.strip()
             if not source or not target:
                 raise ParseError(path, line_no, "empty endpoint id")
-            length = _parse_float(path, line_no, "length", row[2])
-            cost = _parse_float(path, line_no, "cost", row[3])
+            # as in _row_floats, written out for two fields: cheaper than join and map
+            try:
+                if "_" in raw_length + raw_cost:
+                    raise ValueError
+                length, cost = float(raw_length), float(raw_cost)
+                parsed = math.isfinite(length + cost)
+            except ValueError:
+                parsed = False
+            if not parsed:
+                length = _parse_float(path, line_no, "length", raw_length)
+                cost = _parse_float(path, line_no, "cost", raw_cost)
             if length <= 0:
                 raise ParseError(path, line_no, f"length must be positive, got {length}")
             if cost < 0:
                 raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
-            edges.append(Edge(source=source, target=target, length=length, cost=cost))
+            edges.append(Edge(source, target, length, cost))
     return tuple(edges)
 
 
@@ -138,14 +155,12 @@ def _ring_from_json(path, where, raw):
     ):
         raise ParseError(path, where, "ring must be a list of [x, y] pairs")
     try:
-        ring = [(float(x), float(y)) for x, y in raw]
+        ring = _normalize_ring(raw)
     except _NOT_A_FLOAT:
         raise ParseError(path, where, "ring coordinates must be numbers") from None
-    if len(ring) > 1 and ring[0] == ring[-1]:
-        ring = ring[:-1]
     if len(set(ring)) < 3:
         raise ParseError(path, where, "ring needs at least 3 distinct vertices")
-    return tuple(ring)
+    return ring
 
 
 def load_polygons(path) -> tuple[PolygonSite, ...]:
@@ -191,9 +206,8 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
             holes=tuple(parsed[1:]),
             attributes=attributes,
         )
-        for ring in (polygon.exterior, *polygon.holes):
-            if abs(_ring_signed_area(ring)) < 1e-12:
-                raise ParseError(path, where, "zero-area ring")
+        if any(area < MIN_RING_AREA for area in _ring_areas(polygon)):
+            raise ParseError(path, where, "zero-area ring")
         polygons.append(polygon)
     return tuple(polygons)
 
@@ -221,21 +235,15 @@ def write_edges_csv(edges, path) -> None:
 
 
 def write_polygons_json(polygons, path) -> None:
-    records = []
-    for polygon in polygons:
-        records.append(
-            {
-                "id": polygon.id,
-                "rings": [
-                    [[x, y] for x, y in ring]
-                    for ring in (polygon.exterior, *polygon.holes)
-                ],
-                "attributes": dict(polygon.attributes),
-            }
-        )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(records, handle, indent=2)
-        handle.write("\n")
+    records = [
+        {
+            "id": polygon.id,
+            "rings": [[[x, y] for x, y in ring] for ring in (polygon.exterior, *polygon.holes)],
+            "attributes": dict(polygon.attributes),
+        }
+        for polygon in polygons
+    ]
+    _write_text(json.dumps(records, indent=2) + "\n", path)
 
 
 def _fmt(value) -> str:
@@ -343,8 +351,12 @@ def render_report(result, fmt: str = "csv") -> str:
     raise TypeError(f"cannot render {type(result).__name__}")
 
 
-def write_report(result, fmt: str, path) -> None:
-    """Write a rendered report to path."""
-    text = render_report(result, fmt)
+def _write_text(text: str, path) -> None:
+    """Write text to path as UTF-8 with newline line endings."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
+
+
+def write_report(result, fmt: str, path) -> None:
+    """Write a rendered report to path."""
+    _write_text(render_report(result, fmt), path)

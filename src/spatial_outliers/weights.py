@@ -55,11 +55,11 @@ def _cost_shares(factors: list[NeighborFactors]) -> list[float] | None:
     """Inverse-cost shares; unreachable neighbors get zero.
 
     A zero-cost path is the limit of overwhelming ease: zero-cost neighbors
-    split the whole share and everyone else gets none.
+    split the whole share and everyone else gets none.  A cost whose inverse
+    is 0 (an infinite path sum) gives no share either; when no neighbor has
+    a usable cost the factor is degenerate, as when nothing is reachable.
     """
     reachable = [f.min_cost for f in factors if f.min_cost is not None]
-    if not reachable:
-        return None
     zeros = sum(1 for c in reachable if c == 0.0)
     if zeros:
         return [
@@ -67,6 +67,8 @@ def _cost_shares(factors: list[NeighborFactors]) -> list[float] | None:
             for f in factors
         ]
     total = math.fsum(1.0 / c for c in reachable)
+    if total == 0.0:  # nothing reachable, or only at infinite cost
+        return None
     return [
         (1.0 / f.min_cost) / total if f.min_cost is not None else 0.0
         for f in factors
@@ -103,8 +105,9 @@ def combined_weights(
     """Blend distance, connection, and cost shares with alpha, beta, delta.
 
     A factor that is degenerate across the whole neighborhood (no
-    connections anywhere, nothing reachable) contributes nothing and the
-    remaining blend is rescaled, preserving the ratios of the live terms.
+    connections anywhere, nothing reachable at a finite cost) contributes
+    nothing and the remaining blend is rescaled, preserving the ratios of
+    the live terms.
     At the simplex corners this reduces exactly to the single-factor
     weightings.
     """

@@ -78,3 +78,18 @@ def grid_point_dataset(width, height, values, attribute="v"):
     return SpatialDataset(
         sites=tuple(sites), edges=tuple(edges), attribute_names=(attribute,)
     )
+
+
+def overflowing_costs_dataset():
+    """Four sites whose only paths run through a far hub at cost 1e308 an edge.
+
+    Every path between A, C and D takes two edges, so its cost sum overflows
+    to inf; B is beyond any small buffer radius.
+    """
+    sites = tuple(
+        PointSite(id=sid, x=x, y=y, attributes={"v": v})
+        for sid, x, y, v in (("A", 0.0, 0.0, 1.0), ("C", 1.0, 0.0, 2.0),
+                             ("B", 100.0, 0.0, 3.0), ("D", 0.0, 1.0, 5.0))
+    )
+    edges = tuple(Edge(u, "B", 1.0, 1e308) for u in ("A", "C", "D"))
+    return SpatialDataset(sites=sites, edges=edges, attribute_names=("v",))

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spatial_outliers
 from spatial_outliers.cli import main
 from spatial_outliers.fixtures import write_fixture_files
 
@@ -221,6 +225,23 @@ class TestDetect:
         out = capsys.readouterr().out
         assert out.startswith("site_id,")
 
+    def test_overflowing_path_costs_exit_zero(self, tmp_path, capsys):
+        from spatial_outliers.fileio import write_edges_csv, write_sites_csv
+        from conftest import overflowing_costs_dataset
+
+        ds = overflowing_costs_dataset()
+        sites, edges = tmp_path / "sites.csv", tmp_path / "edges.csv"
+        write_sites_csv(ds.sites, sites)
+        write_edges_csv(ds.edges, edges)
+        argv = ["detect", "--sites", _p(sites), "--edges", _p(edges),
+                "--regime", "combined", "--radius", "2"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        assert report.endswith("# skipped: B\n")
+        # no path is usable, as when the cost limit rules every path out
+        assert main(argv + ["--cost-limit", "1"]) == 0
+        assert capsys.readouterr().out == report
+
 
 class TestCompare:
     def test_village_compare_contains_both_expectations(self, fixture_dir, capsys):
@@ -282,3 +303,33 @@ class TestFixturesCommand:
         ):
             assert main(args) == 0
             assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_calls_in_one_process_match_fresh_processes(fixture_dir, capsys):
+    # in-process callers such as the benchmark make many calls in a row: no
+    # state may carry from one call, usage errors included, to the next
+    survey = _p(fixture_dir / "survey_sites.csv")
+    calls = [
+        ["detect", "--sites", survey, "--regime", "buffer", "--radius", "6",
+         "--mode", "classical"],
+        ["detect", "--sites", survey, "--regime", "buffer", "--radius", "6",
+         "--mode", "bogus"],
+        ["detect", "--sites", survey, "--regime", "buffer", "--radius", "6"],
+        ["validate", "--sites", _p(fixture_dir / "network_sites.csv"),
+         "--edges", _p(fixture_dir / "network_edges.csv")],
+    ]
+    package_root = os.path.dirname(os.path.dirname(spatial_outliers.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )}
+    codes = []
+    for argv in calls:
+        code = main(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "spatial_outliers.cli", *argv],
+            capture_output=True, encoding="utf-8", env=env, check=False,
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -358,6 +359,16 @@ class TestValidateDataset:
         assert "length must be positive" in report
         assert "cost must be non-negative" in report
 
+    @pytest.mark.parametrize("cost", [-2.0, math.inf, math.nan])
+    def test_bad_cost_names_the_rule(self, cost):
+        ds = SpatialDataset(
+            sites=(_point("A", 0, 0), _point("B", 1, 0)),
+            edges=(Edge("A", "B", 1.0, cost),),
+        )
+        assert validate_dataset(ds) == [
+            f"edge 0 ('A'->'B'): cost must be non-negative and finite, got {cost}"
+        ]
+
     def test_mixed_kinds(self):
         ds = SpatialDataset(sites=(_point("A", 0, 0), unit_square("B", ox=4.0)))
         assert any("mixes point and polygon" in v for v in validate_dataset(ds))
@@ -372,6 +383,76 @@ class TestValidateDataset:
             edges=(Edge("A", "B", 1.0, 1.0),),
         )
         assert any("only valid for point datasets" in v for v in validate_dataset(ds))
+
+
+def reference_validate_points(dataset):
+    """validate_dataset for point sites, checking one site and edge at a time."""
+    violations = []
+    seen = set()
+    for site in dataset.sites:
+        if site.id in seen:
+            violations.append(f"duplicate site id {site.id!r}")
+        seen.add(site.id)
+    locations = []
+    for site in dataset.sites:
+        if not (math.isfinite(site.x) and math.isfinite(site.y)):
+            violations.append(f"site {site.id!r}: non-finite coordinates")
+        else:
+            locations.append((site.id, (site.x, site.y)))
+    for (i, (id_i, loc_i)), (j, (id_j, loc_j)) in itertools.combinations(
+        enumerate(locations), 2
+    ):
+        if loc_i == loc_j:
+            violations.append(f"sites {id_i!r} and {id_j!r}: coincident sites at {loc_i}")
+    for site in dataset.sites:
+        for name in dataset.attribute_names:
+            if name not in site.attributes:
+                violations.append(f"site {site.id!r}: missing attribute {name!r}")
+            elif not math.isfinite(site.attributes[name]):
+                violations.append(f"site {site.id!r}: non-finite attribute {name!r}")
+    for i, edge in enumerate(dataset.edges):
+        ref = f"edge {i} ({edge.source!r}->{edge.target!r})"
+        for endpoint in (edge.source, edge.target):
+            if endpoint not in dataset:
+                violations.append(f"{ref}: dangling endpoint {endpoint!r}")
+        if edge.source == edge.target:
+            violations.append(f"{ref}: self-loop")
+        if not (math.isfinite(edge.length) and edge.length > 0):
+            violations.append(f"{ref}: length must be positive, got {edge.length}")
+        if not (math.isfinite(edge.cost) and edge.cost >= 0):
+            violations.append(f"{ref}: cost must be non-negative and finite, got {edge.cost}")
+    return violations
+
+
+_awkward = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def point_datasets(draw):
+    """Point sites with repeated ids and spots, gaps in attributes, bad edges."""
+    ids = st.one_of(st.sampled_from("ABCDE"), st.integers(0, 3))
+    sites = tuple(
+        PointSite(
+            id=draw(ids),
+            x=draw(_awkward),
+            y=draw(_awkward),
+            attributes=draw(st.dictionaries(st.sampled_from("vw"), _awkward)),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    )
+    # mostly real endpoints and usable numbers, so one bad field often stands alone
+    endpoints = st.sampled_from([site.id for site in sites] * 3 + ["Z"])
+    numbers = st.one_of(st.sampled_from([0.5, 3.0]), _awkward)
+    edges = tuple(
+        Edge(draw(endpoints), draw(endpoints), draw(numbers), draw(numbers))
+        for _ in range(draw(st.integers(0, 5)))
+    )
+    return SpatialDataset(sites=sites, edges=edges, attribute_names=("v", "w"))
+
+
+@given(point_datasets())
+def test_point_validation_matches_one_at_a_time_reference(dataset):
+    assert validate_dataset(dataset) == reference_validate_points(dataset)
 
 
 class TestRingNormalization:

@@ -28,7 +28,7 @@ from spatial_outliers.fixtures import (
     VILLAGE_RADIUS,
 )
 
-from conftest import grid_point_dataset, unit_square
+from conftest import grid_point_dataset, overflowing_costs_dataset, unit_square
 
 
 class TestExpectedClassical:
@@ -249,6 +249,18 @@ class TestDetectOutliers:
         result = detect_outliers(ds, "v", WeightParams(radius=2.0), regime="buffer")
         assert result.skipped == ("far",)
         assert {s.site for s in result.scores} == {"a", "b", "c"}
+
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 0.25, 0.25)])
+    def test_overflowing_path_costs_weigh_as_unreachable(self, coeffs):
+        # every path sum is inf: the cost factor drops out, exactly as when a
+        # cost limit leaves nothing reachable
+        ds = overflowing_costs_dataset()
+        alpha, beta, delta = coeffs
+        params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=2.0)
+        result = detect_outliers(ds, "v", params, regime="combined")
+        assert result.skipped == ("B",)
+        limited = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=2.0, cost_limit=1.0)
+        assert result == detect_outliers(ds, "v", limited, regime="combined")
 
     def test_everything_skipped_gives_empty_result(self):
         sites = (

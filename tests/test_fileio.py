@@ -1,12 +1,20 @@
+import csv
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spatial_outliers import (
     DetectionResult,
+    Edge,
     ParseError,
+    PointSite,
+    PolygonSite,
     SiteScore,
     SpatialDataset,
     WeightParams,
@@ -18,6 +26,8 @@ from spatial_outliers import (
     render_report,
     write_report,
 )
+from spatial_outliers import dataset as dataset_module
+from spatial_outliers.cli import main
 from spatial_outliers.fileio import (
     render_comparison_csv,
     render_detection_csv,
@@ -33,7 +43,7 @@ from spatial_outliers.fixtures import (
     write_fixture_files,
 )
 
-from conftest import grid_polygons
+from conftest import grid_polygons, unit_square
 
 
 class TestLoadSites:
@@ -142,6 +152,176 @@ class TestLoadEdges:
             load_edges(path)
         assert err.value.line == 4
         assert err.value.path == str(path)
+
+
+# ------------------------------------------- row parsers against a reference
+
+
+def _reference_float(path, line_no, column, raw):
+    try:
+        if "_" in raw:
+            raise ValueError
+        value = float(raw)
+    except ValueError:
+        raise ParseError(path, line_no, f"column {column!r}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, line_no, f"column {column!r}: non-finite value {raw!r}")
+    return value
+
+
+def reference_load_sites(path):
+    """load_sites converting one field at a time (valid UTF-8 and header)."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        sites, seen = [], set()
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
+            site_id = row[0].strip()
+            if not site_id:
+                raise ParseError(path, line_no, "empty site id")
+            if site_id in seen:
+                raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
+            seen.add(site_id)
+            x = _reference_float(path, line_no, "x", row[1])
+            y = _reference_float(path, line_no, "y", row[2])
+            attributes = {
+                name: _reference_float(path, line_no, name, raw)
+                for name, raw in zip(header[3:], row[3:])
+            }
+            sites.append(PointSite(id=site_id, x=x, y=y, attributes=attributes))
+    return tuple(sites)
+
+
+def reference_load_edges(path):
+    """load_edges converting one field at a time (valid UTF-8 and header)."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        edges = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
+            source, target = row[0].strip(), row[1].strip()
+            if not source or not target:
+                raise ParseError(path, line_no, "empty endpoint id")
+            length = _reference_float(path, line_no, "length", row[2])
+            cost = _reference_float(path, line_no, "cost", row[3])
+            if length <= 0:
+                raise ParseError(path, line_no, f"length must be positive, got {length}")
+            if cost < 0:
+                raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
+            edges.append(Edge(source=source, target=target, length=length, cost=cost))
+    return tuple(edges)
+
+
+def parsed(load, path):
+    """What load returns, or the message of the ParseError it raises."""
+    try:
+        return "ok", load(path)
+    except ParseError as exc:
+        return "raised", str(exc)
+
+
+# half the fields are numbers, so many rows get past their first fields;
+# the rest are strings float() treats specially or rejects, in any column
+numeric_fields = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from([
+        "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999", "1e308",
+        "-1e308", "", " ", " 2.5 ", "\t-3\t", "abc", "1.2.3", "0x1", "--1",
+    ]),
+    st.sampled_from(["1_0", " 1_0.5", "2e1_0"]),  # float() accepts these
+)
+# ids are mostly distinct, so duplicates do not end most tables early
+row_ids = st.one_of(st.integers(0, 99).map(str), st.sampled_from(["", " ", " a ", "d_1"]))
+
+
+@st.composite
+def csv_tables(draw, id_columns, header):
+    """A CSV document: header, then rows of ids and numeric fields.
+
+    Most rows have the header's width; some are one field short or long,
+    and some are blank.
+    """
+    width = len(header)
+    rows = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])
+            continue
+        size = width + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+        row = [draw(row_ids) for _ in range(min(id_columns, size))]
+        row += [draw(numeric_fields) for _ in range(size - len(row))]
+        rows.append(row)
+    return rows
+
+
+def _written(rows):
+    directory = tempfile.mkdtemp()
+    path = Path(directory) / "table.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return path
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda attrs: csv_tables(1, ["id", "x", "y", *(f"a{k}" for k in range(attrs))])
+))
+def test_load_sites_matches_field_by_field_reference(rows):
+    path = _written(rows)
+    try:
+        assert parsed(load_sites, path) == parsed(reference_load_sites, path)
+    finally:
+        path.unlink()
+        path.parent.rmdir()
+
+
+@given(csv_tables(2, ["from", "to", "length", "cost"]))
+def test_load_edges_matches_field_by_field_reference(rows):
+    path = _written(rows)
+    try:
+        assert parsed(load_edges, path) == parsed(reference_load_edges, path)
+    finally:
+        path.unlink()
+        path.parent.rmdir()
+
+
+@pytest.mark.parametrize("load, reference, header, row", [
+    (load_sites, reference_load_sites, "id,x,y,v", "a,1e308,1e308,1e308"),
+    (load_edges, reference_load_edges, "from,to,length,cost", "a,b,1e308,1e308"),
+])
+def test_finite_fields_whose_sum_overflows_are_accepted(tmp_path, load, reference, header, row):
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    assert parsed(load, path) == parsed(reference, path)
+    assert parsed(load, path)[0] == "ok"
+
+
+@pytest.mark.parametrize("command", ["detect", "compare"])
+def test_each_ring_area_is_summed_once_per_cli_call(tmp_path, command, capsys):
+    holed = PolygonSite(
+        id="holed",
+        exterior=unit_square("h", ox=10.0, oy=10.0, size=4.0).exterior,
+        holes=(unit_square("h", ox=11.0, oy=11.0).exterior,),
+        attributes={"v": 7.0},
+    )
+    sites = (*grid_polygons(3).sites, holed)
+    path = tmp_path / "polys.json"
+    write_polygons_json(sites, path)
+    with mock.patch.object(
+        dataset_module, "_ring_signed_area", wraps=dataset_module._ring_signed_area
+    ) as spy:
+        assert main([command, "--polygons", str(path), "--attribute", "v",
+                     "--regime", "polygon"]) == 0
+    capsys.readouterr()
+    assert spy.call_count == 9 + 2
 
 
 class TestLoadPolygons:

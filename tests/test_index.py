@@ -198,12 +198,12 @@ def buffer_cases(draw):
 
 
 @st.composite
-def multigraphs(draw, max_sites=8, dangling=True, infinite=True):
+def multigraphs(draw, max_sites=8, dangling=True):
     """Point sites on distinct integer spots with a multigraph over them.
 
     Endpoints may repeat (parallel edges), coincide (self-loops) and, with
-    dangling, name no site.  Costs are non-negative and, with infinite, may
-    be infinite, which validation rejects but the lookups still answer.
+    dangling, name no site.  Costs are non-negative and may be infinite,
+    which validation rejects but the lookups and weightings still answer.
     """
     n = draw(st.integers(2, max_sites))
     spots = draw(st.lists(
@@ -215,9 +215,7 @@ def multigraphs(draw, max_sites=8, dangling=True, infinite=True):
         PointSite(id=k, x=float(x), y=float(y), attributes={"v": v})
         for k, ((x, y), v) in enumerate(zip(spots, values))
     )
-    cost = st.one_of(st.integers(0, 6).map(float), st.floats(0, 10))
-    if infinite:
-        cost |= st.just(math.inf)
+    cost = st.one_of(st.integers(0, 6).map(float), st.floats(0, 10), st.just(math.inf))
     rows = draw(st.lists(
         st.tuples(st.integers(0, n - 1 + dangling), st.integers(0, n - 1 + dangling), cost),
         max_size=3 * n,
@@ -626,7 +624,7 @@ def _detect_with_scans(*args, **kwargs):
 
 
 @given(
-    multigraphs(max_sites=10, dangling=False, infinite=False),
+    multigraphs(max_sites=10, dangling=False),
     st.sampled_from(["buffer", "graph", "combined"]),
     st.sampled_from(["classical", "weighted"]),
     st.sampled_from([1.0, 1.5, 2.5, 4.0]),

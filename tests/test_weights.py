@@ -173,6 +173,20 @@ class TestCombinedWeights:
         with pytest.raises(DegenerateFactorsError):
             combined_weights(factors, WeightParams(alpha=0, beta=0.5, delta=0.5))
 
+    def test_infinite_cost_counts_as_unreachable(self):
+        # 1/inf is 0: such a neighbor gets no cost share, and when every
+        # neighbor costs inf the cost factor is degenerate
+        params = WeightParams(alpha=0.4, beta=0.3, delta=0.3)
+        for costs in ((2.0, math.inf), (math.inf, math.inf)):
+            unreachable = tuple(None if c == math.inf else c for c in costs)
+            got = combined_weights(
+                make_factors([("B", 1.0, 1, costs[0]), ("C", 2.0, 0, costs[1])]), params
+            )
+            assert got == combined_weights(
+                make_factors([("B", 1.0, 1, unreachable[0]), ("C", 2.0, 0, unreachable[1])]),
+                params,
+            )
+
     def test_missing_factor_renormalizes(self):
         # no edges at all: the beta and delta shares vanish and the blend
         # rescales to pure distance
