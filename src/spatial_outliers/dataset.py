@@ -26,7 +26,7 @@ def site_id_key(site_id: SiteId):
 
 def _normalize_ring(vertices) -> tuple[tuple[float, float], ...]:
     """Coerce to float pairs and drop an explicit closing vertex."""
-    ring = tuple((float(x), float(y)) for x, y in vertices)
+    ring = tuple([(float(x), float(y)) for x, y in vertices])
     if len(ring) > 1 and ring[0] == ring[-1]:
         ring = ring[:-1]
     return ring
@@ -424,7 +424,7 @@ def validate_dataset(dataset: SpatialDataset) -> list[str]:
         if source == target:
             violations.append(f"{ref}: self-loop")
         if not 0.0 < length < inf:
-            violations.append(f"{ref}: length must be positive, got {length}")
+            violations.append(f"{ref}: length must be positive and finite, got {length}")
         if not 0.0 <= cost < inf:
             violations.append(f"{ref}: cost must be non-negative and finite, got {cost}")
 

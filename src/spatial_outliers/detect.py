@@ -237,7 +237,7 @@ def neighborhood_weights(
             [dataset.site(n) for n in neighbor_ids],
             params.gamma,
         )
-    factors = collect_factors(dataset, center, set(neighbor_ids), params)
+    factors = collect_factors(dataset, center, neighbor_ids, params)
     if regime == "buffer":
         return distance_weights(factors)
     if regime == "graph":
@@ -276,7 +276,7 @@ def detect_outliers(
     _check_regime(dataset, regime)
 
     values = dataset.values(attribute)
-    order = sorted(dataset.site_ids(), key=site_id_key)
+    order = _sorted_ids(dataset, dataset.site_ids())
     expecteds: dict[SiteId, float] = {}
     skipped: list[SiteId] = []
     for center in order:
@@ -315,7 +315,7 @@ def detect_outliers(
             z=significance.z[sid],
             is_outlier=sid in significance.outliers,
         )
-        for sid in sorted(expecteds, key=site_id_key)
+        for sid in expecteds  # inserted in key order
     )
     return DetectionResult(
         attribute=attribute,

@@ -9,14 +9,14 @@ traversal cost (None when unreachable or over the cost limit).
 Every lookup goes through a prepared index kept on the dataset.  Each of its
 structures is built the first time a regime needs it: a buffer table of
 every site's neighbors for the last buffer radius, the rank of every site id
-in sort order, edge counts per unordered endpoint pair, cheapest-edge
-adjacency over numbered nodes (which also gives graph neighbors), and
-polygon rook adjacency.  The buffer table comes from one sweep over a
-uniform grid of site locations that measures each nearby pair once; a
-buffer query is then a lookup.  Rook adjacency is found through a grid over
-padded polygon bounding boxes, and the segment-overlap test runs only on
-segment pairs whose padded boxes meet.  The exact membership tests run on
-the candidates the index yields.
+in sort order, edge counts per endpoint (counts[a][b] == counts[b][a]),
+cheapest-edge adjacency over numbered nodes (which also gives graph
+neighbors), and polygon rook adjacency.  The buffer table comes from one
+sweep over a uniform grid of site locations that measures each nearby pair
+once; a buffer query is then a lookup.  Rook adjacency is found through a
+grid over padded polygon bounding boxes, and the segment-overlap test runs
+only on segment pairs whose padded boxes meet.  The exact membership tests
+run on the candidates the index yields.
 
 Polygon centroids and areas are remembered on each PolygonSite by
 dataset.polygon_centroid and dataset.polygon_area, so validation, buffer
@@ -25,11 +25,11 @@ structures and those memos are pure functions of immutable data: threads
 racing to fill one store equal values.
 """
 
-import heapq
 import math
 import sys
-from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .dataset import (
     PolygonSite,
@@ -374,16 +374,22 @@ def _pair(a: SiteId, b: SiteId) -> tuple[SiteId, SiteId]:
     return (a, b) if site_id_key(a) <= site_id_key(b) else (b, a)
 
 
-def _pair_counts(dataset: SpatialDataset) -> Counter:
-    """Number of edges per unordered endpoint pair."""
-    return Counter(_pair(edge.source, edge.target) for edge in dataset.edges)
+def _connection_counts(dataset: SpatialDataset) -> dict[SiteId, dict[SiteId, int]]:
+    """Number of edges joining a and b as counts[a][b] == counts[b][a]."""
+    counts: dict[SiteId, dict[SiteId, int]] = {}
+    for edge in dataset.edges:
+        # one orientation for a self-loop, which counts once per edge
+        for a, b in {(edge.source, edge.target), (edge.target, edge.source)}:
+            row = counts.setdefault(a, {})
+            row[b] = row.get(b, 0) + 1
+    return counts
 
 
 def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> int:
     """Number of parallel edges joining a and b, either orientation."""
     dataset.site(a)
     dataset.site(b)
-    return _prepared(dataset, "pairs", _pair_counts)[_pair(a, b)]
+    return _prepared(dataset, "counts", _connection_counts).get(a, {}).get(b, 0)
 
 
 def _cost_adjacency(dataset: SpatialDataset):
@@ -414,35 +420,37 @@ def _costs_from(
 ) -> dict[SiteId, float]:
     """Cheapest traversal cost from source to every target within the limit.
 
-    Dijkstra over the numbered cheapest-edge adjacency that stops once every
-    target in the graph is settled or the next cost popped exceeds
-    cost_limit.  Edge costs are non-negative, so every settled cost is final
-    and equals the cost an unbounded search would give; ties between equal
-    costs pop in node order, which changes no settled cost.
+    Dijkstra over the numbered cheapest-edge adjacency, which never pushes a
+    sum past cost_limit and stops once every target in the graph is settled.
+    Edge costs are non-negative, so every settled cost is final and equals
+    the cost an unbounded search would give; ties between equal costs pop in
+    node order, which changes no settled cost.
     """
     number, ids, adjacency = _prepared(dataset, "costs", _cost_adjacency)
     if cost_limit is not None and 0.0 > cost_limit:
         return {}
     if source not in number:  # on no edge: only the source is in reach
         return {source: 0.0}
+    limit = math.inf if cost_limit is None else cost_limit
     remaining = {number[t] for t in targets if t in number}
     settled: dict[int, float] = {}
     start = number[source]
     dist = {start: 0.0}
     frontier = [(0.0, start)]
     while frontier and remaining:
-        d, node = heapq.heappop(frontier)
+        d, node = heappop(frontier)
         if node in settled:
             continue
-        if cost_limit is not None and d > cost_limit:
-            break
         settled[node] = d
         remaining.discard(node)
         for nbr, cost in adjacency[node]:
             nd = d + cost
-            if nbr not in dist or nd < dist[nbr]:
+            if nd > limit:
+                continue
+            known = dist.get(nbr)
+            if known is None or nd < known:
                 dist[nbr] = nd
-                heapq.heappush(frontier, (nd, nbr))
+                heappush(frontier, (nd, nbr))
     return {ids[node]: d for node, d in settled.items()}
 
 
@@ -464,40 +472,31 @@ def min_cost(
 def collect_factors(
     dataset: SpatialDataset,
     center: SiteId,
-    neighbors: set[SiteId],
+    neighbors: Iterable[SiteId],
     params: WeightParams,
 ) -> list[NeighborFactors]:
     """Assemble distance, connection count, and min cost per neighbor.
 
-    Output is ordered by neighbor id so downstream weighting and reporting
-    are deterministic.
+    neighbors may be any iterable of distinct site ids.  Output is ordered
+    by neighbor id so downstream weighting and reporting are deterministic.
     """
     center_site = dataset.site(center)
-    ordered = _sorted_ids(dataset, neighbors)
+    ordered = _sorted_ids(dataset, neighbors)  # also checks every id
     if not ordered:  # nothing to measure: not even the center's location
         return []
     cx, cy = site_location(center_site)
     costs = _costs_from(dataset, center, ordered, params.cost_limit)
-    pairs = _prepared(dataset, "pairs", _pair_counts)
-    rank = _prepared(dataset, "rank", _id_rank)
-    center_rank = rank[center]
+    counts = _prepared(dataset, "counts", _connection_counts).get(center, {})
+    index = dataset._index
     out = []
     for neighbor in ordered:
-        neighbor_site = dataset.site(neighbor)
+        neighbor_site = index[neighbor]
         x, y = site_location(neighbor_site)
         # the arithmetic of site_distance(center_site, neighbor_site)
         distance = math.hypot(cx - x, cy - y)
         if distance == 0.0:  # raises the error site_distance gives for the pair
             site_distance(center_site, neighbor_site)
-        # _pair(center, neighbor): rank order is site_id_key order
-        pair = (center, neighbor) if center_rank <= rank[neighbor] else (neighbor, center)
-        out.append(
-            NeighborFactors(
-                center=center,
-                neighbor=neighbor,
-                distance=distance,
-                connection_count=pairs.get(pair, 0),
-                min_cost=costs.get(neighbor),
-            )
-        )
+        out.append(NeighborFactors(
+            center, neighbor, distance, counts.get(neighbor, 0), costs.get(neighbor)
+        ))
     return out

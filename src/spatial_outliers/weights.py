@@ -27,14 +27,14 @@ class WeightedNeighborhood:
 
 def _normalized(center: SiteId, pairs: list[tuple[SiteId, float]]) -> WeightedNeighborhood:
     """Drop zero-weight neighbors and rescale the rest to sum to one."""
-    total = math.fsum(w for _, w in pairs)
+    total = math.fsum([w for _, w in pairs])
     if total <= 0.0:
         raise DegenerateFactorsError(
             f"no usable weighting factor for neighborhood of {center!r}"
         )
     return WeightedNeighborhood(
         center=center,
-        entries=tuple((nid, w / total) for nid, w in pairs if w > 0.0),
+        entries=tuple([(nid, w / total) for nid, w in pairs if w > 0.0]),
     )
 
 
@@ -45,10 +45,11 @@ def _distance_shares(factors: list[NeighborFactors]) -> list[float]:
 
 
 def _connection_shares(factors: list[NeighborFactors]) -> list[float] | None:
-    total = sum(f.connection_count for f in factors)
+    counts = [f.connection_count for f in factors]
+    total = sum(counts)
     if total == 0:
         return None
-    return [f.connection_count / total for f in factors]
+    return [r / total for r in counts]
 
 
 def _cost_shares(factors: list[NeighborFactors]) -> list[float] | None:
@@ -59,20 +60,16 @@ def _cost_shares(factors: list[NeighborFactors]) -> list[float] | None:
     is 0 (an infinite path sum) gives no share either; when no neighbor has
     a usable cost the factor is degenerate, as when nothing is reachable.
     """
-    reachable = [f.min_cost for f in factors if f.min_cost is not None]
-    zeros = sum(1 for c in reachable if c == 0.0)
+    costs = [f.min_cost for f in factors]
+    reachable = [c for c in costs if c is not None]
+    zeros = reachable.count(0.0)
     if zeros:
-        return [
-            (1.0 / zeros) if f.min_cost == 0.0 else 0.0
-            for f in factors
-        ]
-    total = math.fsum(1.0 / c for c in reachable)
+        share = 1.0 / zeros
+        return [share if c == 0.0 else 0.0 for c in costs]
+    total = math.fsum([1.0 / c for c in reachable])
     if total == 0.0:  # nothing reachable, or only at infinite cost
         return None
-    return [
-        (1.0 / f.min_cost) / total if f.min_cost is not None else 0.0
-        for f in factors
-    ]
+    return [(1.0 / c) / total if c is not None else 0.0 for c in costs]
 
 
 def distance_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
@@ -117,11 +114,11 @@ def combined_weights(
     d_shares = _distance_shares(factors)
     r_shares = _connection_shares(factors) or [0.0] * n
     c_shares = _cost_shares(factors) or [0.0] * n
-    pairs = []
-    for f, ds, rs, cs in zip(factors, d_shares, r_shares, c_shares):
-        pairs.append(
-            (f.neighbor, params.alpha * ds + params.beta * rs + params.delta * cs)
-        )
+    alpha, beta, delta = params.alpha, params.beta, params.delta
+    pairs = [
+        (f.neighbor, alpha * ds + beta * rs + delta * cs)
+        for f, ds, rs, cs in zip(factors, d_shares, r_shares, c_shares)
+    ]
     return _normalized(factors[0].center, pairs)
 
 

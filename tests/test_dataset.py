@@ -369,6 +369,16 @@ class TestValidateDataset:
             f"edge 0 ('A'->'B'): cost must be non-negative and finite, got {cost}"
         ]
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_length_names_the_rule(self, length):
+        ds = SpatialDataset(
+            sites=(_point("A", 0, 0), _point("B", 1, 0)),
+            edges=(Edge("A", "B", length, 1.0),),
+        )
+        assert validate_dataset(ds) == [
+            f"edge 0 ('A'->'B'): length must be positive and finite, got {length}"
+        ]
+
     def test_mixed_kinds(self):
         ds = SpatialDataset(sites=(_point("A", 0, 0), unit_square("B", ox=4.0)))
         assert any("mixes point and polygon" in v for v in validate_dataset(ds))
@@ -418,7 +428,7 @@ def reference_validate_points(dataset):
         if edge.source == edge.target:
             violations.append(f"{ref}: self-loop")
         if not (math.isfinite(edge.length) and edge.length > 0):
-            violations.append(f"{ref}: length must be positive, got {edge.length}")
+            violations.append(f"{ref}: length must be positive and finite, got {edge.length}")
         if not (math.isfinite(edge.cost) and edge.cost >= 0):
             violations.append(f"{ref}: cost must be non-negative and finite, got {edge.cost}")
     return violations

@@ -2,11 +2,12 @@
 
 Every neighbor and factor lookup in the library goes through a per-dataset
 index (a buffer table swept once per radius from a grid over cached
-coordinates, id rank, pair counter, cheapest-edge adjacency over numbered
-nodes with a bounded Dijkstra, polygon rook adjacency over bounding-box and
-segment-box candidates).  The scans below are the straightforward
-implementations the index replaced; each property requires both to give the
-same result, or to raise the same error, on the same input.
+coordinates, id rank, edge counts per endpoint, cheapest-edge adjacency over
+numbered nodes with a Dijkstra pruned at the cost limit, polygon rook
+adjacency over bounding-box and segment-box candidates).  The scans below
+are the straightforward implementations the index replaced; each property
+requires both to give the same result, or to raise the same error, on the
+same input.
 """
 
 import gc
@@ -416,6 +417,56 @@ def test_min_cost_to_itself_without_edges():
     assert min_cost(dataset, 1, 1) == 0.0
     assert min_cost(dataset, 1, 1, 1.0) == 0.0
     assert min_cost(dataset, 1, 2) is None
+
+
+def _path_dataset(*edges):
+    ids = list(dict.fromkeys(sid for edge in edges for sid in edge[:2]))
+    return SpatialDataset(
+        sites=tuple(PointSite(id=sid, x=float(i), y=0.0) for i, sid in enumerate(ids)),
+        edges=tuple(Edge(u, v, 1.0, cost) for u, v, cost in edges),
+    )
+
+
+def test_min_cost_first_reached_over_the_limit_then_within_it():
+    # A reaches B directly at 5, past the limit, before it reaches B over C at 2
+    dataset = _path_dataset(("A", "B", 5.0), ("A", "C", 1.0), ("C", "B", 1.0))
+    assert min_cost(dataset, "A", "B", 3.0) == 2.0
+    assert min_cost(dataset, "A", "B", 1.5) is None
+    assert min_cost(dataset, "A", "B") == 2.0
+
+
+def test_min_cost_along_a_zero_cost_chain_under_a_zero_limit():
+    dataset = _path_dataset(("A", "B", 0.0), ("B", "C", 0.0), ("C", "D", 0.0), ("D", "E", 1.0))
+    assert min_cost(dataset, "A", "D", 0.0) == 0.0
+    assert min_cost(dataset, "A", "E", 0.0) is None
+    assert min_cost(dataset, "A", "E") == 1.0
+
+
+def test_min_cost_at_a_limit_equal_to_the_path_sum():
+    dataset = _path_dataset(("A", "B", 0.5), ("B", "C", 0.25), ("A", "C", 2.0))
+    assert min_cost(dataset, "A", "C", 0.75) == 0.75
+    assert min_cost(dataset, "A", "C", math.nextafter(0.75, 0.0)) is None
+
+
+def test_connection_counts_are_symmetric_and_count_a_self_loop_once_per_edge():
+    dataset = _path_dataset(
+        (1, 1, 1.0), (1, 1, 2.0), (1, "1", 1.0), ("1", 1, 3.0), ("a", 1, 1.0)
+    )
+    assert direct_connection_count(dataset, 1, 1) == 2
+    assert direct_connection_count(dataset, "1", "1") == 0
+    assert direct_connection_count(dataset, 1, "1") == direct_connection_count(dataset, "1", 1) == 2
+    assert direct_connection_count(dataset, "a", 1) == direct_connection_count(dataset, 1, "a") == 1
+    assert direct_connection_count(dataset, "a", "1") == 0
+
+
+@given(mixed_id_multigraphs())
+def test_connection_counts_on_mixed_ids_match_scan(dataset):
+    ids = dataset.site_ids()
+    for a in ids:
+        for b in ids:
+            count = direct_connection_count(dataset, a, b)
+            assert count == direct_connection_count(dataset, b, a)
+            assert count == scan_connection_count(dataset, a, b)
 
 
 @given(

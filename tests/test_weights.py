@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from spatial_outliers import (
     DegenerateFactorsError,
@@ -9,6 +9,7 @@ from spatial_outliers import (
     NeighborFactors,
     NoNeighborsError,
     PolygonSite,
+    SpatialOutlierError,
     WeightParams,
     combined_weights,
     connection_weights,
@@ -241,6 +242,112 @@ class TestCombinedWeights:
         shuffled = factors[:]
         rng.shuffle(shuffled)
         assert combined_weights(shuffled, params).as_dict() == pytest.approx(base)
+
+
+# Reference: the weighting as written before it was reduced to fewer passes.
+# combined_weights must give the same entries, bit for bit, or raise the same
+# error on every factor list.
+
+
+def _ref_normalized(center, pairs):
+    total = math.fsum(w for _, w in pairs)
+    if total <= 0.0:
+        raise DegenerateFactorsError(
+            f"no usable weighting factor for neighborhood of {center!r}"
+        )
+    return center, tuple((nid, w / total) for nid, w in pairs if w > 0.0)
+
+
+def _ref_distance_shares(factors):
+    inverses = [1.0 / f.distance for f in factors]
+    total = math.fsum(inverses)
+    return [q / total for q in inverses]
+
+
+def _ref_connection_shares(factors):
+    total = sum(f.connection_count for f in factors)
+    if total == 0:
+        return None
+    return [f.connection_count / total for f in factors]
+
+
+def _ref_cost_shares(factors):
+    reachable = [f.min_cost for f in factors if f.min_cost is not None]
+    zeros = sum(1 for c in reachable if c == 0.0)
+    if zeros:
+        return [(1.0 / zeros) if f.min_cost == 0.0 else 0.0 for f in factors]
+    total = math.fsum(1.0 / c for c in reachable)
+    if total == 0.0:
+        return None
+    return [
+        (1.0 / f.min_cost) / total if f.min_cost is not None else 0.0
+        for f in factors
+    ]
+
+
+def _ref_combined_weights(factors, params):
+    if not factors:
+        raise NoNeighborsError("cannot weight an empty neighborhood")
+    n = len(factors)
+    d_shares = _ref_distance_shares(factors)
+    r_shares = _ref_connection_shares(factors) or [0.0] * n
+    c_shares = _ref_cost_shares(factors) or [0.0] * n
+    pairs = []
+    for f, ds, rs, cs in zip(factors, d_shares, r_shares, c_shares):
+        pairs.append(
+            (f.neighbor, params.alpha * ds + params.beta * rs + params.delta * cs)
+        )
+    return _ref_normalized(factors[0].center, pairs)
+
+
+def _bits(fn, *args):
+    """The result with every weight as its exact hex form, or the error raised."""
+    try:
+        center, entries = fn(*args)
+    except (SpatialOutlierError, ArithmeticError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", center, [(nid, w.hex()) for nid, w in entries])
+
+
+def _weigh(factors, params):
+    got = combined_weights(factors, params)
+    return got.center, got.entries
+
+
+_SIMPLEX_CORNERS = st.sampled_from([
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+    (0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5),
+])
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, 5e-324, 1e300])),
+            st.integers(0, 3),
+            st.one_of(
+                st.none(),
+                st.just(0.0),
+                st.floats(0.0, 1e6),
+                st.sampled_from([5e-324, 1e-300, 1e300]),
+                st.just(math.inf),
+            ),
+        ),
+        max_size=12,
+    ),
+    st.one_of(_SIMPLEX_CORNERS, _coeffs()),
+)
+# three shares whose plain sum is 1 + 2**-52 and whose exact sum rounds to 1
+@example([(1.0, 0, None), (2.0, 1, 3.0), (3.0, 2, math.inf)], (1.0, 0.0, 0.0))
+@example([(1.0, 0, 0.0), (2.0, 1, 0.0), (3.0, 2, math.inf)], (0.2, 0.3, 0.5))
+def test_combined_weights_match_reference_bit_for_bit(rows, coeffs):
+    alpha, beta, delta = coeffs
+    try:
+        params = WeightParams(alpha=alpha, beta=beta, delta=delta)
+    except ValueError:
+        assume(False)  # rounding pushed the simplex sum out of tolerance
+    factors = make_factors([(i, d, r, c) for i, (d, r, c) in enumerate(rows)])
+    assert _bits(_weigh, factors, params) == _bits(_ref_combined_weights, factors, params)
 
 
 class TestPolygonWeights:
