@@ -108,49 +108,36 @@ class ComparisonReport:
     mean_sq_error_reduction_pct: float | None
 
 
-def _common_value(neighbor_values: list[float]) -> float | None:
-    """The value every neighbor has, or None when they differ or are absent.
+def _expectation(weights: list[float], neighbor_values: list[float]) -> float:
+    """The exact sum of weight * value; an empty neighborhood raises.
 
-    Weights sum to one, so such a neighborhood expects exactly that value;
+    Weights sum to one, so equal neighbor values give exactly that value;
     rounded products can miss it by an ulp, which would turn a constant
     attribute into z-scores of rounding noise.
     """
-    if neighbor_values and neighbor_values.count(neighbor_values[0]) == len(neighbor_values):
-        return neighbor_values[0] + 0.0  # -0.0 becomes 0.0, as in math.fsum
-    return None
+    if not neighbor_values:
+        raise NoNeighborsError("expectation over an empty neighborhood")
+    first = neighbor_values[0]
+    if neighbor_values.count(first) == len(neighbor_values):
+        return first + 0.0  # -0.0 becomes 0.0, as in math.fsum
+    return math.fsum([w * v for w, v in zip(weights, neighbor_values)])
 
 
 def expected_classical(neighbor_values: list[float]) -> float:
-    """Plain neighbor mean, computed as a uniform weighted sum.
-
-    Using the same product-and-exact-sum evaluation as
-    :func:`expected_weighted` keeps uniform weighting bit-identical to the
-    classical expectation.  Equal neighbor values give exactly that value.
-    """
-    if not neighbor_values:
-        raise NoNeighborsError("expectation over an empty neighborhood")
-    common = _common_value(neighbor_values)
-    if common is not None:
-        return common
-    share = 1.0 / len(neighbor_values)
-    return math.fsum(share * v for v in neighbor_values)
+    """Plain neighbor mean: the weighted expectation at uniform weights."""
+    n = len(neighbor_values)
+    return _expectation([1.0 / n] * n if n else [], neighbor_values)
 
 
 def expected_weighted(
     weights: WeightedNeighborhood, values: dict[SiteId, float]
 ) -> float:
-    """Weight-of-effect average of the neighbor values.
-
-    Equal neighbor values give exactly that value.
-    """
+    """Weight-of-effect average of the neighbor values."""
     try:
         neighbor_values = [values[neighbor] for neighbor, _ in weights.entries]
     except KeyError as exc:
         raise SiteLookupError(f"no value for weighted neighbor {exc.args[0]!r}") from None
-    common = _common_value(neighbor_values)
-    if common is not None:
-        return common
-    return math.fsum([w * v for (_, w), v in zip(weights.entries, neighbor_values)])
+    return _expectation([w for _, w in weights.entries], neighbor_values)
 
 
 def difference_scores(

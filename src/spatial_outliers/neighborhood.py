@@ -7,16 +7,17 @@ separation distance, number of parallel direct connections, and cheapest
 traversal cost (None when unreachable or over the cost limit).
 
 Every lookup goes through a prepared index kept on the dataset.  Each of its
-structures is built the first time a regime needs it: a buffer table of
-every site's neighbors for the last buffer radius, the rank of every site id
+structures is built the first time a regime needs it: a buffer table of each
+site id's neighbor row for the last buffer radius, the rank of every site id
 in sort order, edge counts per endpoint (counts[a][b] == counts[b][a]),
 cheapest-edge adjacency over numbered nodes (which also gives graph
 neighbors), and polygon rook adjacency.  The buffer table comes from one
 sweep over a uniform grid of site locations that measures each nearby pair
-once; a buffer query is then a lookup.  Rook adjacency is found through a
-grid over padded polygon bounding boxes, and the segment-overlap test runs
-only on segment pairs whose padded boxes meet.  The exact membership tests
-run on the candidates the index yields.
+once and appends it to the rows of both sites; a buffer query is then a
+lookup of the center's row.  Rook adjacency is found through a grid over
+padded polygon bounding boxes, and the segment-overlap test runs only on
+segment pairs whose padded boxes meet.  The exact membership tests run on
+the candidates the index yields.
 
 Polygon centroids and areas are remembered on each PolygonSite by
 dataset.polygon_centroid and dataset.polygon_area, so validation, buffer
@@ -33,7 +34,6 @@ from heapq import heappop, heappush
 
 from .dataset import (
     PolygonSite,
-    Site,
     SiteId,
     SpatialDataset,
     WeightParams,
@@ -90,17 +90,17 @@ def _prepared(dataset: SpatialDataset, key, build, *args):
 def _buffer_table(dataset: SpatialDataset, radius: float, cell: float):
     """Buffer neighbors of every site id, or None to scan every site per query.
 
-    Returns (flat, bounds, coincident): the ids within radius of the first
-    site with an id, the one dataset.site gives, are the run
-    flat[bounds[2r]:bounds[2r + 1]], r being the id's rank (one list of runs
-    takes far fewer objects than one per id), and coincident maps an id to
-    the first site in dataset order, under another id, at that exact spot.
-    One sweep over each grid cell and its four forward cells measures every
-    candidate pair once: hypot(xa - xb, ya - yb) is bit for bit the distance
-    site_distance gives in either order.  None covers non-finite locations,
-    cells too small for the coordinates, and polygons without a centroid.
+    Returns (rows, coincident): rows[id] lists the ids within radius of the
+    first site with that id, the one dataset.site gives, and coincident maps
+    an id to the first site in dataset order, under another id, at that
+    exact spot.  One sweep over each grid cell and its four forward cells
+    measures every candidate pair once: hypot(xa - xb, ya - yb) is bit for
+    bit the distance site_distance gives in either order.  None covers
+    non-finite locations, cells too small for the coordinates, and polygons
+    without a centroid.
     """
     sites = dataset.sites
+    rows: dict[SiteId, list[SiteId]] = {}
     # entries are lists, not tuples: CPython keeps freed small tuples for
     # reuse by tuples of the same size, so a tuple per site would go on
     # holding its memory once the table is built
@@ -111,45 +111,32 @@ def _buffer_table(dataset: SpatialDataset, radius: float, cell: float):
             gx, gy = x / cell, y / cell
             if not (abs(gx) < _MAX_CELL_INDEX and abs(gy) < _MAX_CELL_INDEX):
                 return None
-            grid.setdefault((math.floor(gx), math.floor(gy)), []).append([i, site.id, x, y])
+            row = []
+            if site.id not in rows:  # the first site with the id
+                rows[site.id] = row
+            grid.setdefault((math.floor(gx), math.floor(gy)), []).append([i, site.id, x, y, row])
     except GeometryError:
         return None
-    rows = [[] for _ in sites]
     first: dict[int, int] = {}  # position -> position of its first coincident site
-    rank = _prepared(dataset, "rank", _id_rank)
-    flat: list[SiteId] = []
-    # two int64 bounds per rank, every rank below len(sites), with no object
-    # per bound and no extension module to load
-    bounds = memoryview(bytearray(16 * len(sites))).cast("q")
-    coincident: dict[SiteId, Site] = {}
-    # cells in sorted order: the backward cells of a cell come before it, so
-    # the rows of its sites are complete once it is swept, and it is dropped
-    for gx, gy in sorted(grid):
-        members = grid.pop((gx, gy))
+    for (gx, gy), members in grid.items():
         ahead = [
             grid.get(key, ())
             for key in ((gx, gy + 1), (gx + 1, gy - 1), (gx + 1, gy), (gx + 1, gy + 1))
         ]
-        for k, (i, a, ax, ay) in enumerate(members):
+        for k, (i, a, ax, ay, row_a) in enumerate(members):
             for candidates in (members[k + 1:], *ahead):
-                for j, b, bx, by in candidates:
+                for j, b, bx, by, row_b in candidates:
                     d = math.hypot(ax - bx, ay - by)
                     if d <= radius and a != b:
-                        rows[i].append(b)
-                        rows[j].append(a)
+                        row_a.append(b)
+                        row_b.append(a)
                         if d == 0.0:  # same cell, swept in dataset order: first stays
                             first.setdefault(i, j)
                             first.setdefault(j, i)
-        for i, a, _, _ in members:
-            row, rows[i] = rows[i], None
-            if dataset.site(a) is sites[i]:  # the first site with the id
-                r = 2 * rank[a]
-                bounds[r] = len(flat)
-                flat += row
-                bounds[r + 1] = len(flat)
-                if i in first:
-                    coincident[a] = sites[first[i]]
-    return flat, bounds, coincident
+    coincident = {
+        sites[i].id: sites[j] for i, j in first.items() if dataset.site(sites[i].id) is sites[i]
+    }
+    return rows, coincident
 
 
 def _radius_table(dataset: SpatialDataset, radius: float, cell: float):
@@ -177,11 +164,10 @@ def buffer_neighbors(
             for site in dataset.sites
             if site.id != center and site_distance(center_site, site) <= radius
         }
-    flat, bounds, coincident = table
+    rows, coincident = table
     if center in coincident:  # raises the error site_distance gives for the pair
         site_distance(center_site, coincident[center])
-    r = 2 * _prepared(dataset, "rank", _id_rank)[center]
-    return set(flat[bounds[r]:bounds[r + 1]])
+    return set(rows[center])
 
 
 def graph_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:

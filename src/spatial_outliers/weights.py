@@ -1,9 +1,13 @@
 """Weight-of-effect vectors over a site's neighbors.
 
-Every operation returns a normalized weighting: weights are positive, sum to
-one, and fall as influence falls (longer distance, fewer connections, higher
-traversal cost, smaller area).  Neighbors whose every usable factor is zero
-are dropped from the result.
+Every weighting is one blend: each factor becomes shares of its neighborhood
+total, and a neighbor's weight is the coefficient-weighted sum of its shares,
+rescaled to sum to one.  Weights are positive and fall as influence falls
+(longer distance, fewer connections, higher traversal cost, smaller area).
+One rule decides degeneracy: a factor whose exact total overflows or is not
+in (0, inf) gives no shares and the rest of the blend is rescaled; with
+nothing usable left, DegenerateFactorsError is raised.  Neighbors whose
+weight is zero are dropped from the result.
 """
 
 import math
@@ -25,75 +29,72 @@ class WeightedNeighborhood:
         return dict(self.entries)
 
 
-def _normalized(center: SiteId, pairs: list[tuple[SiteId, float]]) -> WeightedNeighborhood:
-    """Drop zero-weight neighbors and rescale the rest to sum to one."""
-    total = math.fsum([w for _, w in pairs])
-    if total <= 0.0:
+def _shares(values: list[float]) -> list[float] | None:
+    """Each value over the exact sum of all; None when math.fsum overflows
+    or the sum is not in (0, inf)."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        return None
+    if not 0.0 < total < math.inf:
+        return None
+    return [v / total for v in values]
+
+
+def _blend(
+    center: SiteId,
+    neighbor_ids: list[SiteId],
+    terms: list[tuple[float, list[float] | None]],
+) -> WeightedNeighborhood:
+    """Sum coef * share per neighbor over the (coef, shares) terms, normalized.
+
+    Products are added in term order from 0.0, which keeps the bits of the
+    written-out sum; shares of None add nothing, and zero weights drop.
+    """
+    weights = [0.0] * len(neighbor_ids)
+    for coef, shares in terms:
+        if shares is not None:
+            weights = [w + coef * s for w, s in zip(weights, shares)]
+    total = math.fsum(weights)
+    if not total > 0.0:
         raise DegenerateFactorsError(
             f"no usable weighting factor for neighborhood of {center!r}"
         )
     return WeightedNeighborhood(
         center=center,
-        entries=tuple([(nid, w / total) for nid, w in pairs if w > 0.0]),
+        entries=tuple([(nid, w / total) for nid, w in zip(neighbor_ids, weights) if w > 0.0]),
     )
 
 
-def _distance_shares(factors: list[NeighborFactors]) -> list[float]:
-    inverses = [1.0 / f.distance for f in factors]
-    total = math.fsum(inverses)
-    return [q / total for q in inverses]
-
-
-def _connection_shares(factors: list[NeighborFactors]) -> list[float] | None:
-    counts = [f.connection_count for f in factors]
-    total = sum(counts)
-    if total == 0:
-        return None
-    return [r / total for r in counts]
+def _ids(factors: list[NeighborFactors]) -> tuple[SiteId, list[SiteId]]:
+    """The center and neighbor ids of a non-empty factor list."""
+    if not factors:
+        raise NoNeighborsError("cannot weight an empty neighborhood")
+    return factors[0].center, [f.neighbor for f in factors]
 
 
 def _cost_shares(factors: list[NeighborFactors]) -> list[float] | None:
     """Inverse-cost shares; unreachable neighbors get zero.
 
     A zero-cost path is the limit of overwhelming ease: zero-cost neighbors
-    split the whole share and everyone else gets none.  A cost whose inverse
-    is 0 (an infinite path sum) gives no share either; when no neighbor has
-    a usable cost the factor is degenerate, as when nothing is reachable.
+    split the whole share and everyone else gets none.
     """
     costs = [f.min_cost for f in factors]
-    reachable = [c for c in costs if c is not None]
-    zeros = reachable.count(0.0)
-    if zeros:
-        share = 1.0 / zeros
-        return [share if c == 0.0 else 0.0 for c in costs]
-    total = math.fsum([1.0 / c for c in reachable])
-    if total == 0.0:  # nothing reachable, or only at infinite cost
-        return None
-    return [(1.0 / c) / total if c is not None else 0.0 for c in costs]
+    if 0.0 in costs:
+        return _shares([1.0 if c == 0.0 else 0.0 for c in costs])
+    return _shares([0.0 if c is None else 1.0 / c for c in costs])
 
 
 def distance_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
     """Inverse-distance weighting: the nearest neighbor matters most."""
-    if not factors:
-        raise NoNeighborsError("cannot weight an empty neighborhood")
-    shares = _distance_shares(factors)
-    return _normalized(
-        factors[0].center, [(f.neighbor, s) for f, s in zip(factors, shares)]
-    )
+    center, ids = _ids(factors)
+    return _blend(center, ids, [(1.0, _shares([1.0 / f.distance for f in factors]))])
 
 
 def connection_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
     """Weights proportional to the number of direct connections."""
-    if not factors:
-        raise NoNeighborsError("cannot weight an empty neighborhood")
-    shares = _connection_shares(factors)
-    if shares is None:
-        raise DegenerateFactorsError(
-            f"no direct connections in neighborhood of {factors[0].center!r}"
-        )
-    return _normalized(
-        factors[0].center, [(f.neighbor, s) for f, s in zip(factors, shares)]
-    )
+    center, ids = _ids(factors)
+    return _blend(center, ids, [(1.0, _shares([f.connection_count for f in factors]))])
 
 
 def combined_weights(
@@ -103,23 +104,15 @@ def combined_weights(
 
     A factor that is degenerate across the whole neighborhood (no
     connections anywhere, nothing reachable at a finite cost) contributes
-    nothing and the remaining blend is rescaled, preserving the ratios of
-    the live terms.
-    At the simplex corners this reduces exactly to the single-factor
-    weightings.
+    nothing and the remaining blend is rescaled.  At the simplex corners
+    this reduces exactly to the single-factor weightings.
     """
-    if not factors:
-        raise NoNeighborsError("cannot weight an empty neighborhood")
-    n = len(factors)
-    d_shares = _distance_shares(factors)
-    r_shares = _connection_shares(factors) or [0.0] * n
-    c_shares = _cost_shares(factors) or [0.0] * n
-    alpha, beta, delta = params.alpha, params.beta, params.delta
-    pairs = [
-        (f.neighbor, alpha * ds + beta * rs + delta * cs)
-        for f, ds, rs, cs in zip(factors, d_shares, r_shares, c_shares)
-    ]
-    return _normalized(factors[0].center, pairs)
+    center, ids = _ids(factors)
+    return _blend(center, ids, [
+        (params.alpha, _shares([1.0 / f.distance for f in factors])),
+        (params.beta, _shares([f.connection_count for f in factors])),
+        (params.delta, _cost_shares(factors)),
+    ])
 
 
 def polygon_weights(
@@ -132,12 +125,7 @@ def polygon_weights(
     """
     if not neighbors:
         raise NoNeighborsError("cannot weight an empty neighborhood")
-    inverses = [1.0 / site_distance(center, nb) for nb in neighbors]
-    inv_total = math.fsum(inverses)
-    areas = [polygon_area(nb) for nb in neighbors]
-    area_total = math.fsum(areas)
-    pairs = []
-    for nb, inv, area in zip(neighbors, inverses, areas):
-        share = gamma * (inv / inv_total) + (1.0 - gamma) * (area / area_total)
-        pairs.append((nb.id, share))
-    return _normalized(center.id, pairs)
+    return _blend(center.id, [nb.id for nb in neighbors], [
+        (gamma, _shares([1.0 / site_distance(center, nb) for nb in neighbors])),
+        (1.0 - gamma, _shares([polygon_area(nb) for nb in neighbors])),
+    ])

@@ -93,3 +93,47 @@ def overflowing_costs_dataset():
     )
     edges = tuple(Edge(u, "B", 1.0, 1e308) for u in ("A", "C", "D"))
     return SpatialDataset(sites=sites, edges=edges, attribute_names=("v",))
+
+
+def _points(rows, edges=()):
+    """A point dataset of (id, x, y, v) rows with attribute "v"."""
+    sites = tuple(PointSite(id=sid, x=x, y=y, attributes={"v": v}) for sid, x, y, v in rows)
+    return SpatialDataset(sites=sites, edges=tuple(edges), attribute_names=("v",))
+
+
+def far_apart_dataset():
+    """Two sites 2e308 apart: their distance is inf, so its inverse is 0."""
+    return _points((("A", -1e308, 0.0, 1.0), ("B", 1e308, 0.0, 2.0)))
+
+
+def tiny_offsets_dataset(*offsets):
+    """A center C with one neighbor per offset on the x axis and one at (0, 1).
+
+    Offsets of 1e-308 give inverse distances whose sum overflows, and an
+    offset of 5e-324 an inverse distance that is itself inf.
+    """
+    rows = [("C", 0.0, 0.0, 1.0), ("F", 0.0, 1.0, 4.0)]
+    rows += [(f"N{k}", x, 0.0, 2.0 + k) for k, x in enumerate(offsets)]
+    return _points(rows)
+
+
+def tiny_costs_dataset(*costs):
+    """Four sites on a unit square with edges from A to B and C at these costs.
+
+    Two costs of 1e-308 give inverse costs whose sum overflows, and a cost
+    of 1e-310 an inverse cost that is itself inf.
+    """
+    rows = (("A", 0.0, 0.0, 1.0), ("B", 1.0, 0.0, 2.0),
+            ("C", 0.0, 1.0, 5.0), ("D", 1.0, 1.0, 3.0))
+    return _points(rows, [Edge("A", b, 1.0, c) for b, c in zip("BC", costs)])
+
+
+# the five inputs whose factor sums leave the float range, as
+# (dataset, regime, radius); each is valid, and each usable weighting is finite
+EXTREME_FACTOR_CASES = {
+    "inverse-distances-all-zero": (far_apart_dataset, "buffer", "inf"),
+    "inverse-distance-sum-overflows": (lambda: tiny_offsets_dataset(-1e-308, 1e-308), "buffer", "2"),
+    "inverse-distance-overflows": (lambda: tiny_offsets_dataset(5e-324), "buffer", "2"),
+    "inverse-cost-sum-overflows": (lambda: tiny_costs_dataset(1e-308, 1e-308), "combined", "2"),
+    "inverse-cost-overflows": (lambda: tiny_costs_dataset(1e-310), "combined", "2"),
+}

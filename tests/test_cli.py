@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 import spatial_outliers
 from spatial_outliers.cli import main
 from spatial_outliers.fixtures import write_fixture_files
+
+from conftest import EXTREME_FACTOR_CASES
 
 
 @pytest.fixture()
@@ -241,6 +244,37 @@ class TestDetect:
         # no path is usable, as when the cost limit rules every path out
         assert main(argv + ["--cost-limit", "1"]) == 0
         assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("blend", [[], ["--alpha", "0.5", "--beta", "0.25", "--delta", "0.25"]])
+@pytest.mark.parametrize("case", sorted(EXTREME_FACTOR_CASES))
+def test_factor_sums_out_of_range_exit_cleanly(case, blend, tmp_path, capsys):
+    from spatial_outliers.fileio import write_edges_csv, write_sites_csv
+
+    build, regime, radius = EXTREME_FACTOR_CASES[case]
+    ds = build()
+    sites, edges = tmp_path / "sites.csv", tmp_path / "edges.csv"
+    write_sites_csv(ds.sites, sites)
+    write_edges_csv(ds.edges, edges)
+    inputs = ["--sites", _p(sites), "--edges", _p(edges)]
+    assert main(["validate", *inputs]) == 0
+    capsys.readouterr()
+    argv = [*inputs, "--regime", regime, "--radius", radius, *blend]
+    # the numeric columns of each report: weight; actual, expected, diff, z
+    for command, columns in (("weights", slice(2, 3)), ("detect", slice(1, 5))):
+        code = main([command, *argv])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and "nan" not in out and "inf" not in out
+        if regime == "buffer":
+            assert code == 1
+            assert "no usable weighting factor" in err
+            assert out == ""
+        else:
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:] if line[0] != "#"]
+            assert rows and all(
+                math.isfinite(float(v)) for row in rows for v in row[columns]
+            )
 
 
 class TestCompare:

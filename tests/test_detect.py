@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from spatial_outliers import (
     DegenerateDistributionError,
+    DegenerateFactorsError,
     DetectionResult,
     Edge,
     NoNeighborsError,
@@ -21,14 +22,21 @@ from spatial_outliers import (
     difference_scores,
     expected_classical,
     expected_weighted,
+    neighborhood_weights,
     significance_scores,
+    validate_dataset,
 )
 from spatial_outliers.fixtures import (
     VILLAGE_ATTRIBUTE,
     VILLAGE_RADIUS,
 )
 
-from conftest import grid_point_dataset, overflowing_costs_dataset, unit_square
+from conftest import (
+    EXTREME_FACTOR_CASES,
+    grid_point_dataset,
+    overflowing_costs_dataset,
+    unit_square,
+)
 
 
 class TestExpectedClassical:
@@ -84,6 +92,10 @@ class TestExpectedWeighted:
         w = WeightedNeighborhood(center="c", entries=(("n", 1.0),))
         with pytest.raises(SiteLookupError):
             expected_weighted(w, {"other": 1.0})
+
+    def test_empty_rejected(self):
+        with pytest.raises(NoNeighborsError):
+            expected_weighted(WeightedNeighborhood(center="c", entries=()), {})
 
     @given(
         st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=15),
@@ -261,6 +273,28 @@ class TestDetectOutliers:
         assert result.skipped == ("B",)
         limited = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=2.0, cost_limit=1.0)
         assert result == detect_outliers(ds, "v", limited, regime="combined")
+
+    @pytest.mark.parametrize("case", sorted(EXTREME_FACTOR_CASES))
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 0.25, 0.25)])
+    def test_factor_sums_out_of_range_follow_the_one_rule(self, case, coeffs):
+        # a factor whose sum overflows or is not in (0, inf) drops out: the
+        # buffer regime has nothing left, the combined regime keeps distance
+        build, regime, radius = EXTREME_FACTOR_CASES[case]
+        ds = build()
+        assert validate_dataset(ds) == []
+        alpha, beta, delta = coeffs
+        params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=float(radius))
+        if regime == "buffer":
+            with pytest.raises(DegenerateFactorsError, match="no usable weighting factor"):
+                detect_outliers(ds, "v", params, regime=regime)
+            return
+        result = detect_outliers(ds, "v", params, regime=regime)
+        assert len(result.scores) == len(ds.sites)
+        assert all(math.isfinite(s.expected) and math.isfinite(s.z) for s in result.scores)
+        for sid in ds.site_ids():
+            weights = [w for _, w in neighborhood_weights(ds, sid, params, regime).entries]
+            assert weights and all(0.0 < w < math.inf for w in weights)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_everything_skipped_gives_empty_result(self):
         sites = (

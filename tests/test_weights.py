@@ -244,14 +244,24 @@ class TestCombinedWeights:
         assert combined_weights(shuffled, params).as_dict() == pytest.approx(base)
 
 
-# Reference: the weighting as written before it was reduced to fewer passes.
-# combined_weights must give the same entries, bit for bit, or raise the same
-# error on every factor list.
+# Reference: the weighting as written before it was reduced to fewer passes,
+# with one explicit degeneracy rule: a factor whose exact sum overflows or is
+# not in (0, inf) gives no shares.  combined_weights must give the same
+# entries, bit for bit, or raise the same error on every factor list.
+
+
+def _ref_total(values):
+    """math.fsum of the values, or None when it overflows or is not in (0, inf)."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        return None
+    return total if 0.0 < total < math.inf else None
 
 
 def _ref_normalized(center, pairs):
     total = math.fsum(w for _, w in pairs)
-    if total <= 0.0:
+    if not total > 0.0:
         raise DegenerateFactorsError(
             f"no usable weighting factor for neighborhood of {center!r}"
         )
@@ -260,7 +270,9 @@ def _ref_normalized(center, pairs):
 
 def _ref_distance_shares(factors):
     inverses = [1.0 / f.distance for f in factors]
-    total = math.fsum(inverses)
+    total = _ref_total(inverses)
+    if total is None:
+        return None
     return [q / total for q in inverses]
 
 
@@ -276,8 +288,8 @@ def _ref_cost_shares(factors):
     zeros = sum(1 for c in reachable if c == 0.0)
     if zeros:
         return [(1.0 / zeros) if f.min_cost == 0.0 else 0.0 for f in factors]
-    total = math.fsum(1.0 / c for c in reachable)
-    if total == 0.0:
+    total = _ref_total([1.0 / c for c in reachable])
+    if total is None:
         return None
     return [
         (1.0 / f.min_cost) / total if f.min_cost is not None else 0.0
@@ -289,7 +301,7 @@ def _ref_combined_weights(factors, params):
     if not factors:
         raise NoNeighborsError("cannot weight an empty neighborhood")
     n = len(factors)
-    d_shares = _ref_distance_shares(factors)
+    d_shares = _ref_distance_shares(factors) or [0.0] * n
     r_shares = _ref_connection_shares(factors) or [0.0] * n
     c_shares = _ref_cost_shares(factors) or [0.0] * n
     pairs = []
@@ -323,13 +335,16 @@ _SIMPLEX_CORNERS = st.sampled_from([
 @given(
     st.lists(
         st.tuples(
-            st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, 5e-324, 1e300])),
+            st.one_of(
+                st.floats(1e-3, 1e3),
+                st.sampled_from([0.0, 5e-324, 1e-308, 1e300, math.inf]),
+            ),
             st.integers(0, 3),
             st.one_of(
                 st.none(),
                 st.just(0.0),
                 st.floats(0.0, 1e6),
-                st.sampled_from([5e-324, 1e-300, 1e300]),
+                st.sampled_from([5e-324, 1e-310, 1e-308, 1e-300, 1e300]),
                 st.just(math.inf),
             ),
         ),
@@ -340,6 +355,11 @@ _SIMPLEX_CORNERS = st.sampled_from([
 # three shares whose plain sum is 1 + 2**-52 and whose exact sum rounds to 1
 @example([(1.0, 0, None), (2.0, 1, 3.0), (3.0, 2, math.inf)], (1.0, 0.0, 0.0))
 @example([(1.0, 0, 0.0), (2.0, 1, 0.0), (3.0, 2, math.inf)], (0.2, 0.3, 0.5))
+# an inverse distance that overflows to inf; two inverse costs whose sum
+# overflows; every distance infinite, so every inverse is 0
+@example([(5e-324, 1, 2.0), (1.0, 0, 3.0)], (0.5, 0.25, 0.25))
+@example([(1.0, 1, 1e-308), (2.0, 0, 1e-308)], (0.5, 0.25, 0.25))
+@example([(math.inf, 1, 2.0), (math.inf, 0, None)], (0.5, 0.25, 0.25))
 def test_combined_weights_match_reference_bit_for_bit(rows, coeffs):
     alpha, beta, delta = coeffs
     try:
@@ -348,6 +368,70 @@ def test_combined_weights_match_reference_bit_for_bit(rows, coeffs):
         assume(False)  # rounding pushed the simplex sum out of tolerance
     factors = make_factors([(i, d, r, c) for i, (d, r, c) in enumerate(rows)])
     assert _bits(_weigh, factors, params) == _bits(_ref_combined_weights, factors, params)
+
+
+# distances and costs over the whole positive float range: subnormals whose
+# inverse is inf, pairs whose inverses sum past the largest float, and inf
+WIDE = st.one_of(
+    st.floats(5e-324, 1e308),
+    st.sampled_from([5e-324, 1e-310, 1e-308, 1e308, math.inf]),
+)
+
+
+def assert_usable(weighting):
+    """Non-empty, finite, positive weights whose exact sum is 1."""
+    weights = [w for _, w in weighting.entries]
+    assert weights and all(0.0 < w < math.inf for w in weights)
+    assert abs(math.fsum(weights) - 1.0) <= 1e-12
+
+
+@given(
+    st.lists(
+        st.tuples(WIDE, st.integers(0, 3), st.one_of(st.none(), st.just(0.0), WIDE)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.one_of(_SIMPLEX_CORNERS, _coeffs()),
+)
+@example([(1e-308, 0, 1.0), (1e-308, 0, 1.0)], (1.0, 0.0, 0.0))
+@example([(5e-324, 1, 1e-310), (1.0, 0, 2.0)], (1.0, 0.0, 0.0))
+@example([(math.inf, 0, None), (math.inf, 0, None)], (1.0, 0.0, 0.0))
+@example([(1.0, 1, 1e-308), (2.0, 1, 1e-308)], (0.0, 0.0, 1.0))
+def test_factor_weightings_across_the_float_range(rows, coeffs):
+    alpha, beta, delta = coeffs
+    params = WeightParams(alpha=alpha, beta=beta, delta=delta)
+    factors = make_factors([(i, d, r, c) for i, (d, r, c) in enumerate(rows)])
+    for weigh in (distance_weights, connection_weights,
+                  lambda fs: combined_weights(fs, params)):
+        try:
+            weighting = weigh(factors)
+        except SpatialOutlierError:
+            continue
+        assert_usable(weighting)
+
+
+# squares from 1e-6 to 1e160 on a side anywhere in the float range: their
+# areas overflow to inf past about 1e154, and centroids 2e308 apart are inf
+# apart; a side of at least 2**-20 of the offset keeps the corners distinct
+SQUARES = st.tuples(
+    st.one_of(st.floats(-1e308, 1e308), st.sampled_from([-1e308, 0.0, 1e308])),
+    st.floats(1e-6, 1e160),
+)
+
+
+@given(st.lists(SQUARES, min_size=1, max_size=6), SQUARES, st.floats(0.0, 1.0))
+@example([(1e308, 1.0)], (-1e308, 1.0), 0.5)
+@example([(0.0, 1e160), (5.0, 1.0)], (-5.0, 1.0), 0.5)
+def test_polygon_weights_across_the_float_range(squares, center, gamma):
+    def square(sid, ox, side):
+        return unit_square(sid, ox=ox, size=max(side, abs(ox) * 2.0 ** -20))
+
+    neighbors = [square(f"n{i}", ox, side) for i, (ox, side) in enumerate(squares)]
+    try:
+        weighting = polygon_weights(square("c", *center), neighbors, gamma=gamma)
+    except SpatialOutlierError:
+        return
+    assert_usable(weighting)
 
 
 class TestPolygonWeights:
