@@ -4,6 +4,12 @@ A dataset is a homogeneous collection of point or polygon sites, an optional
 edge list (points only), and a declared set of numeric attributes.  All types
 are immutable after construction; invariant violations are reported as data
 by :func:`validate_dataset`, not raised during construction.
+
+Each polygon's geometry is one record, built on first use in one pass over
+each ring and remembered on the polygon: its ring areas, then its area and
+centroid or the reason it has none.  One rule, _zero_area, decides when a
+ring (or the exterior net of its holes) has no area; the polygon loader,
+validation and the geometry functions all read the record and that rule.
 """
 
 import math
@@ -174,81 +180,86 @@ class WeightParams:
             raise ValueError(f"theta must be positive, got {self.theta}")
 
 
-def _ring_signed_area(ring) -> float:
-    """Shoelace signed area of an implicitly closed ring.
+def _zero_area(area: float) -> bool:
+    """The ring rule: an area below MIN_RING_AREA counts as none.
 
-    Like _ring_centroid, it sums over offsets from the first vertex, so a
-    ring far from the origin keeps its precision.
+    It applies to each ring and to the exterior net of its holes.  A nan
+    area, from a non-finite vertex, is not below it.
     """
-    ox, oy = ring[0]
-    total = 0.0
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        total += (x1 - ox) * (y2 - oy) - (x2 - ox) * (y1 - oy)
-    return 0.5 * total
+    return area < MIN_RING_AREA
 
 
-def _ring_centroid(ring) -> tuple[float, float]:
-    """Area-weighted centroid of an implicitly closed ring.
+def _ring_sums(ring) -> tuple[float, float, float]:
+    """Twice an implicitly closed ring's signed area, a2, and its centroid sums.
 
-    Sums run over offsets from the first vertex, so their rounding scales
-    with the ring's extent, not with its distance from the origin.  The
-    caller has checked that the ring's area is at least MIN_RING_AREA.
+    The ring's centroid is its first vertex plus each sum over 3 * a2.  Sums
+    run over offsets from the first vertex, so their rounding scales with
+    the ring's extent, not with its distance from the origin.
     """
     ox, oy = ring[0]
     a2 = cx = cy = 0.0
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
+    for (x1, y1), (x2, y2) in zip(ring, (*ring[1:], ring[0])):
         x1, y1, x2, y2 = x1 - ox, y1 - oy, x2 - ox, y2 - oy
         det = x1 * y2 - x2 * y1
         a2 += det
         cx += (x1 + x2) * det
         cy += (y1 + y2) * det
-    return ox + cx / (3.0 * a2), oy + cy / (3.0 * a2)
+    return a2, cx, cy
 
 
-def _ring_areas(polygon: PolygonSite) -> tuple[float, ...]:
-    """|Shoelace area| of the exterior, then of each hole; 0.0 below 3 vertices.
+def _geometry(polygon: PolygonSite):
+    """The polygon's geometry record: (ring areas, area, centroid, reason).
 
-    Remembered on the polygon like its centroid (see polygon_centroid), so
-    loading, validation and the geometry functions sum each ring once.
+    Ring areas are |shoelace area| of the exterior, then of each hole (0.0
+    below 3 vertices).  reason is None, or says why the polygon has no area
+    or centroid: the first ring with under 3 vertices or zero area, holes
+    that leave none, or a non-finite vertex or overflow.  The record lives
+    in the instance dict, outside the dataclass fields, so equality, hashing
+    and repr do not see it; fields are frozen, so it never goes stale, and
+    threads racing to fill it store equal records.
     """
-    areas = polygon.__dict__.get("_ring_areas")
-    if areas is None:
-        areas = tuple(
-            abs(_ring_signed_area(ring)) if len(ring) >= 3 else 0.0
-            for ring in (polygon.exterior, *polygon.holes)
-        )
-        polygon.__dict__["_ring_areas"] = areas
-    return areas
+    record = polygon.__dict__.get("_geometry")
+    if record is not None:
+        return record
+    ring_areas = []
+    reason = centroid = None
+    area = num_x = num_y = 0.0
+    rings = (polygon.exterior, *polygon.holes)
+    for i, ring in enumerate(rings):
+        if len(ring) < 3:
+            ring_areas.append(0.0)
+            reason = reason or "ring needs at least 3 distinct vertices"
+            continue
+        a2, sx, sy = _ring_sums(ring)
+        ring_area = abs(0.5 * a2)
+        ring_areas.append(ring_area)
+        if _zero_area(ring_area):
+            reason = reason or "degenerate ring (zero area)"
+        elif reason is None:
+            ox, oy = ring[0]
+            x, y = ox + sx / (3.0 * a2), oy + sy / (3.0 * a2)
+            if i == 0:
+                area, num_x, num_y = ring_area, x * ring_area, y * ring_area
+            else:  # holes take their area and moment away
+                area -= ring_area
+                num_x -= x * ring_area
+                num_y -= y * ring_area
+    if reason is None and _zero_area(area):
+        reason = "holes consume the exterior"
+    if reason is None:
+        centroid = (num_x / area, num_y / area)
+        if not all(map(math.isfinite, (area, *centroid))):
+            finite = all(math.isfinite(v) for ring in rings for point in ring for v in point)
+            reason = "area or centroid overflows the float range" if finite else "non-finite vertex"
+    record = polygon.__dict__["_geometry"] = (tuple(ring_areas), area, centroid, reason)
+    return record
 
 
 def polygon_area(polygon: PolygonSite) -> float:
-    """Planar area of the exterior ring minus any hole areas.
-
-    The result is remembered on the polygon (see polygon_centroid).
-    """
-    area = polygon.__dict__.get("_area")
-    if area is not None:
-        return area
-    ring_areas = _ring_areas(polygon)
-    for ring, ring_area in zip((polygon.exterior, *polygon.holes), ring_areas):
-        if len(ring) < 3:
-            raise GeometryError(
-                f"polygon {polygon.id!r}: ring needs at least 3 distinct vertices"
-            )
-        if ring_area < MIN_RING_AREA:
-            raise GeometryError(f"polygon {polygon.id!r}: degenerate ring (zero area)")
-    area, *hole_areas = ring_areas
-    for h_area in hole_areas:
-        area -= h_area
-    if area < MIN_RING_AREA:
-        raise GeometryError(f"polygon {polygon.id!r}: holes consume the exterior")
-    polygon.__dict__["_area"] = area
+    """Planar area of the exterior ring minus any hole areas."""
+    _, area, _, reason = _geometry(polygon)
+    if reason is not None:
+        raise GeometryError(f"polygon {polygon.id!r}: {reason}")
     return area
 
 
@@ -257,25 +268,10 @@ def polygon_centroid(polygon: PolygonSite) -> tuple[float, float]:
 
     The arithmetic mean of the vertices is deliberately not used: it drifts
     toward densely sampled stretches of the boundary.
-
-    The result is remembered in the polygon's instance dict, outside the
-    dataclass fields, so equality, hashing and repr do not see it.  Fields
-    are frozen, so it never goes stale; only results are stored, so a
-    degenerate polygon raises on every call; and threads racing to fill it
-    store equal values.
     """
-    centroid = polygon.__dict__.get("_centroid")
-    if centroid is not None:
-        return centroid
-    total = polygon_area(polygon)  # raises for a degenerate polygon
-    area, *hole_areas = _ring_areas(polygon)
-    cx, cy = _ring_centroid(polygon.exterior)
-    num_x, num_y = cx * area, cy * area
-    for hole, h_area in zip(polygon.holes, hole_areas):
-        hx, hy = _ring_centroid(hole)
-        num_x -= hx * h_area
-        num_y -= hy * h_area
-    polygon.__dict__["_centroid"] = centroid = (num_x / total, num_y / total)
+    _, _, centroid, reason = _geometry(polygon)
+    if reason is not None:
+        raise GeometryError(f"polygon {polygon.id!r}: {reason}")
     return centroid
 
 
@@ -328,13 +324,13 @@ def _ring_problems(polygon: PolygonSite) -> list[str]:
     """The first problem of each ring, in ring order."""
     problems = []
     rings = (polygon.exterior, *polygon.holes)
-    for i, (ring, area) in enumerate(zip(rings, _ring_areas(polygon))):
+    for i, (ring, area) in enumerate(zip(rings, _geometry(polygon)[0])):
         label = f"hole {i - 1}" if i else "exterior"
         if len(ring) < 3:
             problem = f"{label} ring has fewer than 3 distinct vertices"
         elif any(not (math.isfinite(x) and math.isfinite(y)) for x, y in ring):
             problem = f"{label} ring has non-finite vertex"
-        elif area < MIN_RING_AREA:
+        elif _zero_area(area):
             problem = f"degenerate {label} ring (zero area)"
         elif _ring_self_intersects(ring):
             problem = f"self-intersecting {label} ring"

@@ -11,8 +11,8 @@ import csv
 import json
 import math
 
-from .dataset import MIN_RING_AREA, Edge, PointSite, PolygonSite, site_id_key
-from .dataset import _normalize_ring, _ring_areas
+from .dataset import Edge, PointSite, PolygonSite, site_id_key
+from .dataset import _geometry, _zero_area
 from .detect import ComparisonReport, DetectionResult
 from .errors import ParseError
 
@@ -149,20 +149,6 @@ def load_edges(path) -> tuple[Edge, ...]:
 _NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
 
 
-def _ring_from_json(path, where, raw):
-    if not isinstance(raw, list) or any(
-        not isinstance(v, list) or len(v) != 2 for v in raw
-    ):
-        raise ParseError(path, where, "ring must be a list of [x, y] pairs")
-    try:
-        ring = _normalize_ring(raw)
-    except _NOT_A_FLOAT:
-        raise ParseError(path, where, "ring coordinates must be numbers") from None
-    if len(set(ring)) < 3:
-        raise ParseError(path, where, "ring needs at least 3 distinct vertices")
-    return ring
-
-
 def load_polygons(path) -> tuple[PolygonSite, ...]:
     """Read polygon sites from a JSON list of {id, rings, attributes}."""
     with open(path, encoding="utf-8") as handle:
@@ -192,21 +178,28 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
         seen.add(site_id)
         if not isinstance(rings, list) or not rings:
             raise ParseError(path, where, "rings must be a non-empty list")
-        parsed = [_ring_from_json(path, where, ring) for ring in rings]
+        for ring in rings:
+            if not isinstance(ring, list) or any(
+                not isinstance(v, list) or len(v) != 2 for v in ring
+            ):
+                raise ParseError(path, where, "ring must be a list of [x, y] pairs")
+        values = {}  # filled after the ring checks: ring faults are named first
+        try:
+            polygon = PolygonSite(
+                id=site_id, exterior=rings[0], holes=tuple(rings[1:]), attributes=values
+            )
+        except _NOT_A_FLOAT:
+            raise ParseError(path, where, "ring coordinates must be numbers") from None
+        if any(len(set(ring)) < 3 for ring in (polygon.exterior, *polygon.holes)):
+            raise ParseError(path, where, "ring needs at least 3 distinct vertices")
         attributes = record.get("attributes", {})
         if not isinstance(attributes, dict):
             raise ParseError(path, where, "attributes must be an object")
         try:
-            attributes = {str(k): float(v) for k, v in attributes.items()}
+            values.update((str(k), float(v)) for k, v in attributes.items())
         except _NOT_A_FLOAT:
             raise ParseError(path, where, "attribute values must be numbers") from None
-        polygon = PolygonSite(
-            id=site_id,
-            exterior=parsed[0],
-            holes=tuple(parsed[1:]),
-            attributes=attributes,
-        )
-        if any(area < MIN_RING_AREA for area in _ring_areas(polygon)):
+        if any(map(_zero_area, _geometry(polygon)[0])):
             raise ParseError(path, where, "zero-area ring")
         polygons.append(polygon)
     return tuple(polygons)

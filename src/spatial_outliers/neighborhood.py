@@ -19,11 +19,11 @@ padded polygon bounding boxes, and the segment-overlap test runs only on
 segment pairs whose padded boxes meet.  The exact membership tests run on
 the candidates the index yields.
 
-Polygon centroids and areas are remembered on each PolygonSite by
-dataset.polygon_centroid and dataset.polygon_area, so validation, buffer
-tables, distances and polygon weights compute each one once.  Index
-structures and those memos are pure functions of immutable data: threads
-racing to fill one store equal values.
+Polygon centroids and areas come from the geometry record that the dataset
+module remembers on each PolygonSite, so validation, buffer tables,
+distances and polygon weights compute each one once.  Index structures and
+that record are pure functions of immutable data: threads racing to fill
+one store equal values.
 """
 
 import math
@@ -232,7 +232,8 @@ def _box_grid(dataset: SpatialDataset):
     vertices), and grid maps a cell to the positions whose boxes cover it.
     The cell side is at least the mean box extent and the root of the mean
     box area, which bounds the cells all boxes cover to a small multiple of
-    the polygon count.  None covers non-finite vertices.
+    the polygon count.  None covers non-finite vertices and boxes too large
+    for their areas to be summed.
     """
     values = [
         v
@@ -261,8 +262,11 @@ def _box_grid(dataset: SpatialDataset):
     present = [box for box in boxes if box is not None]
     if not present:
         return None
-    extent = math.fsum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in present)
-    area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in present)
+    try:
+        extent = math.fsum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in present)
+        area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in present)
+    except OverflowError:  # box areas that sum past the float range
+        return None
     cell = max(extent / len(present), math.sqrt(area / len(present)))
     if not math.isfinite((scale + pad) / cell):
         return None

@@ -52,6 +52,24 @@ def grid_polygons(n=3, attribute="v"):
     return SpatialDataset(sites=tuple(sites), attribute_names=(attribute,))
 
 
+def huge_squares_dataset(side):
+    """Three abutting squares of this side in a row, ids p0-p2, values 0, 1, 4.
+
+    At side 1e154 the squares' box areas sum past the largest float, and
+    from about 1e103 up each centroid's sums overflow.
+    """
+    sites = tuple(
+        PolygonSite(
+            id=f"p{i}",
+            exterior=((i * side, 0.0), ((i + 1) * side, 0.0),
+                      ((i + 1) * side, side), (i * side, side)),
+            attributes={"v": float(i * i)},
+        )
+        for i in range(3)
+    )
+    return SpatialDataset(sites=sites, attribute_names=("v",))
+
+
 def grid_point_dataset(width, height, values, attribute="v"):
     """Lattice of points one unit apart, edges between orthogonal neighbors.
 

@@ -277,6 +277,24 @@ def test_factor_sums_out_of_range_exit_cleanly(case, blend, tmp_path, capsys):
             )
 
 
+@pytest.mark.parametrize("command", ["validate", "detect", "compare"])
+@pytest.mark.parametrize("side", [1e154, 1e120])
+def test_polygons_too_large_for_floats_exit_one(command, side, tmp_path, capsys):
+    from spatial_outliers.fileio import write_polygons_json
+    from conftest import huge_squares_dataset
+
+    polys = tmp_path / "huge.json"
+    write_polygons_json(huge_squares_dataset(side).sites, polys)
+    argv = [command, "--polygons", _p(polys)]
+    if command != "validate":
+        argv += ["--attribute", "v", "--regime", "polygon"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    for i in range(3):
+        assert f"site 'p{i}': polygon 'p{i}': area or centroid overflows" in out + err
+
+
 class TestCompare:
     def test_village_compare_contains_both_expectations(self, fixture_dir, capsys):
         code = main([

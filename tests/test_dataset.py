@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,17 +12,20 @@ from spatial_outliers import (
     DegenerateDistanceError,
     Edge,
     GeometryError,
+    ParseError,
     PointSite,
     PolygonSite,
     SpatialDataset,
     WeightParams,
+    load_polygons,
     polygon_area,
     polygon_centroid,
     site_distance,
     validate_dataset,
 )
+from spatial_outliers.dataset import MIN_RING_AREA
 
-from conftest import unit_square
+from conftest import huge_squares_dataset, unit_square
 
 
 def shoelace(vertices):
@@ -65,6 +71,18 @@ class TestPolygonArea:
         with pytest.raises(GeometryError):
             polygon_area(line)
         assert "degenerate exterior ring" in " ".join(validate_dataset(SpatialDataset(sites=(line,))))
+
+    @pytest.mark.parametrize("side", [1e154, 1e120])
+    def test_overflowing_geometry_rejected(self, side):
+        for square in huge_squares_dataset(side).sites:
+            for fn in (polygon_area, polygon_centroid):
+                with pytest.raises(GeometryError, match="overflows the float range"):
+                    fn(square)
+
+    def test_non_finite_vertex_rejected(self):
+        poly = PolygonSite(id="p", exterior=((0.0, 0.0), (math.inf, 0.0), (0.0, 1.0)))
+        with pytest.raises(GeometryError, match="non-finite vertex"):
+            polygon_area(poly)
 
     def test_hole_swallowing_exterior_rejected(self):
         poly = PolygonSite(
@@ -232,6 +250,16 @@ class TestGeometryMemo:
         assert used != dataclasses.replace(fresh, id="t")
 
 
+def test_geometry_is_one_record_per_polygon():
+    hole = ((0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75))
+    poly = PolygonSite(id="s", exterior=unit_square("x").exterior, holes=(hole,))
+    polygon_centroid(poly)
+    polygon_area(poly)
+    assert validate_dataset(SpatialDataset(sites=(poly,))) == []
+    fields = {f.name for f in dataclasses.fields(poly)}
+    assert set(vars(poly)) - fields == {"_geometry"}
+
+
 class TestSiteDistance:
     def test_three_four_five(self):
         a = PointSite(id="a", x=0.0, y=0.0)
@@ -334,6 +362,14 @@ class TestValidateDataset:
         )
         ds = SpatialDataset(sites=(bowtie,))
         assert any("degenerate exterior ring" in v for v in validate_dataset(ds))
+
+    @pytest.mark.parametrize("side", [1e154, 1e120])
+    def test_overflowing_geometry_named_for_each_site(self, side):
+        # at 1e120 the centroids overflow to (inf, inf): not a coincidence
+        assert validate_dataset(huge_squares_dataset(side)) == [
+            f"site 'p{i}': polygon 'p{i}': area or centroid overflows the float range"
+            for i in range(3)
+        ]
 
     def test_coincident_polygon_centroids(self):
         # concentric squares of different size share a centroid
@@ -463,6 +499,49 @@ def point_datasets(draw):
 @given(point_datasets())
 def test_point_validation_matches_one_at_a_time_reference(dataset):
     assert validate_dataset(dataset) == reference_validate_points(dataset)
+
+
+_BIG_SQUARE = ((-100.0, -100.0), (100.0, -100.0), (100.0, 100.0), (-100.0, 100.0))
+
+
+@st.composite
+def edge_case_rings(draw):
+    """Small rings that are collinear, repeat vertices, or have areas near MIN_RING_AREA."""
+    kind = draw(st.sampled_from(["collinear", "repeated", "tiny"]))
+    ox, oy = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    if kind == "collinear":
+        dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        steps = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=6))
+        return [[ox + t * dx, oy + t * dy] for t in steps]
+    if kind == "repeated":
+        corners = [[ox, oy], [ox + 2, oy], [ox, oy + 2]]
+        return draw(st.lists(st.sampled_from(corners), min_size=3, max_size=6))
+    # a right triangle of this area; the arithmetic is exact at these offsets
+    area = draw(st.one_of(st.floats(1e-13, 1e-11), st.just(MIN_RING_AREA)))
+    return [[ox, oy], [ox + 1, oy], [ox, oy + 2.0 * area]]
+
+
+@given(edge_case_rings(), st.booleans())
+def test_one_ring_rule_for_loader_validation_and_geometry(ring, as_hole):
+    rings = [[list(v) for v in _BIG_SQUARE], ring] if as_hole else [ring]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "polys.json"
+        path.write_text(json.dumps([{"id": "p", "rings": rings}]), encoding="utf-8")
+        try:
+            load_polygons(path)
+            loader_rejects = False
+        except ParseError as exc:
+            assert "zero-area ring" in str(exc) or "at least 3 distinct vertices" in str(exc)
+            loader_rejects = True
+    poly = PolygonSite(id="p", exterior=rings[0], holes=tuple(rings[1:]))
+    problems = validate_dataset(SpatialDataset(sites=(poly,)))
+    assert not any("self-intersecting" in problem for problem in problems)
+    try:
+        polygon_area(poly)
+        area_raises = False
+    except GeometryError:
+        area_raises = True
+    assert loader_rejects == bool(problems) == area_raises
 
 
 class TestRingNormalization:

@@ -34,6 +34,7 @@ from spatial_outliers.fixtures import (
 from conftest import (
     EXTREME_FACTOR_CASES,
     grid_point_dataset,
+    huge_squares_dataset,
     overflowing_costs_dataset,
     unit_square,
 )
@@ -337,6 +338,14 @@ class TestDetectOutliers:
         params = WeightParams(alpha=0.5, beta=0.25, delta=0.25, radius=1.5)
         with pytest.raises(DegenerateDistributionError, match="no spread beyond rounding"):
             detect_outliers(ds, "v", params, mode=mode, regime=regime)
+
+    @pytest.mark.parametrize("side", [1e154, 1e120])
+    def test_classical_polygons_too_large_for_floats(self, side):
+        # unvalidated: classical polygon detection needs rook sets and values only
+        result = detect_outliers(huge_squares_dataset(side), "v", WeightParams(),
+                                 mode="classical", regime="polygon")
+        # values 0, 1, 4 over rook sets {p1}, {p0, p2}, {p1}
+        assert {s.site: s.expected for s in result.scores} == {"p0": 1.0, "p1": 2.0, "p2": 1.0}
 
     def test_polygon_regime_requires_polygons(self, village):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from spatial_outliers import (
     write_report,
 )
 from spatial_outliers import dataset as dataset_module
+from spatial_outliers import fileio as fileio_module
 from spatial_outliers.cli import main
 from spatial_outliers.fileio import (
     render_comparison_csv,
@@ -316,12 +317,29 @@ def test_each_ring_area_is_summed_once_per_cli_call(tmp_path, command, capsys):
     path = tmp_path / "polys.json"
     write_polygons_json(sites, path)
     with mock.patch.object(
-        dataset_module, "_ring_signed_area", wraps=dataset_module._ring_signed_area
+        dataset_module, "_ring_sums", wraps=dataset_module._ring_sums
     ) as spy:
         assert main([command, "--polygons", str(path), "--attribute", "v",
                      "--regime", "polygon"]) == 0
     capsys.readouterr()
     assert spy.call_count == 9 + 2
+
+
+def test_load_polygons_converts_each_ring_once(tmp_path):
+    holed = PolygonSite(
+        id="holed",
+        exterior=unit_square("h", ox=10.0, oy=10.0, size=4.0).exterior,
+        holes=(unit_square("h", ox=11.0, oy=11.0).exterior,),
+        attributes={"v": 7.0},
+    )
+    path = tmp_path / "polys.json"
+    write_polygons_json((*grid_polygons(2).sites, holed), path)
+    # one spy under both modules' names, in case the loader imports the helper
+    spy = mock.Mock(wraps=dataset_module._normalize_ring)
+    with mock.patch.object(dataset_module, "_normalize_ring", spy), \
+            mock.patch.object(fileio_module, "_normalize_ring", spy, create=True):
+        assert len(load_polygons(path)) == 5
+    assert spy.call_count == 4 + 2
 
 
 class TestLoadPolygons:

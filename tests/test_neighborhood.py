@@ -21,7 +21,7 @@ from spatial_outliers import (
 )
 from spatial_outliers.fixtures import NETWORK_RADIUS, NETWORK_SITES
 
-from conftest import grid_polygons, unit_square
+from conftest import grid_polygons, huge_squares_dataset, unit_square
 
 
 class TestBufferNeighbors:
@@ -153,6 +153,14 @@ class TestPolygonAdjacency:
                 if other.id != site.id and _exact_shared_boundary(site, other)
             }
             assert polygon_adjacent_neighbors(grid, site.id) == oracle
+
+    @pytest.mark.parametrize("side", [1e154, 1e120])
+    def test_squares_too_large_for_box_areas(self, side):
+        # at 1e154 the box areas sum past the float range: every pair is scanned
+        ds = huge_squares_dataset(side)
+        assert [polygon_adjacent_neighbors(ds, c) for c in ("p0", "p1", "p2")] == [
+            {"p1"}, {"p0", "p2"}, {"p1"}
+        ]
 
     def test_partial_edge_overlap_counts(self):
         # R only covers half of L's right edge but they share a line
