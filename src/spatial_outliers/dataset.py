@@ -14,6 +14,7 @@ validation and the geometry functions all read the record and that rule.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DegenerateDistanceError, GeometryError, SiteLookupError
 
@@ -68,8 +69,7 @@ class PolygonSite:
         )
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One direct connection between two sites.
 
     Edges are undirected for every traversal in this library; repeated
@@ -244,7 +244,8 @@ def _geometry(polygon: PolygonSite):
                 area -= ring_area
                 num_x -= x * ring_area
                 num_y -= y * ring_area
-    if reason is None and _zero_area(area):
+    # a net area of -inf is a hole past the float range, not a zero area
+    if reason is None and math.isfinite(area) and _zero_area(area):
         reason = "holes consume the exterior"
     if reason is None:
         centroid = (num_x / area, num_y / area)
@@ -408,8 +409,7 @@ def validate_dataset(dataset: SpatialDataset) -> list[str]:
     if dataset.edges and dataset.kind == "polygon":
         violations.append("edges are only valid for point datasets")
     index = dataset._index
-    for i, edge in enumerate(dataset.edges):
-        source, target, length, cost = edge.source, edge.target, edge.length, edge.cost
+    for i, (source, target, length, cost) in enumerate(dataset.edges):
         if (source in index and target in index and source != target
                 and 0.0 < length < inf and 0.0 <= cost < inf):
             continue

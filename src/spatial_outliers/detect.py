@@ -9,6 +9,7 @@ weighted expectation shrinks the squared difference error.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataset import SiteId, SpatialDataset, WeightParams, site_id_key
 from .errors import (
@@ -41,8 +42,7 @@ MODES = ("classical", "weighted")
 SPREAD_ULPS = 2.0 ** 30
 
 
-@dataclass(frozen=True)
-class SiteScore:
+class SiteScore(NamedTuple):
     site: SiteId
     actual: float
     expected: float
@@ -86,8 +86,7 @@ class Significance:
     outliers: frozenset[SiteId]
 
 
-@dataclass(frozen=True)
-class SiteComparison:
+class SiteComparison(NamedTuple):
     site: SiteId
     actual: float
     expected_classical: float

@@ -199,8 +199,13 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
             values.update((str(k), float(v)) for k, v in attributes.items())
         except _NOT_A_FLOAT:
             raise ParseError(path, where, "attribute values must be numbers") from None
-        if any(map(_zero_area, _geometry(polygon)[0])):
+        ring_areas, _, _, reason = _geometry(polygon)
+        if any(map(_zero_area, ring_areas)):
             raise ParseError(path, where, "zero-area ring")
+        if reason == "non-finite vertex":  # json.load takes NaN, Infinity and 1e999
+            raise ParseError(path, where, "ring coordinates must be finite")
+        if not all(map(math.isfinite, values.values())):
+            raise ParseError(path, where, "attribute values must be finite")
         polygons.append(polygon)
     return tuple(polygons)
 

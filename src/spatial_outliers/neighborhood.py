@@ -29,8 +29,8 @@ one store equal values.
 import math
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .dataset import (
     PolygonSite,
@@ -60,8 +60,7 @@ _BOX_PAD = 1e3 * BOUNDARY_TOLERANCE
 _BOX_PAD_RELATIVE = 1e-9
 
 
-@dataclass(frozen=True)
-class NeighborFactors:
+class NeighborFactors(NamedTuple):
     """Measured factors for one center/neighbor pair.
 
     min_cost is None when no path exists within the cost limit.
@@ -359,17 +358,12 @@ def _sorted_ids(dataset: SpatialDataset, ids) -> list[SiteId]:
         raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
 
 
-def _pair(a: SiteId, b: SiteId) -> tuple[SiteId, SiteId]:
-    """Key of an unordered endpoint pair: the ids in sort order."""
-    return (a, b) if site_id_key(a) <= site_id_key(b) else (b, a)
-
-
 def _connection_counts(dataset: SpatialDataset) -> dict[SiteId, dict[SiteId, int]]:
     """Number of edges joining a and b as counts[a][b] == counts[b][a]."""
     counts: dict[SiteId, dict[SiteId, int]] = {}
-    for edge in dataset.edges:
+    for source, target, _, _ in dataset.edges:
         # one orientation for a self-loop, which counts once per edge
-        for a, b in {(edge.source, edge.target), (edge.target, edge.source)}:
+        for a, b in {(source, target), (target, source)}:
             row = counts.setdefault(a, {})
             row[b] = row.get(b, 0) + 1
     return counts
@@ -387,15 +381,15 @@ def _cost_adjacency(dataset: SpatialDataset):
 
     Returns (number, ids, adjacency): number maps every edge endpoint, named
     site or not, to a node, ids[node] is its id, and adjacency[node] lists
-    (node, cost) per neighbor.  Self-loops are left out.
+    (node, cost) per neighbor.  Self-loops are left out; the endpoints of
+    any other edge are keyed in sort order.
     """
     best: dict[tuple, float] = {}
-    for edge in dataset.edges:
-        if edge.source == edge.target:
-            continue
-        key = _pair(edge.source, edge.target)
-        if key not in best or edge.cost < best[key]:
-            best[key] = edge.cost
+    for a, b, _, cost in dataset.edges:
+        if a != b:
+            key = (a, b) if site_id_key(a) <= site_id_key(b) else (b, a)
+            if key not in best or cost < best[key]:
+                best[key] = cost
     ids = list(dict.fromkeys(sid for pair in best for sid in pair))
     number = {sid: node for node, sid in enumerate(ids)}
     adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
@@ -408,31 +402,32 @@ def _cost_adjacency(dataset: SpatialDataset):
 def _costs_from(
     dataset: SpatialDataset, source: SiteId, targets, cost_limit: float | None
 ) -> dict[SiteId, float]:
-    """Cheapest traversal cost from source to every target within the limit.
+    """Cheapest traversal cost from source to each target within the limit.
 
     Dijkstra over the numbered cheapest-edge adjacency, which never pushes a
-    sum past cost_limit and stops once every target in the graph is settled.
+    sum past cost_limit, skips a popped entry above its node's best known
+    cost as stale, and stops when no target in the graph is left unsettled
+    or the frontier is empty; either way every target reached has settled.
     Edge costs are non-negative, so every settled cost is final and equals
     the cost an unbounded search would give; ties between equal costs pop in
-    node order, which changes no settled cost.
+    node order, which changes no settled cost.  Only targets are returned.
     """
     number, ids, adjacency = _prepared(dataset, "costs", _cost_adjacency)
     if cost_limit is not None and 0.0 > cost_limit:
         return {}
     if source not in number:  # on no edge: only the source is in reach
-        return {source: 0.0}
+        return {source: 0.0} if source in targets else {}
     limit = math.inf if cost_limit is None else cost_limit
-    remaining = {number[t] for t in targets if t in number}
-    settled: dict[int, float] = {}
-    start = number[source]
-    dist = {start: 0.0}
-    frontier = [(0.0, start)]
+    wanted = {number[t] for t in targets if t in number}
+    remaining = len(wanted)
+    dist = {number[source]: 0.0}
+    frontier = [(0.0, number[source])]
     while frontier and remaining:
         d, node = heappop(frontier)
-        if node in settled:
+        if d > dist[node]:
             continue
-        settled[node] = d
-        remaining.discard(node)
+        if node in wanted:
+            remaining -= 1
         for nbr, cost in adjacency[node]:
             nd = d + cost
             if nd > limit:
@@ -441,7 +436,7 @@ def _costs_from(
             if known is None or nd < known:
                 dist[nbr] = nd
                 heappush(frontier, (nd, nbr))
-    return {ids[node]: d for node, d in settled.items()}
+    return {ids[node]: dist[node] for node in wanted if node in dist}
 
 
 def min_cost(

@@ -112,6 +112,17 @@ class TestValidate:
         assert main(["validate", "--polygons", _p(polys)]) == 1
         assert "record 0: ring coordinates must be numbers" in capsys.readouterr().err
 
+    def test_polygon_non_finite_exit_one(self, tmp_path, capsys):
+        polys = tmp_path / "polys.json"
+        polys.write_text(
+            '[{"id": "p", "rings": [[[0, 0], [NaN, 0], [0, 1]]], "attributes": {"v": Infinity}}]',
+            encoding="utf-8",
+        )
+        assert main(["validate", "--polygons", _p(polys)]) == 1
+        captured = capsys.readouterr()
+        assert f"{polys}:record 0: ring coordinates must be finite" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["validate", "--sites", _p(tmp_path / "nope.csv")]) == 1
         capsys.readouterr()

@@ -12,17 +12,22 @@ from spatial_outliers import (
     DegenerateDistanceError,
     Edge,
     GeometryError,
+    NeighborFactors,
     ParseError,
     PointSite,
     PolygonSite,
+    SiteComparison,
+    SiteScore,
     SpatialDataset,
     WeightParams,
+    load_edges,
     load_polygons,
     polygon_area,
     polygon_centroid,
     site_distance,
     validate_dataset,
 )
+from spatial_outliers import dataset as dataset_module
 from spatial_outliers.dataset import MIN_RING_AREA
 
 from conftest import huge_squares_dataset, unit_square
@@ -81,6 +86,18 @@ class TestPolygonArea:
 
     def test_non_finite_vertex_rejected(self):
         poly = PolygonSite(id="p", exterior=((0.0, 0.0), (math.inf, 0.0), (0.0, 1.0)))
+        with pytest.raises(GeometryError, match="non-finite vertex"):
+            polygon_area(poly)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_hole_with_infinite_area_names_its_vertex(self, x):
+        # the hole's shoelace sum is +-inf, so the net area is -inf, not zero
+        poly = PolygonSite(
+            id="p",
+            exterior=unit_square("p", size=4.0).exterior,
+            holes=(((1.0, 1.0), (1.0, 2.0), (x, 1.5), (1.0, 0.0)),),
+        )
+        assert dataset_module._geometry(poly)[0][1] == math.inf
         with pytest.raises(GeometryError, match="non-finite vertex"):
             polygon_area(poly)
 
@@ -581,3 +598,59 @@ class TestWeightParams:
     def test_simplex_interior_accepted(self):
         params = WeightParams(alpha=1 / 3, beta=1 / 3, delta=1 / 3, radius=2.0)
         assert params.cost_limit is None
+
+
+RECORDS = [
+    (
+        Edge,
+        {"source": "a", "target": "b", "length": 1.0, "cost": 2.0},
+        "Edge(source='a', target='b', length=1.0, cost=2.0)",
+    ),
+    (
+        NeighborFactors,
+        {"center": "a", "neighbor": 7, "distance": 1.5, "connection_count": 2, "min_cost": None},
+        "NeighborFactors(center='a', neighbor=7, distance=1.5, connection_count=2, min_cost=None)",
+    ),
+    (
+        SiteScore,
+        {"site": "a", "actual": 1.0, "expected": 0.5, "diff": 0.5, "z": 1.25, "is_outlier": True},
+        "SiteScore(site='a', actual=1.0, expected=0.5, diff=0.5, z=1.25, is_outlier=True)",
+    ),
+    (
+        SiteComparison,
+        {
+            "site": 3, "actual": 2.0, "expected_classical": 1.0, "expected_weighted": 1.5,
+            "sq_error_classical": 1.0, "sq_error_weighted": 0.25, "sq_error_delta": 0.75,
+            "improvement_pct": None,
+        },
+        "SiteComparison(site=3, actual=2.0, expected_classical=1.0, expected_weighted=1.5, "
+        "sq_error_classical=1.0, sq_error_weighted=0.25, sq_error_delta=0.75, "
+        "improvement_pct=None)",
+    ),
+]
+
+
+class TestRecordContract:
+    """The records built in bulk keep their names, fields, repr and immutability."""
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=lambda v: getattr(v, "__name__", ""))
+    def test_fields_repr_and_immutability(self, cls, fields, text):
+        record = cls(**fields)
+        assert cls._fields == tuple(fields)
+        assert record == cls(*fields.values()) == tuple(fields.values())
+        assert {name: getattr(record, name) for name in cls._fields} == fields
+        assert repr(record) == text
+        with pytest.raises(AttributeError):
+            record.__setattr__(cls._fields[0], "other")
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert hash(record) == hash(cls(**fields))
+        assert record._replace(**{cls._fields[0]: "other"}) != record
+
+    def test_loaded_edges_equal_edge_values(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("from,to,length,cost\na,b,1,2\nb,c,0.5,0\n", encoding="utf-8")
+        assert load_edges(path) == (
+            Edge(source="a", target="b", length=1.0, cost=2.0),
+            Edge(source="b", target="c", length=0.5, cost=0.0),
+        )

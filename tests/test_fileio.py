@@ -422,6 +422,27 @@ class TestLoadPolygons:
         with pytest.raises(ParseError, match=re.escape(f":record 1: {message}")):
             load_polygons(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"rings": [[[0, 0], [{}, 0], [0, 1]]]', "ring coordinates must be finite"),
+            (
+                '"rings": [[[0, 0], [4, 0], [4, 4], [0, 4]], [[1, 1], [1, 2], [{}, 1.5], [1, 0]]]',
+                "ring coordinates must be finite",
+            ),
+            ('"rings": [[[0, 0], [1, 0], [0, 1]]], "attributes": {{"v": {}}}',
+             "attribute values must be finite"),
+        ],
+        ids=["exterior", "hole", "attribute"],
+    )
+    def test_non_finite_value_names_its_record(self, tmp_path, literal, fields, message):
+        good = '{"id": "a", "rings": [[[0, 0], [1, 0], [0, 1]]], "attributes": {"v": 1}}'
+        path = tmp_path / "polys.json"
+        path.write_text(f'[{good}, {{"id": "b", {fields.format(literal)}}}]', encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f":record 1: {message}")):
+            load_polygons(path)
+
     @pytest.mark.parametrize(
         "data",
         [b'[{"id": "p", "rings": [], "attributes": {"v": "\xff"}}]', b"[" + b"9" * 5000 + b"]"],

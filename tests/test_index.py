@@ -448,6 +448,43 @@ def test_min_cost_at_a_limit_equal_to_the_path_sum():
     assert min_cost(dataset, "A", "C", math.nextafter(0.75, 0.0)) is None
 
 
+def _factor_costs(dataset, center, neighbors, limit):
+    params = WeightParams(radius=3.0, cost_limit=limit)
+    found = collect_factors(dataset, center, neighbors, params)
+    assert found == scan_collect_factors(dataset, center, neighbors, params)
+    return {f.neighbor: f.min_cost for f in found}
+
+
+def test_min_cost_through_a_target_improved_twice_before_it_is_popped():
+    # T is pushed at 9, 6 and 3 before it settles at 3, and D lies beyond T
+    # only.  E is pushed at 12 and improved to 8 over F only after the stale
+    # entry for T at 6 is popped, so a search that counted that pop as a
+    # settled target would stop with E still at 12.
+    dataset = _path_dataset(
+        ("A", "T", 9.0), ("A", "B", 1.0), ("B", "T", 5.0), ("A", "C", 2.0),
+        ("C", "T", 1.0), ("T", "D", 1.0), ("A", "E", 12.0), ("A", "F", 7.0), ("F", "E", 1.0),
+    )
+    for limit in (None, 4.0, 20.0):
+        assert min_cost(dataset, "A", "T", limit) == scan_min_cost(dataset, "A", "T", limit) == 3.0
+        assert min_cost(dataset, "A", "D", limit) == scan_min_cost(dataset, "A", "D", limit) == 4.0
+    assert _factor_costs(dataset, "A", ["T", "D", "E"], None) == {"T": 3.0, "D": 4.0, "E": 8.0}
+    assert _factor_costs(dataset, "A", ["T", "E"], 20.0) == {"T": 3.0, "E": 8.0}
+    assert _factor_costs(dataset, "A", ["T", "E"], 7.5) == {"T": 3.0, "E": None}
+
+
+def test_min_cost_when_an_infinite_edge_is_beaten_by_a_finite_path():
+    # B is first reached over the infinite edge; its stale entry ties D's cost
+    dataset = _path_dataset(
+        ("A", "B", math.inf), ("A", "C", 1.0), ("C", "B", 1.0), ("B", "D", math.inf)
+    )
+    assert min_cost(dataset, "A", "B") == scan_min_cost(dataset, "A", "B") == 2.0
+    assert min_cost(dataset, "A", "B", 2.0) == 2.0
+    assert min_cost(dataset, "A", "D") == scan_min_cost(dataset, "A", "D") == math.inf
+    assert min_cost(dataset, "A", "D", 1e308) is None
+    assert _factor_costs(dataset, "A", ["B", "D"], None) == {"B": 2.0, "D": math.inf}
+    assert _factor_costs(dataset, "A", ["B", "D"], 3.0) == {"B": 2.0, "D": None}
+
+
 def test_connection_counts_are_symmetric_and_count_a_self_loop_once_per_edge():
     dataset = _path_dataset(
         (1, 1, 1.0), (1, 1, 2.0), (1, "1", 1.0), ("1", 1, 3.0), ("a", 1, 1.0)
