@@ -190,16 +190,19 @@ def default_regime(dataset: SpatialDataset) -> str:
     return "combined" if dataset.edges else "buffer"
 
 
-def _neighbor_ids(dataset, center, regime, params) -> list[SiteId]:
+def _neighbors(dataset, center, regime, params) -> set[SiteId]:
+    """The center's neighbors under the regime, in no particular order."""
     if regime == "graph":
-        found = graph_neighbors(dataset, center)
-    elif regime == "polygon":
-        found = polygon_adjacent_neighbors(dataset, center)
-    else:
-        if params.radius is None:
-            raise ValueError(f"regime {regime!r} requires a buffer radius")
-        found = buffer_neighbors(dataset, center, params.radius)
-    return _sorted_ids(dataset, found)
+        return graph_neighbors(dataset, center)
+    if regime == "polygon":
+        return polygon_adjacent_neighbors(dataset, center)
+    if params.radius is None:
+        raise ValueError(f"regime {regime!r} requires a buffer radius")
+    return buffer_neighbors(dataset, center, params.radius)
+
+
+def _neighbor_ids(dataset, center, regime, params) -> list[SiteId]:
+    return _sorted_ids(dataset, _neighbors(dataset, center, regime, params))
 
 
 def neighborhood_weights(
@@ -212,18 +215,19 @@ def neighborhood_weights(
 
     buffer weights by inverse distance, graph by connection count, combined
     blends distance, connections, and traversal cost over the buffer
-    membership, polygon mixes centroid distance with area.
+    membership, polygon mixes centroid distance with area.  The neighbors
+    are sorted once: by collect_factors, or here for polygon_weights.
     """
-    neighbor_ids = _neighbor_ids(dataset, center, regime, params)
-    if not neighbor_ids:
+    found = _neighbors(dataset, center, regime, params)
+    if not found:
         raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
     if regime == "polygon":
         return polygon_weights(
             dataset.site(center),
-            [dataset.site(n) for n in neighbor_ids],
+            [dataset.site(n) for n in _sorted_ids(dataset, found)],
             params.gamma,
         )
-    factors = collect_factors(dataset, center, neighbor_ids, params)
+    factors = collect_factors(dataset, center, found, params)
     if regime == "buffer":
         return distance_weights(factors)
     if regime == "graph":
@@ -266,14 +270,16 @@ def detect_outliers(
     expecteds: dict[SiteId, float] = {}
     skipped: list[SiteId] = []
     for center in order:
-        neighbor_ids = _neighbor_ids(dataset, center, regime, params)
-        if not neighbor_ids:
+        found = _neighbors(dataset, center, regime, params)
+        if not found:
             skipped.append(center)
             continue
         if mode == "classical":
-            expecteds[center] = expected_classical(
-                [values[n] for n in neighbor_ids]
-            )
+            try:  # set order: an exact sum of equal-weight products has no order
+                neighbor_values = [values[n] for n in found]
+            except KeyError as exc:  # the error _sorted_ids gives
+                raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
+            expecteds[center] = expected_classical(neighbor_values)
         else:
             weighting = neighborhood_weights(dataset, center, params, regime)
             expecteds[center] = expected_weighted(weighting, values)
@@ -294,12 +300,8 @@ def detect_outliers(
     significance = significance_scores(diffs, params.theta)
     scores = tuple(
         SiteScore(
-            site=sid,
-            actual=values[sid],
-            expected=expecteds[sid],
-            diff=diffs[sid],
-            z=significance.z[sid],
-            is_outlier=sid in significance.outliers,
+            sid, values[sid], expecteds[sid], diffs[sid], significance.z[sid],
+            sid in significance.outliers,
         )
         for sid in expecteds  # inserted in key order
     )

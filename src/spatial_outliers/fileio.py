@@ -68,17 +68,20 @@ def _csv_rows(path):
     """The stripped header of a UTF-8 CSV file and its rows, numbered from 2.
 
     Decoding runs as rows are read; a byte that is not UTF-8 raises
-    ParseError naming its line.
+    ParseError naming its line, and so does a row the CSV reader rejects
+    (a field past csv.field_size_limit, or a NUL byte before Python 3.11).
     """
     with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
         try:
-            reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
                 raise ParseError(path, 1, "missing header")
             yield [h.strip() for h in header], enumerate(reader, start=2)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
 def load_sites(path) -> tuple[PointSite, ...]:
@@ -256,10 +259,10 @@ def _score_rows(result: DetectionResult):
 
 def render_detection_csv(result: DetectionResult) -> str:
     lines = ["site_id,actual,expected,diff,z,outlier"]
-    for score in _score_rows(result):
+    for site, actual, expected, diff, z, is_outlier in _score_rows(result):
         lines.append(
-            f"{score.site},{_fmt(score.actual)},{_fmt(score.expected)},"
-            f"{_fmt(score.diff)},{_fmt(score.z)},{'true' if score.is_outlier else 'false'}"
+            f"{site},{actual:.6f},{expected:.6f},{diff:.6f},{z:.6f},"
+            f"{'true' if is_outlier else 'false'}"
         )
     lines.append(
         f"# mu={_fmt(result.mu)} sigma={_fmt(result.sigma)} theta={_fmt(result.theta)}"

@@ -9,15 +9,20 @@ traversal cost (None when unreachable or over the cost limit).
 Every lookup goes through a prepared index kept on the dataset.  Each of its
 structures is built the first time a regime needs it: a buffer table of each
 site id's neighbor row for the last buffer radius, the rank of every site id
-in sort order, edge counts per endpoint (counts[a][b] == counts[b][a]),
-cheapest-edge adjacency over numbered nodes (which also gives graph
-neighbors), and polygon rook adjacency.  The buffer table comes from one
+in sort order, the location of every site id, edge counts per endpoint
+(counts[a][b] == counts[b][a]), cheapest-edge adjacency over numbered nodes
+(which also gives graph neighbors) with a connected-component label per
+node, and polygon rook adjacency.  The buffer table comes from one
 sweep over a uniform grid of site locations that measures each nearby pair
 once and appends it to the rows of both sites; a buffer query is then a
 lookup of the center's row.  Rook adjacency is found through a grid over
 padded polygon bounding boxes, and the segment-overlap test runs only on
 segment pairs whose padded boxes meet.  The exact membership tests run on
 the candidates the index yields.
+
+Factors are collected per center in column passes over the neighbor ids,
+sorted once; the cost search looks only for neighbors in the center's own
+component of the edge graph, so an unreachable one never floods it.
 
 Polygon centroids and areas come from the geometry record that the dataset
 module remembers on each PolygonSite, so validation, buffer tables,
@@ -30,6 +35,7 @@ import math
 import sys
 from collections.abc import Iterable
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import NamedTuple
 
 from .dataset import (
@@ -172,7 +178,7 @@ def buffer_neighbors(
 def graph_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:
     """All sites sharing at least one edge with the center (undirected)."""
     dataset.site(center)
-    number, ids, adjacency = _prepared(dataset, "costs", _cost_adjacency)
+    number, ids, adjacency, _ = _prepared(dataset, "costs", _cost_adjacency)
     return {ids[v] for v, _ in adjacency[number[center]]} if center in number else set()
 
 
@@ -379,10 +385,11 @@ def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> in
 def _cost_adjacency(dataset: SpatialDataset):
     """Undirected adjacency over numbered nodes, keeping the cheapest parallel edge.
 
-    Returns (number, ids, adjacency): number maps every edge endpoint, named
-    site or not, to a node, ids[node] is its id, and adjacency[node] lists
-    (node, cost) per neighbor.  Self-loops are left out; the endpoints of
-    any other edge are keyed in sort order.
+    Returns (number, ids, adjacency, component): number maps every edge
+    endpoint, named site or not, to a node, ids[node] is its id,
+    adjacency[node] lists (node, cost) per neighbor, and component[node] is a
+    disjoint-set root, shared by exactly the nodes a path joins.  Self-loops
+    are left out; the endpoints of any other edge are keyed in sort order.
     """
     best: dict[tuple, float] = {}
     for a, b, _, cost in dataset.edges:
@@ -393,10 +400,19 @@ def _cost_adjacency(dataset: SpatialDataset):
     ids = list(dict.fromkeys(sid for pair in best for sid in pair))
     number = {sid: node for node, sid in enumerate(ids)}
     adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
+    parent = list(range(len(ids)))
+
+    def root(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
+
     for (u, v), cost in best.items():
-        adjacency[number[u]].append((number[v], cost))
-        adjacency[number[v]].append((number[u], cost))
-    return number, ids, adjacency
+        a, b = number[u], number[v]
+        adjacency[a].append((b, cost))
+        adjacency[b].append((a, cost))
+        parent[root(a)] = root(b)
+    return number, ids, adjacency, [root(node) for node in range(len(ids))]
 
 
 def _costs_from(
@@ -404,24 +420,27 @@ def _costs_from(
 ) -> dict[SiteId, float]:
     """Cheapest traversal cost from source to each target within the limit.
 
-    Dijkstra over the numbered cheapest-edge adjacency, which never pushes a
-    sum past cost_limit, skips a popped entry above its node's best known
-    cost as stale, and stops when no target in the graph is left unsettled
-    or the frontier is empty; either way every target reached has settled.
-    Edge costs are non-negative, so every settled cost is final and equals
-    the cost an unbounded search would give; ties between equal costs pop in
-    node order, which changes no settled cost.  Only targets are returned.
+    Dijkstra over the numbered cheapest-edge adjacency, which looks only for
+    the targets in the source's component, never pushes a sum past
+    cost_limit, skips a popped entry above its node's best known cost as
+    stale, and stops when no such target is left unsettled or the frontier
+    is empty; either way every target reached has settled.  Edge costs are
+    non-negative, so every settled cost is final and equals the cost an
+    unbounded search would give; ties between equal costs pop in node order,
+    which changes no settled cost.  Only targets are returned.
     """
-    number, ids, adjacency = _prepared(dataset, "costs", _cost_adjacency)
+    number, ids, adjacency, component = _prepared(dataset, "costs", _cost_adjacency)
     if cost_limit is not None and 0.0 > cost_limit:
         return {}
     if source not in number:  # on no edge: only the source is in reach
         return {source: 0.0} if source in targets else {}
     limit = math.inf if cost_limit is None else cost_limit
-    wanted = {number[t] for t in targets if t in number}
+    start, label = number[source], component[number[source]]
+    wanted = {number[t] for t in targets if t in number and component[number[t]] == label}
     remaining = len(wanted)
-    dist = {number[source]: 0.0}
-    frontier = [(0.0, number[source])]
+    dist = {start: 0.0}
+    known = dist.get
+    frontier = [(0.0, start)]
     while frontier and remaining:
         d, node = heappop(frontier)
         if d > dist[node]:
@@ -432,8 +451,8 @@ def _costs_from(
             nd = d + cost
             if nd > limit:
                 continue
-            known = dist.get(nbr)
-            if known is None or nd < known:
+            best = known(nbr)
+            if best is None or nd < best:
                 dist[nbr] = nd
                 heappush(frontier, (nd, nbr))
     return {ids[node]: dist[node] for node in wanted if node in dist}
@@ -454,6 +473,17 @@ def min_cost(
     return _costs_from(dataset, a, (b,), cost_limit).get(b)
 
 
+def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
+    """The location of each site id's first site, if it has one."""
+    out = {}
+    for sid, site in dataset._index.items():
+        try:
+            out[sid] = site_location(site)
+        except GeometryError:
+            pass
+    return out
+
+
 def collect_factors(
     dataset: SpatialDataset,
     center: SiteId,
@@ -464,24 +494,23 @@ def collect_factors(
 
     neighbors may be any iterable of distinct site ids.  Output is ordered
     by neighbor id so downstream weighting and reporting are deterministic.
+    Each factor is one column pass over that order.
     """
     center_site = dataset.site(center)
     ordered = _sorted_ids(dataset, neighbors)  # also checks every id
     if not ordered:  # nothing to measure: not even the center's location
         return []
-    cx, cy = site_location(center_site)
+    here = site_location(center_site)
+    locations = _prepared(dataset, "locations", _locations)
+    # site_distance's hypot(cx - x, cy - y) in bits; no location reads as the center's
+    distances = list(map(math.dist, repeat(here), map(locations.get, ordered, repeat(here))))
+    if not all(map((0.0).__lt__, distances)):  # 0.0 or nan: raise where site_distance does
+        for neighbor in ordered:
+            site_distance(center_site, dataset._index[neighbor])
     costs = _costs_from(dataset, center, ordered, params.cost_limit)
     counts = _prepared(dataset, "counts", _connection_counts).get(center, {})
-    index = dataset._index
-    out = []
-    for neighbor in ordered:
-        neighbor_site = index[neighbor]
-        x, y = site_location(neighbor_site)
-        # the arithmetic of site_distance(center_site, neighbor_site)
-        distance = math.hypot(cx - x, cy - y)
-        if distance == 0.0:  # raises the error site_distance gives for the pair
-            site_distance(center_site, neighbor_site)
-        out.append(NeighborFactors(
-            center, neighbor, distance, counts.get(neighbor, 0), costs.get(neighbor)
-        ))
-    return out
+    # tuple.__new__ is what NeighborFactors._make calls, without a frame per record
+    return list(map(tuple.__new__, repeat(NeighborFactors), zip(
+        repeat(center), ordered, distances, map(counts.get, ordered, repeat(0)),
+        map(costs.get, ordered),
+    )))

@@ -8,9 +8,12 @@ One rule decides degeneracy: a factor whose exact total overflows or is not
 in (0, inf) gives no shares and the rest of the blend is rescaled; with
 nothing usable left, DegenerateFactorsError is raised.  Neighbors whose
 weight is zero are dropped from the result.
+Factor weightings transpose their records into columns once; the blend
+makes one pass per usable term, starting from the first.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dataset import PolygonSite, SiteId, WeightParams, polygon_area, site_distance
@@ -29,7 +32,7 @@ class WeightedNeighborhood:
         return dict(self.entries)
 
 
-def _shares(values: list[float]) -> list[float] | None:
+def _shares(values: Sequence[float]) -> list[float] | None:
     """Each value over the exact sum of all; None when math.fsum overflows
     or the sum is not in (0, inf)."""
     try:
@@ -43,19 +46,22 @@ def _shares(values: list[float]) -> list[float] | None:
 
 def _blend(
     center: SiteId,
-    neighbor_ids: list[SiteId],
+    neighbor_ids: Sequence[SiteId],
     terms: list[tuple[float, list[float] | None]],
 ) -> WeightedNeighborhood:
     """Sum coef * share per neighbor over the (coef, shares) terms, normalized.
 
-    Products are added in term order from 0.0, which keeps the bits of the
-    written-out sum; shares of None add nothing, and zero weights drop.
+    Products are added in term order from the first term with shares; shares
+    of None add nothing, and zero weights drop.  Starting from 0.0 instead
+    changes only the sign of a zero weight, which drops and which fsum ignores.
     """
-    weights = [0.0] * len(neighbor_ids)
+    weights = None
     for coef, shares in terms:
         if shares is not None:
-            weights = [w + coef * s for w, s in zip(weights, shares)]
-    total = math.fsum(weights)
+            weights = [coef * s for s in shares] if weights is None else [
+                w + coef * s for w, s in zip(weights, shares)
+            ]
+    total = 0.0 if weights is None else math.fsum(weights)
     if not total > 0.0:
         raise DegenerateFactorsError(
             f"no usable weighting factor for neighborhood of {center!r}"
@@ -66,20 +72,20 @@ def _blend(
     )
 
 
-def _ids(factors: list[NeighborFactors]) -> tuple[SiteId, list[SiteId]]:
-    """The center and neighbor ids of a non-empty factor list."""
+def _columns(factors: list[NeighborFactors]):
+    """(center, ids, distances, counts, costs) of a non-empty factor list."""
     if not factors:
         raise NoNeighborsError("cannot weight an empty neighborhood")
-    return factors[0].center, [f.neighbor for f in factors]
+    centers, ids, distances, counts, costs = zip(*factors)
+    return centers[0], ids, distances, counts, costs
 
 
-def _cost_shares(factors: list[NeighborFactors]) -> list[float] | None:
+def _cost_shares(costs: Sequence[float | None]) -> list[float] | None:
     """Inverse-cost shares; unreachable neighbors get zero.
 
     A zero-cost path is the limit of overwhelming ease: zero-cost neighbors
     split the whole share and everyone else gets none.
     """
-    costs = [f.min_cost for f in factors]
     if 0.0 in costs:
         return _shares([1.0 if c == 0.0 else 0.0 for c in costs])
     return _shares([0.0 if c is None else 1.0 / c for c in costs])
@@ -87,14 +93,14 @@ def _cost_shares(factors: list[NeighborFactors]) -> list[float] | None:
 
 def distance_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
     """Inverse-distance weighting: the nearest neighbor matters most."""
-    center, ids = _ids(factors)
-    return _blend(center, ids, [(1.0, _shares([1.0 / f.distance for f in factors]))])
+    center, ids, distances, _, _ = _columns(factors)
+    return _blend(center, ids, [(1.0, _shares([1.0 / d for d in distances]))])
 
 
 def connection_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
     """Weights proportional to the number of direct connections."""
-    center, ids = _ids(factors)
-    return _blend(center, ids, [(1.0, _shares([f.connection_count for f in factors]))])
+    center, ids, _, counts, _ = _columns(factors)
+    return _blend(center, ids, [(1.0, _shares(counts))])
 
 
 def combined_weights(
@@ -107,11 +113,11 @@ def combined_weights(
     nothing and the remaining blend is rescaled.  At the simplex corners
     this reduces exactly to the single-factor weightings.
     """
-    center, ids = _ids(factors)
+    center, ids, distances, counts, costs = _columns(factors)
     return _blend(center, ids, [
-        (params.alpha, _shares([1.0 / f.distance for f in factors])),
-        (params.beta, _shares([f.connection_count for f in factors])),
-        (params.delta, _cost_shares(factors)),
+        (params.alpha, _shares([1.0 / d for d in distances])),
+        (params.beta, _shares(counts)),
+        (params.delta, _cost_shares(costs)),
     ])
 
 

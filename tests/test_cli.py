@@ -103,6 +103,12 @@ class TestValidate:
         assert main(["validate", "--sites", _p(sites)]) == 1
         assert f"{sites}:3: not UTF-8: byte 0xff" in capsys.readouterr().err
 
+    def test_csv_field_past_the_limit_exit_one(self, tmp_path, capsys):
+        sites = tmp_path / "sites.csv"
+        sites.write_text("id,x,y,v\nA,0,0,1\nB," + "1" * 140_000 + ",0,2\n", encoding="utf-8")
+        assert main(["validate", "--sites", _p(sites)]) == 1
+        assert f"{sites}:3: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
     def test_polygon_value_error_exit_one(self, tmp_path, capsys):
         polys = tmp_path / "polys.json"
         polys.write_text(

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -14,6 +15,7 @@ from spatial_outliers import (
     SiteLookupError,
     SiteScore,
     SpatialDataset,
+    SpatialOutlierError,
     UnknownAttributeError,
     WeightedNeighborhood,
     WeightParams,
@@ -26,6 +28,8 @@ from spatial_outliers import (
     significance_scores,
     validate_dataset,
 )
+from spatial_outliers import detect
+from spatial_outliers.detect import MODES
 from spatial_outliers.fixtures import (
     VILLAGE_ATTRIBUTE,
     VILLAGE_RADIUS,
@@ -54,6 +58,25 @@ class TestExpectedClassical:
     def test_village_neighbor_mean_is_45(self, village):
         values = [s.attributes[VILLAGE_ATTRIBUTE] for s in village.sites if s.id != "27"]
         assert expected_classical(values) == pytest.approx(45.0, abs=1e-9)
+
+    @given(
+        st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308])),
+                 min_size=1, max_size=12),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_neighbor_order_gives_the_same_bits(self, values, rng):
+        # detection reads classical neighbor values in set order
+        shuffled = values[:]
+        rng.shuffle(shuffled)
+        assert _result(expected_classical, values) == _result(expected_classical, shuffled)
+
+
+def _result(fn, *args):
+    """repr of fn's result, which round-trips every float, or the error raised."""
+    try:
+        return repr(fn(*args))
+    except (SpatialOutlierError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def uniform_weights(values):
@@ -457,6 +480,45 @@ def _oracle_pipeline(rows, edge_rows, radius, coeffs, theta, mode):
     z = {sid: (d - mu) / sigma for sid, d in diffs.items()}
     flagged = {sid for sid, value in z.items() if abs(value) > theta}
     return z, flagged, skipped
+
+
+@given(
+    st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1e300, -1e300])),
+             min_size=12, max_size=12),
+    st.sampled_from(["buffer", "graph"]),
+    st.randoms(use_true_random=False),
+)
+def test_classical_detection_is_the_same_in_any_neighbor_order(values, regime, rng):
+    dataset = grid_point_dataset(3, 4, values)
+    params = WeightParams(radius=1.5, theta=1.0)
+    expected = _result(detect_outliers, dataset, "v", params, "classical", regime)
+
+    def shuffled(discover):
+        def found(*args):
+            out = list(discover(*args))
+            rng.shuffle(out)
+            return out
+        return found
+
+    with mock.patch.multiple(
+        detect,
+        buffer_neighbors=shuffled(detect.buffer_neighbors),
+        graph_neighbors=shuffled(detect.graph_neighbors),
+    ):
+        assert _result(detect_outliers, dataset, "v", params, "classical", regime) == expected
+
+
+def test_unknown_graph_neighbor_raises_in_both_modes():
+    # validation rejects an edge to a missing site; detection on such a
+    # dataset names the id as the neighbor sort does
+    dataset = SpatialDataset(
+        sites=(PointSite("a", 0.0, 0.0, {"v": 1.0}), PointSite("b", 1.0, 0.0, {"v": 2.0})),
+        edges=(Edge("a", "b", 1.0, 1.0), Edge("a", "ghost", 1.0, 1.0)),
+    )
+    params = WeightParams(beta=1.0, alpha=0.0)
+    for mode in MODES:
+        with pytest.raises(SiteLookupError, match="unknown site id 'ghost'"):
+            detect_outliers(dataset, "v", params, mode=mode, regime="graph")
 
 
 class TestOracleEquivalence:

@@ -112,6 +112,23 @@ class TestLoadSites:
         assert err.value.line == line
         assert err.value.path == str(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("id,x,y,v\nA,0,0,1\nB,{big},0,2\n", 3),
+            ("id,x,y,{big}\nA,0,0,1\n", 1),
+            ('id,x,y,v\nA,0,0,"1\n{big}"\n', 3),
+        ],
+        ids=["row", "header", "quoted-over-two-lines"],
+    )
+    def test_fields_past_the_csv_limit_name_their_line(self, tmp_path, text, line):
+        path = tmp_path / "sites.csv"
+        path.write_text(text.format(big="9" * (csv.field_size_limit() + 1)), encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed CSV: field larger than field limit") as err:
+            load_sites(path)
+        assert err.value.line == line
+        assert err.value.path == str(path)
+
 
 class TestLoadEdges:
     def test_parallel_rows_kept(self, tmp_path):
@@ -152,6 +169,15 @@ class TestLoadEdges:
         with pytest.raises(ParseError, match="not UTF-8: byte 0xfe") as err:
             load_edges(path)
         assert err.value.line == 4
+        assert err.value.path == str(path)
+
+    def test_fields_past_the_csv_limit_name_their_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        big = "A" * (csv.field_size_limit() + 1)
+        path.write_text(f"from,to,length,cost\nA,B,1,1\nA,{big},1,1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed CSV: field larger than field limit") as err:
+            load_edges(path)
+        assert err.value.line == 3
         assert err.value.path == str(path)
 
 

@@ -14,13 +14,16 @@ import gc
 import heapq
 import math
 import weakref
+from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from spatial_outliers import (
     DegenerateDistanceError,
     Edge,
+    GeometryError,
     PointSite,
     PolygonSite,
     SiteLookupError,
@@ -36,11 +39,11 @@ from spatial_outliers import (
     polygon_adjacent_neighbors,
     site_distance,
 )
-from spatial_outliers import detect
-from spatial_outliers.dataset import site_id_key
+from spatial_outliers import detect, neighborhood
+from spatial_outliers.dataset import site_id_key, site_location
 from spatial_outliers.neighborhood import NeighborFactors, polygons_share_boundary
 
-from conftest import grid_point_dataset
+from conftest import grid_point_dataset, unit_square
 
 
 # ---------------------------------------------------------------- oracles
@@ -143,12 +146,48 @@ def scan_collect_factors(dataset, center, neighbors, params):
     return out
 
 
+def loop_collect_factors(dataset, center, neighbors, params):
+    """collect_factors as one loop over the neighbors, a record per pass.
+
+    This is the form the column passes replaced: same sort, same cost
+    search, and the first neighbor in rank order that has no location or
+    sits on the center raises through site_distance.
+    """
+    center_site = dataset.site(center)
+    ordered = neighborhood._sorted_ids(dataset, neighbors)
+    if not ordered:
+        return []
+    cx, cy = site_location(center_site)
+    costs = neighborhood._costs_from(dataset, center, ordered, params.cost_limit)
+    counts = neighborhood._connection_counts(dataset).get(center, {})
+    out = []
+    for neighbor in ordered:
+        neighbor_site = dataset.site(neighbor)
+        x, y = site_location(neighbor_site)
+        distance = math.hypot(cx - x, cy - y)
+        if distance == 0.0:
+            site_distance(center_site, neighbor_site)
+        out.append(NeighborFactors(
+            center, neighbor, distance, counts.get(neighbor, 0), costs.get(neighbor)
+        ))
+    return out
+
+
 def outcome(fn, *args, **kwargs):
     """The value fn returns, or the type of library error it raises."""
     try:
         return "ok", fn(*args, **kwargs)
     except SpatialOutlierError as exc:
         return "raised", type(exc)
+
+
+def detail(fn, *args):
+    """repr of what fn returns, or the type and message of the library error
+    it raises; repr round-trips every float, nan included."""
+    try:
+        return "ok", repr(fn(*args))
+    except SpatialOutlierError as exc:
+        return "raised", type(exc), str(exc)
 
 
 def error_text(fn, *args):
@@ -309,6 +348,30 @@ def _tiling(draw, cols, rows):
 def tilings(draw):
     cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     return _tiling(draw, cols, rows), cols, rows
+
+
+@st.composite
+def factor_datasets(draw):
+    """Point multigraphs with mixed ids, or polygon tilings, with extra sites
+    that copy the spot of an existing one under a new id, and polygons with
+    no centroid (a collinear ring)."""
+    if draw(st.booleans()):
+        dataset = draw(st.one_of(multigraphs(), mixed_id_multigraphs()))
+    else:
+        dataset = draw(tilings())[0]
+    sites = list(dataset.sites)
+    for k, site in enumerate(draw(st.lists(st.sampled_from(sites), max_size=2))):
+        sites.append(replace(site, id=f"copy{k}"))
+    if dataset.kind == "polygon":
+        for k in range(draw(st.integers(0, 2))):
+            x, y = site_location(draw(st.sampled_from(sites[: len(dataset.sites)])))
+            sites.append(PolygonSite(
+                id=f"flat{k}", exterior=((x, y), (x + 0.1, y), (x + 0.2, y)),
+                attributes={"v": 0.0},
+            ))
+    return SpatialDataset(
+        sites=tuple(draw(st.permutations(sites))), edges=dataset.edges, attribute_names=("v",)
+    )
 
 
 # ----------------------------------------------------------------- properties
@@ -485,6 +548,45 @@ def test_min_cost_when_an_infinite_edge_is_beaten_by_a_finite_path():
     assert _factor_costs(dataset, "A", ["B", "D"], 3.0) == {"B": 2.0, "D": None}
 
 
+def test_cost_search_settles_nothing_outside_the_center_component():
+    # c's buffer holds x1, at the head of the chain c-x1-x2-x3-x4, and n,
+    # on the separate component n-m.  The search from c stops once x1 has
+    # settled instead of flooding the chain for n, and the search from n
+    # finds nothing to look for.  The edge c-x1 comes last, so labels read
+    # before it is in would leave x1 out of c's component.
+    dataset = SpatialDataset(
+        sites=tuple(
+            PointSite(sid, x, y)
+            for sid, x, y in (
+                ("c", 0.0, 0.0), ("x1", 1.0, 0.0), ("n", 0.0, 1.0), ("m", 0.0, 9.0),
+                ("x2", 5.0, 0.0), ("x3", 9.0, 0.0), ("x4", 13.0, 0.0),
+            )
+        ),
+        edges=tuple(
+            Edge(u, v, 1.0, 1.0)
+            for u, v in (("n", "m"), ("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("c", "x1"))
+        ),
+    )
+    params = WeightParams(radius=1.2)
+    popped = []
+
+    def spy(frontier):
+        entry = heapq.heappop(frontier)
+        popped.append(dataset._prepared["costs"][1][entry[1]])
+        return entry
+
+    with mock.patch.object(neighborhood, "heappop", spy):
+        got = collect_factors(dataset, "c", buffer_neighbors(dataset, "c", 1.2), params)
+        assert [(f.neighbor, f.min_cost) for f in got] == [("n", None), ("x1", 1.0)]
+        assert popped == ["c", "x1"]
+        popped.clear()
+        got = collect_factors(dataset, "n", buffer_neighbors(dataset, "n", 1.2), params)
+        assert [(f.neighbor, f.min_cost) for f in got] == [("c", None)]
+        assert popped == []
+    assert min_cost(dataset, "n", "x4") is None
+    assert min_cost(dataset, "c", "x4") == scan_min_cost(dataset, "c", "x4") == 4.0
+
+
 def test_connection_counts_are_symmetric_and_count_a_self_loop_once_per_edge():
     dataset = _path_dataset(
         (1, 1, 1.0), (1, 1, 2.0), (1, "1", 1.0), ("1", 1, 3.0), ("a", 1, 1.0)
@@ -557,6 +659,57 @@ def test_unknown_neighbor_id_raises_site_lookup_error(dataset, strangers, data):
     assert outcome(scan_collect_factors, dataset, center, neighbors, params) == expected
     assert outcome(collect_factors, dataset, center, neighbors, params) == expected
     assert outcome(collect_factors, dataset, center, {"nope"}, params) == expected
+
+
+@given(factor_datasets(), st.one_of(st.none(), st.floats(0.5, 12)), st.data())
+def test_collect_factors_columns_match_the_per_neighbor_loop(dataset, limit, data):
+    # the center may be among its neighbors, and copies and flat polygons
+    # may be too: the error, its message and the neighbor it names must match
+    params = WeightParams(radius=3.0, cost_limit=limit)
+    ids = sorted(set(dataset.site_ids()), key=site_id_key)
+    for center in ids:
+        neighbors = data.draw(st.sets(st.sampled_from(ids)))
+        assert detail(collect_factors, dataset, center, neighbors, params) == detail(
+            loop_collect_factors, dataset, center, neighbors, params
+        )
+
+
+def test_collect_factors_raises_at_the_first_bad_neighbor_in_rank_order():
+    flat = PolygonSite(id="b", exterior=((5.0, 0.0), (6.0, 0.0), (7.0, 0.0)))
+    squares = [unit_square(sid, ox=ox) for sid, ox in (("a", 2.0), ("c", 0.0), ("d", 4.0))]
+    dataset = SpatialDataset(sites=(*squares, flat, unit_square("e", ox=0.0)))
+    params = WeightParams()
+    for neighbors, error, message in (
+        ({"a", "b", "e"}, GeometryError, "polygon 'b': degenerate ring"),
+        ({"a", "d", "e"}, DegenerateDistanceError, "sites 'c' and 'e' coincide"),
+        ({"e", "b"}, GeometryError, "polygon 'b'"),
+    ):
+        with pytest.raises(error, match=message):
+            collect_factors(dataset, "c", neighbors, params)
+        assert detail(collect_factors, dataset, "c", neighbors, params) == detail(
+            loop_collect_factors, dataset, "c", neighbors, params
+        )
+    assert collect_factors(dataset, "c", {"a", "d"}, params) == loop_collect_factors(
+        dataset, "c", {"a", "d"}, params
+    )
+
+
+def test_collect_factors_keeps_the_nan_distances_of_non_finite_points():
+    # validation rejects such sites; the center at x = inf is nan away from
+    # p and inf away from q, and the polygon without a centroid still raises
+    flat = PolygonSite(id="flat", exterior=((0.0, 5.0), (1.0, 5.0), (2.0, 5.0)))
+    dataset = SpatialDataset(sites=(
+        PointSite("c", math.inf, 0.0), PointSite("p", math.inf, 1.0), PointSite("q", 0.0, 0.0), flat,
+    ))
+    params = WeightParams()
+    got = collect_factors(dataset, "c", {"p", "q"}, params)
+    assert [f.neighbor for f in got] == ["p", "q"]
+    assert math.isnan(got[0].distance) and got[1].distance == math.inf
+    assert detail(collect_factors, dataset, "c", {"p", "q"}, params) == detail(
+        loop_collect_factors, dataset, "c", {"p", "q"}, params
+    )
+    with pytest.raises(GeometryError, match="polygon 'flat'"):
+        collect_factors(dataset, "c", {"p", "q", "flat"}, params)
 
 
 @given(tilings(), st.floats(0.5, 2.5))

@@ -16,6 +16,8 @@ from spatial_outliers import (
     distance_weights,
     polygon_weights,
 )
+from spatial_outliers import weights as W
+from spatial_outliers.dataset import polygon_area, site_distance
 from spatial_outliers.fixtures import VILLAGE_RADIUS
 
 from conftest import unit_square
@@ -378,6 +380,115 @@ WIDE = st.one_of(
 )
 
 
+def _zeros_blend(center, neighbor_ids, terms):
+    """The blend written out from a list of zeros, as (center, entries)."""
+    weights = [0.0] * len(neighbor_ids)
+    for coef, shares in terms:
+        if shares is not None:
+            weights = [w + coef * s for w, s in zip(weights, shares)]
+    return _ref_normalized(center, list(zip(neighbor_ids, weights)))
+
+
+def _record_weighting(kind, factors, params):
+    """Each factor weighting read record by record, blended from zeros."""
+    if not factors:
+        raise NoNeighborsError("cannot weight an empty neighborhood")
+    if kind != "connection":
+        distance = W._shares([1.0 / f.distance for f in factors])
+    if kind != "distance":
+        connection = W._shares([f.connection_count for f in factors])
+    if kind == "distance":
+        terms = [(1.0, distance)]
+    elif kind == "connection":
+        terms = [(1.0, connection)]
+    else:
+        terms = [
+            (params.alpha, distance),
+            (params.beta, connection),
+            (params.delta, W._cost_shares([f.min_cost for f in factors])),
+        ]
+    return _zeros_blend(factors[0].center, [f.neighbor for f in factors], terms)
+
+
+def _weighting(kind, factors, params):
+    weigh = {
+        "distance": distance_weights,
+        "connection": connection_weights,
+        "combined": lambda fs: combined_weights(fs, params),
+    }[kind]
+    got = weigh(factors)
+    return got.center, got.entries
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(WIDE, st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.nan])),
+            st.integers(-1, 3),
+            st.one_of(st.none(), WIDE, st.sampled_from([0.0, -0.0, -1.0, math.nan])),
+        ),
+        max_size=8,
+    ),
+    st.one_of(_SIMPLEX_CORNERS, _coeffs()),
+    st.sampled_from(["distance", "connection", "combined"]),
+)
+@example([(1.0, 0, None), (math.inf, 1, None)], (0.5, 0.5, 0.0), "combined")
+@example([(math.inf, 0, 0.0), (math.inf, 0, 0.0)], (1.0, 0.0, 0.0), "combined")
+def test_factor_weightings_match_the_blend_from_zeros_bit_for_bit(rows, coeffs, kind):
+    alpha, beta, delta = coeffs
+    try:
+        params = WeightParams(alpha=alpha, beta=beta, delta=delta)
+    except ValueError:
+        assume(False)  # rounding pushed the simplex sum out of tolerance
+    factors = make_factors([(i, d, r, c) for i, (d, r, c) in enumerate(rows)])
+    assert _bits(_weighting, kind, factors, params) == _bits(
+        _record_weighting, kind, factors, params
+    )
+
+
+def _polygon_from_zeros(center, neighbors, gamma):
+    if not neighbors:
+        raise NoNeighborsError("cannot weight an empty neighborhood")
+    return _zeros_blend(center.id, [nb.id for nb in neighbors], [
+        (gamma, W._shares([1.0 / site_distance(center, nb) for nb in neighbors])),
+        (1.0 - gamma, W._shares([polygon_area(nb) for nb in neighbors])),
+    ])
+
+
+def _polygon_weighting(center, neighbors, gamma):
+    got = polygon_weights(center, neighbors, gamma=gamma)
+    return got.center, got.entries
+
+
+# squares from 1e-6 to 1e160 on a side anywhere in the float range: their
+# areas overflow to inf past about 1e154, and centroids 2e308 apart are inf
+# apart; a side of at least 2**-20 of the offset keeps the corners distinct
+SQUARES = st.tuples(
+    st.one_of(st.floats(-1e308, 1e308), st.sampled_from([-1e308, 0.0, 1e308])),
+    st.floats(1e-6, 1e160),
+)
+
+
+def _square(sid, ox, side):
+    return unit_square(sid, ox=ox, size=max(side, abs(ox) * 2.0 ** -20))
+
+
+# gamma outside [0, 1] is reachable by calling polygon_weights directly; a
+# negative one whose distance share is 0.0 (a neighbor inf away) makes the
+# first product -0.0
+@given(
+    st.lists(SQUARES, max_size=6),
+    SQUARES,
+    st.one_of(st.sampled_from([0.0, 1.0, -0.0, -0.5, 1.5]), st.floats(-2.0, 3.0)),
+)
+@example([(1e308, 1.0), (1.0, 1.0)], (-1e308, 1.0), -0.5)
+def test_polygon_weights_match_the_blend_from_zeros_bit_for_bit(squares, center, gamma):
+    neighbors = [_square(f"n{i}", ox, side) for i, (ox, side) in enumerate(squares)]
+    assert _bits(_polygon_weighting, _square("c", *center), neighbors, gamma) == _bits(
+        _polygon_from_zeros, _square("c", *center), neighbors, gamma
+    )
+
+
 def assert_usable(weighting):
     """Non-empty, finite, positive weights whose exact sum is 1."""
     weights = [w for _, w in weighting.entries]
@@ -410,25 +521,13 @@ def test_factor_weightings_across_the_float_range(rows, coeffs):
         assert_usable(weighting)
 
 
-# squares from 1e-6 to 1e160 on a side anywhere in the float range: their
-# areas overflow to inf past about 1e154, and centroids 2e308 apart are inf
-# apart; a side of at least 2**-20 of the offset keeps the corners distinct
-SQUARES = st.tuples(
-    st.one_of(st.floats(-1e308, 1e308), st.sampled_from([-1e308, 0.0, 1e308])),
-    st.floats(1e-6, 1e160),
-)
-
-
 @given(st.lists(SQUARES, min_size=1, max_size=6), SQUARES, st.floats(0.0, 1.0))
 @example([(1e308, 1.0)], (-1e308, 1.0), 0.5)
 @example([(0.0, 1e160), (5.0, 1.0)], (-5.0, 1.0), 0.5)
 def test_polygon_weights_across_the_float_range(squares, center, gamma):
-    def square(sid, ox, side):
-        return unit_square(sid, ox=ox, size=max(side, abs(ox) * 2.0 ** -20))
-
-    neighbors = [square(f"n{i}", ox, side) for i, (ox, side) in enumerate(squares)]
+    neighbors = [_square(f"n{i}", ox, side) for i, (ox, side) in enumerate(squares)]
     try:
-        weighting = polygon_weights(square("c", *center), neighbors, gamma=gamma)
+        weighting = polygon_weights(_square("c", *center), neighbors, gamma=gamma)
     except SpatialOutlierError:
         return
     assert_usable(weighting)
