@@ -352,8 +352,7 @@ def validate_dataset(dataset: SpatialDataset) -> list[str]:
     sites = dataset.sites
     inf = math.inf  # -inf < v < inf is math.isfinite(v) without a call
 
-    kinds = set(map(type, sites))
-    if len(kinds) > 1:
+    if len(set(map(type, sites))) > 1:
         violations.append("dataset mixes point and polygon sites")
 
     if len(dataset._index) != len(sites):
@@ -364,27 +363,19 @@ def validate_dataset(dataset: SpatialDataset) -> list[str]:
             seen.add(site.id)
 
     locations: list[tuple[SiteId, tuple[float, float]]] = []
-    if kinds == {PointSite}:
-        locations = [
-            (site.id, (site.x, site.y))
-            for site in sites
-            if -inf < site.x < inf and -inf < site.y < inf
-        ]
-    if len(locations) < len(sites):  # polygons, or points to name as non-finite
-        locations = []
-        for site in sites:
-            if isinstance(site, PolygonSite):
-                ring_problems = _ring_problems(site)
-                violations += ring_problems
-                if not ring_problems:
-                    try:
-                        locations.append((site.id, polygon_centroid(site)))
-                    except GeometryError as exc:
-                        violations.append(f"site {site.id!r}: {exc}")
-            elif not (math.isfinite(site.x) and math.isfinite(site.y)):
-                violations.append(f"site {site.id!r}: non-finite coordinates")
-            else:
-                locations.append((site.id, (site.x, site.y)))
+    for site in sites:
+        if isinstance(site, PolygonSite):
+            ring_problems = _ring_problems(site)
+            violations += ring_problems
+            if not ring_problems:
+                try:
+                    locations.append((site.id, polygon_centroid(site)))
+                except GeometryError as exc:
+                    violations.append(f"site {site.id!r}: {exc}")
+        elif -inf < site.x < inf and -inf < site.y < inf:
+            locations.append((site.id, (site.x, site.y)))
+        else:
+            violations.append(f"site {site.id!r}: non-finite coordinates")
 
     if len({loc for _, loc in locations}) < len(locations):
         positions: dict[tuple[float, float], list[int]] = {}

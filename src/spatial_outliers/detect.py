@@ -152,14 +152,19 @@ def significance_scores(diffs: dict[SiteId, float], theta: float) -> Significanc
     """Standardize the differences and flag |z| > theta.
 
     sigma is the population (divide-by-N) standard deviation; z keeps its
-    sign even though the flag test is two-sided.  A spread at or below
-    SPREAD_ULPS * ulp(max|d|) is rounding noise and raises.
+    sign even though the flag test is two-sided.  A difference, sum or
+    deviation from mu outside the float range raises, as weights._shares
+    drops such a factor sum; so does a spread at or below
+    SPREAD_ULPS * ulp(max|d|), which is rounding noise.
     """
     if not diffs:
         raise DegenerateDistributionError("no differences to standardize")
     ordered = sorted(diffs, key=site_id_key)
     n = len(ordered)
-    mu = math.fsum(diffs[sid] for sid in ordered) / n
+    try:
+        mu = math.fsum(diffs[sid] for sid in ordered) / n
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        mu = math.inf
     largest = max(abs(diffs[sid]) for sid in ordered)
     # squares are taken in units of a power of two near max|d|: exact, and
     # tiny differences no longer underflow
@@ -170,6 +175,10 @@ def significance_scores(diffs: dict[SiteId, float], theta: float) -> Significanc
         ),
         exp,
     )
+    if not sigma < math.inf:  # inf or nan: a difference, sum or deviation overflowed
+        raise DegenerateDistributionError(
+            "differences outside the float range: "
+            "a difference, their sum or a deviation from their mean overflows")
     if sigma <= SPREAD_ULPS * math.ulp(largest):
         raise DegenerateDistributionError(
             "differences have no spread beyond rounding: "

@@ -30,10 +30,12 @@ class DegenerateFactorsError(SpatialOutlierError):
 
 
 class DegenerateDistributionError(SpatialOutlierError):
-    """Difference values have no spread beyond rounding noise.
+    """Difference values cannot be standardized.
 
-    The bound is detect.SPREAD_ULPS ulps of the largest |difference|; at or
-    below it z-scores are undefined.
+    Either they have no spread beyond rounding noise (at or below
+    detect.SPREAD_ULPS ulps of the largest |difference|), or they fall
+    outside the float range: a difference, their sum or a deviation from
+    their mean overflows.  Either way z-scores are undefined.
     """
 
 

@@ -9,16 +9,16 @@ traversal cost (None when unreachable or over the cost limit).
 Every lookup goes through a prepared index kept on the dataset.  Each of its
 structures is built the first time a regime needs it: a buffer table of each
 site id's neighbor row for the last buffer radius, the rank of every site id
-in sort order, the location of every site id, edge counts per endpoint
-(counts[a][b] == counts[b][a]), cheapest-edge adjacency over numbered nodes
-(which also gives graph neighbors) with a connected-component label per
-node, and polygon rook adjacency.  The buffer table comes from one
-sweep over a uniform grid of site locations that measures each nearby pair
-once and appends it to the rows of both sites; a buffer query is then a
-lookup of the center's row.  Rook adjacency is found through a grid over
-padded polygon bounding boxes, and the segment-overlap test runs only on
-segment pairs whose padded boxes meet.  The exact membership tests run on
-the candidates the index yields.
+in sort order, the location of every site id, an edge table from one pass
+over the edges (count rows per endpoint, counts[a][b] == counts[b][a], which
+also give graph neighbors, and the cheapest-edge adjacency over nodes in
+first-seen order with a component label per node), and polygon rook
+adjacency.  The buffer table comes from one sweep over a uniform grid of
+site locations that measures each nearby pair once and appends it to the
+rows of both sites; a buffer query is then a lookup of the center's row.
+Rook adjacency is found through a grid over padded polygon bounding boxes,
+and the segment-overlap test runs only on segment pairs whose padded boxes
+meet.  The exact membership tests run on the candidates the index yields.
 
 Factors are collected per center in column passes over the neighbor ids,
 sorted once; the cost search looks only for neighbors in the center's own
@@ -178,8 +178,8 @@ def buffer_neighbors(
 def graph_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:
     """All sites sharing at least one edge with the center (undirected)."""
     dataset.site(center)
-    number, ids, adjacency, _ = _prepared(dataset, "costs", _cost_adjacency)
-    return {ids[v] for v, _ in adjacency[number[center]]} if center in number else set()
+    row = _prepared(dataset, "edges", _edge_table)[0].get(center, ())
+    return set(row) - {center}
 
 
 def _ring_segments(polygon: PolygonSite):
@@ -364,55 +364,47 @@ def _sorted_ids(dataset: SpatialDataset, ids) -> list[SiteId]:
         raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
 
 
-def _connection_counts(dataset: SpatialDataset) -> dict[SiteId, dict[SiteId, int]]:
-    """Number of edges joining a and b as counts[a][b] == counts[b][a]."""
-    counts: dict[SiteId, dict[SiteId, int]] = {}
-    for source, target, _, _ in dataset.edges:
-        # one orientation for a self-loop, which counts once per edge
-        for a, b in {(source, target), (target, source)}:
-            row = counts.setdefault(a, {})
-            row[b] = row.get(b, 0) + 1
-    return counts
+def _edge_table(dataset: SpatialDataset):
+    """Connection counts, cheapest costs and components from one pass over the edges.
 
-
-def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> int:
-    """Number of parallel edges joining a and b, either orientation."""
-    dataset.site(a)
-    dataset.site(b)
-    return _prepared(dataset, "counts", _connection_counts).get(a, {}).get(b, 0)
-
-
-def _cost_adjacency(dataset: SpatialDataset):
-    """Undirected adjacency over numbered nodes, keeping the cheapest parallel edge.
-
-    Returns (number, ids, adjacency, component): number maps every edge
-    endpoint, named site or not, to a node, ids[node] is its id,
-    adjacency[node] lists (node, cost) per neighbor, and component[node] is a
-    disjoint-set root, shared by exactly the nodes a path joins.  Self-loops
-    are left out; the endpoints of any other edge are keyed in sort order.
+    Returns (counts, number, adjacency, component): counts[a][b] ==
+    counts[b][a] counts the edges joining a and b, a self-loop once per edge;
+    number maps each endpoint of an edge that is not a self-loop, named site
+    or not, to a node in first-seen order; adjacency[node] lists (node, cost
+    of the cheapest parallel edge); and component[node] is a disjoint-set
+    root, shared by exactly the nodes a path joins.
     """
-    best: dict[tuple, float] = {}
+    counts: dict[SiteId, dict[SiteId, int]] = {}
+    cheapest: dict[SiteId, dict[SiteId, float]] = {}
     for a, b, _, cost in dataset.edges:
+        row = counts.setdefault(a, {})
+        row[b] = row.get(b, 0) + 1
         if a != b:
-            key = (a, b) if site_id_key(a) <= site_id_key(b) else (b, a)
-            if key not in best or cost < best[key]:
-                best[key] = cost
-    ids = list(dict.fromkeys(sid for pair in best for sid in pair))
-    number = {sid: node for node, sid in enumerate(ids)}
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in ids]
-    parent = list(range(len(ids)))
+            row = counts.setdefault(b, {})
+            row[a] = row.get(a, 0) + 1
+            row = cheapest.setdefault(a, {})
+            if b not in row or cost < row[b]:
+                row[b] = cheapest.setdefault(b, {})[a] = cost
+    number = {sid: node for node, sid in enumerate(cheapest)}
+    adjacency = [[(number[b], cost) for b, cost in row.items()] for row in cheapest.values()]
+    parent = list(range(len(adjacency)))
 
     def root(node: int) -> int:
         while parent[node] != node:
             parent[node] = node = parent[parent[node]]
         return node
 
-    for (u, v), cost in best.items():
-        a, b = number[u], number[v]
-        adjacency[a].append((b, cost))
-        adjacency[b].append((a, cost))
-        parent[root(a)] = root(b)
-    return number, ids, adjacency, [root(node) for node in range(len(ids))]
+    for a, row in enumerate(adjacency):
+        for b, _ in row:
+            parent[root(a)] = root(b)
+    return counts, number, adjacency, [root(node) for node in range(len(parent))]
+
+
+def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> int:
+    """Number of parallel edges joining a and b, either orientation."""
+    dataset.site(a)
+    dataset.site(b)
+    return _prepared(dataset, "edges", _edge_table)[0].get(a, {}).get(b, 0)
 
 
 def _costs_from(
@@ -420,23 +412,23 @@ def _costs_from(
 ) -> dict[SiteId, float]:
     """Cheapest traversal cost from source to each target within the limit.
 
-    Dijkstra over the numbered cheapest-edge adjacency, which looks only for
-    the targets in the source's component, never pushes a sum past
+    Dijkstra over the edge table's cheapest-edge adjacency, which looks
+    only for the targets in the source's component, never pushes a sum past
     cost_limit, skips a popped entry above its node's best known cost as
     stale, and stops when no such target is left unsettled or the frontier
     is empty; either way every target reached has settled.  Edge costs are
     non-negative, so every settled cost is final and equals the cost an
     unbounded search would give; ties between equal costs pop in node order,
-    which changes no settled cost.  Only targets are returned.
+    which changes no settled cost.  Only targets are returned, by their ids.
     """
-    number, ids, adjacency, component = _prepared(dataset, "costs", _cost_adjacency)
+    _, number, adjacency, component = _prepared(dataset, "edges", _edge_table)
     if cost_limit is not None and 0.0 > cost_limit:
         return {}
     if source not in number:  # on no edge: only the source is in reach
         return {source: 0.0} if source in targets else {}
     limit = math.inf if cost_limit is None else cost_limit
     start, label = number[source], component[number[source]]
-    wanted = {number[t] for t in targets if t in number and component[number[t]] == label}
+    wanted = {number[t]: t for t in targets if t in number and component[number[t]] == label}
     remaining = len(wanted)
     dist = {start: 0.0}
     known = dist.get
@@ -455,7 +447,7 @@ def _costs_from(
             if best is None or nd < best:
                 dist[nbr] = nd
                 heappush(frontier, (nd, nbr))
-    return {ids[node]: dist[node] for node in wanted if node in dist}
+    return {sid: dist[node] for node, sid in wanted.items() if node in dist}
 
 
 def min_cost(
@@ -508,7 +500,7 @@ def collect_factors(
         for neighbor in ordered:
             site_distance(center_site, dataset._index[neighbor])
     costs = _costs_from(dataset, center, ordered, params.cost_limit)
-    counts = _prepared(dataset, "counts", _connection_counts).get(center, {})
+    counts = _prepared(dataset, "edges", _edge_table)[0].get(center, {})
     # tuple.__new__ is what NeighborFactors._make calls, without a frame per record
     return list(map(tuple.__new__, repeat(NeighborFactors), zip(
         repeat(center), ordered, distances, map(counts.get, ordered, repeat(0)),

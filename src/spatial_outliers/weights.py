@@ -127,8 +127,11 @@ def polygon_weights(
     """Mix inverse centroid distance with area for polygon neighbors.
 
     gamma=1 is pure inverse distance; gamma=0 weights by area alone
-    (bigger zones press harder on their neighbors).
+    (bigger zones press harder on their neighbors); like WeightParams, a
+    gamma outside [0, 1] raises ValueError.
     """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if not neighbors:
         raise NoNeighborsError("cannot weight an empty neighborhood")
     return _blend(center.id, [nb.id for nb in neighbors], [

@@ -155,3 +155,24 @@ EXTREME_FACTOR_CASES = {
     "inverse-cost-sum-overflows": (lambda: tiny_costs_dataset(1e-308, 1e-308), "combined", "2"),
     "inverse-cost-overflows": (lambda: tiny_costs_dataset(1e-310), "combined", "2"),
 }
+
+
+def row_dataset(*values):
+    """Sites s0, s1, ... one apart on the x axis, with these values of "v"."""
+    return _points([(f"s{i}", float(i), 0.0, v) for i, v in enumerate(values)])
+
+
+# valid point datasets whose differences under the buffer regime at radius 1
+# leave the float range; unchecked, standardization ended as noted
+OVERFLOWING_DIFFERENCE_CASES = {
+    # s3 differs by -inf: mu -inf and z nan, in a report that exits 0
+    "infinite-difference": (1e308, 1e308, 1e308, -1e308),
+    # s2 differs by -inf and s3 by inf: "-inf + inf in fsum"
+    "infinite-differences-of-both-signs": (1e308, 1e308, -1e308, 1e308),
+    # inf beside finite differences whose sum overflows: OverflowError
+    "finite-part-of-sum-overflows": (1e308, -1e308, -1e308, 1e308),
+    # finite differences (1.7e308, -1.35e308, 1.5e308, ...) past fsum's range
+    "finite-differences-sum-overflows": (1.7e308, 0.0, 1e308, -1e308, -1e308),
+    # finite differences and mean, but s1 - mu is 2.1e308: sigma inf, z nan
+    "deviation-overflows": (1e308, 1.7e308, -1e308, -1.7e308),
+}

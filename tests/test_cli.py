@@ -10,7 +10,7 @@ import spatial_outliers
 from spatial_outliers.cli import main
 from spatial_outliers.fixtures import write_fixture_files
 
-from conftest import EXTREME_FACTOR_CASES
+from conftest import EXTREME_FACTOR_CASES, OVERFLOWING_DIFFERENCE_CASES, row_dataset
 
 
 @pytest.fixture()
@@ -292,6 +292,25 @@ def test_factor_sums_out_of_range_exit_cleanly(case, blend, tmp_path, capsys):
             assert rows and all(
                 math.isfinite(float(v)) for row in rows for v in row[columns]
             )
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_DIFFERENCE_CASES))
+def test_differences_outside_the_float_range_exit_one(case, tmp_path, capsys):
+    from spatial_outliers.fileio import write_sites_csv
+
+    sites = tmp_path / "sites.csv"
+    write_sites_csv(row_dataset(*OVERFLOWING_DIFFERENCE_CASES[case]).sites, sites)
+    assert main(["validate", "--sites", _p(sites)]) == 0
+    capsys.readouterr()
+    argv = ["--sites", _p(sites), "--radius", "1", "--regime", "buffer"]
+    for command in (["detect"], ["detect", "--format", "json"], ["compare"]):
+        assert main([*command, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == (
+            "error: differences outside the float range: "
+            "a difference, their sum or a deviation from their mean overflows\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["validate", "detect", "compare"])

@@ -37,9 +37,11 @@ from spatial_outliers.fixtures import (
 
 from conftest import (
     EXTREME_FACTOR_CASES,
+    OVERFLOWING_DIFFERENCE_CASES,
     grid_point_dataset,
     huge_squares_dataset,
     overflowing_costs_dataset,
+    row_dataset,
     unit_square,
 )
 
@@ -217,6 +219,17 @@ class TestSignificanceScores:
         with pytest.raises(DegenerateDistributionError):
             significance_scores({}, theta=2.0)
 
+    @pytest.mark.parametrize("diffs", [
+        {"a": math.inf, "b": 0.0},  # a difference
+        {"a": -math.inf, "b": 1.0, "c": math.inf},  # -inf + inf
+        {"a": 1.7e308, "b": 1.7e308},  # the sum
+        {"a": 1.7e308, "b": -1.35e308, "c": 1.5e308, "d": -1e308},  # fsum's partials
+        {"a": -7e307, "b": 1.7e308, "c": -1e308, "d": -7e307},  # b - mu
+    ])
+    def test_differences_outside_the_float_range_rejected(self, diffs):
+        with pytest.raises(DegenerateDistributionError, match="outside the float range"):
+            significance_scores(diffs, theta=2.0)
+
     @given(
         st.dictionaries(
             st.integers(0, 50),
@@ -319,6 +332,13 @@ class TestDetectOutliers:
             weights = [w for _, w in neighborhood_weights(ds, sid, params, regime).entries]
             assert weights and all(0.0 < w < math.inf for w in weights)
             assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_DIFFERENCE_CASES))
+    def test_differences_outside_the_float_range_rejected(self, case):
+        ds = row_dataset(*OVERFLOWING_DIFFERENCE_CASES[case])
+        assert validate_dataset(ds) == []
+        with pytest.raises(DegenerateDistributionError, match="outside the float range"):
+            detect_outliers(ds, "v", WeightParams(radius=1.0), regime="buffer")
 
     def test_everything_skipped_gives_empty_result(self):
         sites = (

@@ -2,9 +2,9 @@
 
 Every neighbor and factor lookup in the library goes through a per-dataset
 index (a buffer table swept once per radius from a grid over cached
-coordinates, id rank, edge counts per endpoint, cheapest-edge adjacency over
-numbered nodes with a Dijkstra pruned at the cost limit, polygon rook
-adjacency over bounding-box and segment-box candidates).  The scans below
+coordinates, id rank, an edge table of counts per endpoint and cheapest-edge
+adjacency over numbered nodes with a Dijkstra pruned at the cost limit,
+polygon rook adjacency over bounding-box and segment-box candidates).  The scans below
 are the straightforward implementations the index replaced; each property
 requires both to give the same result, or to raise the same error, on the
 same input.
@@ -159,7 +159,6 @@ def loop_collect_factors(dataset, center, neighbors, params):
         return []
     cx, cy = site_location(center_site)
     costs = neighborhood._costs_from(dataset, center, ordered, params.cost_limit)
-    counts = neighborhood._connection_counts(dataset).get(center, {})
     out = []
     for neighbor in ordered:
         neighbor_site = dataset.site(neighbor)
@@ -168,7 +167,8 @@ def loop_collect_factors(dataset, center, neighbors, params):
         if distance == 0.0:
             site_distance(center_site, neighbor_site)
         out.append(NeighborFactors(
-            center, neighbor, distance, counts.get(neighbor, 0), costs.get(neighbor)
+            center, neighbor, distance, scan_connection_count(dataset, center, neighbor),
+            costs.get(neighbor),
         ))
     return out
 
@@ -572,7 +572,7 @@ def test_cost_search_settles_nothing_outside_the_center_component():
 
     def spy(frontier):
         entry = heapq.heappop(frontier)
-        popped.append(dataset._prepared["costs"][1][entry[1]])
+        popped.append(list(dataset._prepared["edges"][1])[entry[1]])  # node -> id
         return entry
 
     with mock.patch.object(neighborhood, "heappop", spy):
@@ -596,6 +596,28 @@ def test_connection_counts_are_symmetric_and_count_a_self_loop_once_per_edge():
     assert direct_connection_count(dataset, 1, "1") == direct_connection_count(dataset, "1", 1) == 2
     assert direct_connection_count(dataset, "a", 1) == direct_connection_count(dataset, 1, "a") == 1
     assert direct_connection_count(dataset, "a", "1") == 0
+
+
+def test_counts_costs_and_graph_neighbors_come_from_one_pass_over_the_edges():
+    dataset = _path_dataset(("A", "B", 2.0), ("A", "B", 1.0), ("B", "C", 1.0), ("C", "C", 1.0))
+    passes = []
+
+    class Edges(tuple):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    object.__setattr__(dataset, "edges", Edges(dataset.edges))
+    assert graph_neighbors(dataset, "B") == {"A", "C"}
+    assert graph_neighbors(dataset, "C") == {"B"}
+    assert direct_connection_count(dataset, "A", "B") == 2
+    assert direct_connection_count(dataset, "C", "C") == 1
+    assert min_cost(dataset, "A", "C") == 2.0
+    factors = collect_factors(dataset, "B", {"A", "C"}, WeightParams(radius=3.0))
+    assert [(f.neighbor, f.connection_count, f.min_cost) for f in factors] == [
+        ("A", 2, 1.0), ("C", 1, 1.0)
+    ]
+    assert len(passes) == 1
 
 
 @given(mixed_id_multigraphs())

@@ -72,14 +72,25 @@ class TestDistanceWeights:
         for (_, w1), (_, w2) in zip(base.entries, scaled.entries):
             assert w2 == pytest.approx(w1, rel=1e-9)
 
+    # A weight is 1/d through two correctly rounded divisions (the share,
+    # then the normalization), each off by at most half an ulp, a relative
+    # 2**-53.  So a closer neighbor is never lighter, and it is strictly
+    # heavier once its inverse distance exceeds the other's by a factor of
+    # 1 + 2**-50, past the 1 + 2**-51 that those four half-ulps can close.
+    # Closer alone cannot promise heavier: 100.0 and 99.99999999999999 get
+    # the same weight.
     @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=20, unique=True))
+    @example([4.0, 47.0, 72.0, 73.0, 100.0, 99.99999999999999])
     def test_closer_means_heavier(self, distances):
         w = distance_weights(
             make_factors([(i, d, 0, None) for i, d in enumerate(distances)])
         ).as_dict()
-        order = sorted(range(len(distances)), key=lambda i: distances[i])
-        for nearer, farther in zip(order, order[1:]):
-            assert w[nearer] > w[farther]
+        for i, near in enumerate(distances):
+            for j, far in enumerate(distances):
+                if near < far:
+                    assert w[i] >= w[j]
+                    if 1.0 / near > 1.0 / far * (1.0 + 2.0 ** -50):
+                        assert w[i] > w[j]
 
 
 class TestConnectionWeights:
@@ -447,6 +458,8 @@ def test_factor_weightings_match_the_blend_from_zeros_bit_for_bit(rows, coeffs, 
 
 
 def _polygon_from_zeros(center, neighbors, gamma):
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if not neighbors:
         raise NoNeighborsError("cannot weight an empty neighborhood")
     return _zeros_blend(center.id, [nb.id for nb in neighbors], [
@@ -473,9 +486,9 @@ def _square(sid, ox, side):
     return unit_square(sid, ox=ox, size=max(side, abs(ox) * 2.0 ** -20))
 
 
-# gamma outside [0, 1] is reachable by calling polygon_weights directly; a
-# negative one whose distance share is 0.0 (a neighbor inf away) makes the
-# first product -0.0
+# gamma outside [0, 1] raises the ValueError WeightParams gives; -0.0 passes,
+# and with a distance share of 0.0 (a neighbor inf away) makes the first
+# product -0.0
 @given(
     st.lists(SQUARES, max_size=6),
     SQUARES,
@@ -583,6 +596,15 @@ class TestPolygonWeights:
     def test_empty_rejected(self):
         with pytest.raises(NoNeighborsError):
             polygon_weights(unit_square("c"), [], gamma=0.5)
+
+    @pytest.mark.parametrize("gamma", [-0.5, -5e-324, 1.0000000000000002, 1.5, math.nan])
+    def test_gamma_outside_the_unit_interval_rejected(self, gamma):
+        # at -0.5 the near neighbor's blended weight is negative and dropped
+        # after the total is taken, which left ('b', 1.1867) alone
+        center = unit_square("c")
+        neighbors = [unit_square("a", ox=2.0), unit_square("b", ox=-5.0, size=3.0)]
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\], got"):
+            polygon_weights(center, neighbors, gamma=gamma)
 
     @given(st.floats(0.0, 1.0))
     def test_normalized_for_any_gamma(self, gamma):
