@@ -14,7 +14,6 @@ from .detect import (
     _check_regime,
     _neighbor_ids,
     compare_models,
-    default_regime,
     detect_outliers,
     neighborhood_weights,
 )
@@ -163,8 +162,7 @@ def _cmd_validate(args) -> int:
 def _cmd_neighbors(args) -> int:
     dataset = _checked(_load_dataset(args))
     params = _params(args)
-    regime = args.regime or default_regime(dataset)
-    _check_regime(dataset, regime)
+    regime = _check_regime(dataset, args.regime)
     lines = []
     for sid in sorted(dataset.site_ids(), key=site_id_key):
         found = _neighbor_ids(dataset, sid, regime, params)
@@ -176,8 +174,7 @@ def _cmd_neighbors(args) -> int:
 def _cmd_weights(args) -> int:
     dataset = _checked(_load_dataset(args))
     params = _params(args)
-    regime = args.regime or default_regime(dataset)
-    _check_regime(dataset, regime)
+    regime = _check_regime(dataset, args.regime)
     lines = ["center,neighbor,weight"]
     empty = []
     for sid in sorted(dataset.site_ids(), key=site_id_key):

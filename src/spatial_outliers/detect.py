@@ -227,6 +227,11 @@ def neighborhood_weights(
     membership, polygon mixes centroid distance with area.  The neighbors
     are sorted once: by collect_factors, or here for polygon_weights.
     """
+    return _weighting(dataset, center, params, _check_regime(dataset, regime))
+
+
+def _weighting(dataset, center, params, regime) -> WeightedNeighborhood:
+    """neighborhood_weights under a regime that _check_regime returned."""
     found = _neighbors(dataset, center, regime, params)
     if not found:
         raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
@@ -244,13 +249,16 @@ def neighborhood_weights(
     return combined_weights(factors, params)
 
 
-def _check_regime(dataset: SpatialDataset, regime: str) -> None:
+def _check_regime(dataset: SpatialDataset, regime: str | None) -> str:
+    """The regime, or the dataset's default when None, if the dataset allows it."""
+    regime = regime or default_regime(dataset)
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if regime == "polygon" and dataset.kind != "polygon":
         raise ValueError("polygon regime requires a polygon dataset")
     if regime in ("graph", "combined") and dataset.kind == "polygon":
         raise ValueError(f"{regime} regime requires a point dataset")
+    return regime
 
 
 def detect_outliers(
@@ -271,8 +279,7 @@ def detect_outliers(
         raise UnknownAttributeError(f"attribute {attribute!r} not declared")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    regime = regime or default_regime(dataset)
-    _check_regime(dataset, regime)
+    regime = _check_regime(dataset, regime)
 
     values = dataset.values(attribute)
     order = _sorted_ids(dataset, dataset.site_ids())
@@ -290,7 +297,7 @@ def detect_outliers(
                 raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
             expecteds[center] = expected_classical(neighbor_values)
         else:
-            weighting = neighborhood_weights(dataset, center, params, regime)
+            weighting = _weighting(dataset, center, params, regime)
             expecteds[center] = expected_weighted(weighting, values)
 
     if not expecteds:
@@ -327,7 +334,11 @@ def detect_outliers(
 def compare_models(
     classical: DetectionResult, weighted: DetectionResult
 ) -> ComparisonReport:
-    """Squared-error comparison of the two expectation models per site."""
+    """Squared-error comparison of the two expectation models per site.
+
+    A squared difference, or the sum of either model's, outside the float
+    range raises, as significance_scores does for the differences.
+    """
     if classical.attribute != weighted.attribute:
         raise ValueError(
             "cannot compare results for different attributes "
@@ -338,11 +349,18 @@ def compare_models(
     if set(c_by_site) != set(w_by_site):
         raise SiteLookupError("results cover different site sets")
 
+    ordered = sorted(c_by_site, key=site_id_key)
+    try:
+        squares_c = [c_by_site[sid].diff ** 2 for sid in ordered]
+        squares_w = [w_by_site[sid].diff ** 2 for sid in ordered]
+        total_c, total_w = math.fsum(squares_c), math.fsum(squares_w)
+    except OverflowError:
+        raise DegenerateDistributionError(
+            "squared errors outside the float range: "
+            "a squared difference or their sum overflows") from None
     rows = []
     improvements = []
-    for sid in sorted(c_by_site, key=site_id_key):
-        sq_c = c_by_site[sid].diff ** 2
-        sq_w = w_by_site[sid].diff ** 2
+    for sid, sq_c, sq_w in zip(ordered, squares_c, squares_w):
         delta = sq_c - sq_w
         if sq_c > 0.0:
             pct = delta / sq_c * 100.0
@@ -365,8 +383,6 @@ def compare_models(
             )
         )
 
-    total_c = math.fsum(r.sq_error_classical for r in rows)
-    total_w = math.fsum(r.sq_error_weighted for r in rows)
     return ComparisonReport(
         attribute=classical.attribute,
         per_site=tuple(rows),

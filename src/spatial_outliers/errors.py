@@ -30,12 +30,14 @@ class DegenerateFactorsError(SpatialOutlierError):
 
 
 class DegenerateDistributionError(SpatialOutlierError):
-    """Difference values cannot be standardized.
+    """Difference values cannot be standardized or compared.
 
     Either they have no spread beyond rounding noise (at or below
     detect.SPREAD_ULPS ulps of the largest |difference|), or they fall
     outside the float range: a difference, their sum or a deviation from
-    their mean overflows.  Either way z-scores are undefined.
+    their mean overflows.  Either way z-scores are undefined.  compare_models
+    raises it too when a squared difference, or the sum of a model's squared
+    differences, overflows.
     """
 
 

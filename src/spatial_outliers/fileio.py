@@ -10,6 +10,7 @@ import contextlib
 import csv
 import json
 import math
+from itertools import chain
 
 from .dataset import Edge, PointSite, PolygonSite, site_id_key
 from .dataset import _geometry, _zero_area
@@ -63,9 +64,19 @@ def _not_utf8(path) -> ParseError:
     return ParseError(path, 1, "not UTF-8")  # the file changed since it was read
 
 
+def _shaped(path, width, reader):
+    """The reader's non-blank rows, numbered from 2, each `width` fields wide."""
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != width:
+            if not row:
+                continue
+            raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+        yield line_no, row
+
+
 @contextlib.contextmanager
 def _csv_rows(path):
-    """The stripped header of a UTF-8 CSV file and its rows, numbered from 2.
+    """The stripped header of a UTF-8 CSV file and its rows, as _shaped gives them.
 
     Decoding runs as rows are read; a byte that is not UTF-8 raises
     ParseError naming its line, and so does a row the CSV reader rejects
@@ -77,7 +88,7 @@ def _csv_rows(path):
             header = next(reader, None)
             if header is None:
                 raise ParseError(path, 1, "missing header")
-            yield [h.strip() for h in header], enumerate(reader, start=2)
+            yield [h.strip() for h in header], _shaped(path, len(header), reader)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
         except csv.Error as exc:
@@ -94,12 +105,6 @@ def load_sites(path) -> tuple[PointSite, ...]:
         sites = []
         seen = set()
         for line_no, row in rows:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    path, line_no, f"expected {len(header)} columns, got {len(row)}"
-                )
             site_id = row[0].strip()
             if not site_id:
                 raise ParseError(path, line_no, "empty site id")
@@ -120,12 +125,7 @@ def load_edges(path) -> tuple[Edge, ...]:
         if header != ["from", "to", "length", "cost"]:
             raise ParseError(path, 1, f"header must be from,to,length,cost, got {header}")
         edges = []
-        for line_no, row in rows:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
-            source, target, raw_length, raw_cost = row
+        for line_no, (source, target, raw_length, raw_cost) in rows:
             source, target = source.strip(), target.strip()
             if not source or not target:
                 raise ParseError(path, line_no, "empty endpoint id")
@@ -148,8 +148,8 @@ def load_edges(path) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-# what float() raises on a JSON value that is not a number, or too large
-_NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
+# the types json.load gives numbers; float() also takes strings and booleans
+_JSON_NUMBERS = {int, float}
 
 
 def load_polygons(path) -> tuple[PolygonSite, ...]:
@@ -174,7 +174,7 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
             rings = record["rings"]
         except KeyError as exc:
             raise ParseError(path, where, f"missing key {exc.args[0]!r}") from None
-        if not isinstance(site_id, (str, int)) or site_id in (None, ""):
+        if type(site_id) not in (str, int) or site_id == "":  # not a boolean
             raise ParseError(path, where, f"bad site id {site_id!r}")
         if site_id in seen:
             raise ParseError(path, where, f"duplicate site id {site_id!r}")
@@ -188,10 +188,12 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
                 raise ParseError(path, where, "ring must be a list of [x, y] pairs")
         values = {}  # filled after the ring checks: ring faults are named first
         try:
+            if not _JSON_NUMBERS.issuperset(map(type, chain(*chain(*rings)))):
+                raise TypeError
             polygon = PolygonSite(
                 id=site_id, exterior=rings[0], holes=tuple(rings[1:]), attributes=values
             )
-        except _NOT_A_FLOAT:
+        except (TypeError, OverflowError):  # OverflowError: an integer past the float range
             raise ParseError(path, where, "ring coordinates must be numbers") from None
         if any(len(set(ring)) < 3 for ring in (polygon.exterior, *polygon.holes)):
             raise ParseError(path, where, "ring needs at least 3 distinct vertices")
@@ -199,8 +201,10 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
         if not isinstance(attributes, dict):
             raise ParseError(path, where, "attributes must be an object")
         try:
+            if not _JSON_NUMBERS.issuperset(map(type, attributes.values())):
+                raise TypeError
             values.update((str(k), float(v)) for k, v in attributes.items())
-        except _NOT_A_FLOAT:
+        except (TypeError, OverflowError):
             raise ParseError(path, where, "attribute values must be numbers") from None
         ring_areas, _, _, reason = _geometry(polygon)
         if any(map(_zero_area, ring_areas)):
@@ -247,6 +251,16 @@ def write_polygons_json(polygons, path) -> None:
     _write_text(json.dumps(records, indent=2) + "\n", path)
 
 
+# each report's columns, in the field order of SiteScore and SiteComparison,
+# and the ComparisonReport fields its summary gives
+_DETECTION_COLUMNS = ("site_id", "actual", "expected", "diff", "z", "outlier")
+_COMPARISON_COLUMNS = (
+    "site_id", "actual", "expected_classical", "expected_weighted",
+    "sq_error_classical", "sq_error_weighted", "sq_error_delta", "improvement_pct",
+)
+_COMPARISON_SUMMARY = ("mean_improvement_pct", "mean_sq_error_reduction_pct")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -258,7 +272,7 @@ def _score_rows(result: DetectionResult):
 
 
 def render_detection_csv(result: DetectionResult) -> str:
-    lines = ["site_id,actual,expected,diff,z,outlier"]
+    lines = [",".join(_DETECTION_COLUMNS)]
     for site, actual, expected, diff, z, is_outlier in _score_rows(result):
         lines.append(
             f"{site},{actual:.6f},{expected:.6f},{diff:.6f},{z:.6f},"
@@ -273,21 +287,10 @@ def render_detection_csv(result: DetectionResult) -> str:
 
 
 def render_comparison_csv(report: ComparisonReport) -> str:
-    lines = [
-        "site_id,actual,expected_classical,expected_weighted,"
-        "sq_error_classical,sq_error_weighted,sq_error_delta,improvement_pct"
-    ]
-    for row in report.per_site:
-        lines.append(
-            f"{row.site},{_fmt(row.actual)},{_fmt(row.expected_classical)},"
-            f"{_fmt(row.expected_weighted)},"
-            f"{_fmt(row.sq_error_classical)},{_fmt(row.sq_error_weighted)},"
-            f"{_fmt(row.sq_error_delta)},{_fmt(row.improvement_pct)}"
-        )
-    lines.append(f"# mean_improvement_pct={_fmt(report.mean_improvement_pct)}")
-    lines.append(
-        f"# mean_sq_error_reduction_pct={_fmt(report.mean_sq_error_reduction_pct)}"
-    )
+    lines = [",".join(_COMPARISON_COLUMNS)]
+    for site, *values in report.per_site:
+        lines.append(",".join([str(site), *map(_fmt, values)]))
+    lines += [f"# {name}={_fmt(getattr(report, name))}" for name in _COMPARISON_SUMMARY]
     return "\n".join(lines) + "\n"
 
 
@@ -303,17 +306,7 @@ def render_detection_json(result: DetectionResult) -> str:
         "theta": result.theta,
         "mu": _json_safe(result.mu),
         "sigma": _json_safe(result.sigma),
-        "scores": [
-            {
-                "site_id": score.site,
-                "actual": score.actual,
-                "expected": score.expected,
-                "diff": score.diff,
-                "z": score.z,
-                "outlier": score.is_outlier,
-            }
-            for score in _score_rows(result)
-        ],
+        "scores": [dict(zip(_DETECTION_COLUMNS, score)) for score in _score_rows(result)],
         "skipped": list(result.skipped),
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -323,20 +316,11 @@ def render_comparison_json(report: ComparisonReport) -> str:
     payload = {
         "attribute": report.attribute,
         "per_site": [
-            {
-                "site_id": row.site,
-                "actual": row.actual,
-                "expected_classical": row.expected_classical,
-                "expected_weighted": row.expected_weighted,
-                "sq_error_classical": row.sq_error_classical,
-                "sq_error_weighted": row.sq_error_weighted,
-                "sq_error_delta": row.sq_error_delta,
-                "improvement_pct": _json_safe(row.improvement_pct),
-            }
+            {**dict(zip(_COMPARISON_COLUMNS, row)),
+             "improvement_pct": _json_safe(row.improvement_pct)}
             for row in report.per_site
         ],
-        "mean_improvement_pct": _json_safe(report.mean_improvement_pct),
-        "mean_sq_error_reduction_pct": _json_safe(report.mean_sq_error_reduction_pct),
+        **{name: _json_safe(getattr(report, name)) for name in _COMPARISON_SUMMARY},
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import settings
 
@@ -10,6 +12,15 @@ from spatial_outliers.fixtures import (
 
 # heavier property runs, selected with --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=1000, deadline=None)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259)")
+
+
+def strict_json(text):
+    """Parse a JSON report; a NaN, Infinity or -Infinity token raises."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture(scope="session")
@@ -175,4 +186,20 @@ OVERFLOWING_DIFFERENCE_CASES = {
     "finite-differences-sum-overflows": (1.7e308, 0.0, 1e308, -1e308, -1e308),
     # finite differences and mean, but s1 - mu is 2.1e308: sigma inf, z nan
     "deviation-overflows": (1e308, 1.7e308, -1e308, -1.7e308),
+}
+
+
+# valid point datasets whose differences standardize under the buffer regime
+# but whose squared differences leave the float range, as (dataset, radius);
+# unchecked, compare_models raised OverflowError
+OVERFLOWING_SQUARE_CASES = {
+    # the difference 1.1e200 at site a squares past the largest float
+    "squared-difference-overflows": (
+        lambda: _points((("a", 0.0, 0.0, 1e200), ("b", 1.0, 0.0, -1e200),
+                         ("c", 0.0, 1.0, 3e199), ("d", 1.0, 1.0, -2e199),
+                         ("e", 0.5, 0.5, 5e199))),
+        "2",
+    ),
+    # each difference squares to 1.44e308, and the two squares sum past it
+    "squared-differences-sum-overflows": (lambda: row_dataset(6e153, -6e153), "1"),
 }

@@ -10,7 +10,13 @@ import spatial_outliers
 from spatial_outliers.cli import main
 from spatial_outliers.fixtures import write_fixture_files
 
-from conftest import EXTREME_FACTOR_CASES, OVERFLOWING_DIFFERENCE_CASES, row_dataset
+from conftest import (
+    EXTREME_FACTOR_CASES,
+    OVERFLOWING_DIFFERENCE_CASES,
+    OVERFLOWING_SQUARE_CASES,
+    row_dataset,
+    strict_json,
+)
 
 
 @pytest.fixture()
@@ -214,7 +220,7 @@ class TestDetect:
             "--regime", "buffer", "--radius", "6", "--format", "json",
         ])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         flagged = {row["site_id"] for row in payload["scores"] if row["outlier"]}
         assert flagged == {"17", "216", "238", "26", "317", "511", "302", "239", "30"}
 
@@ -226,7 +232,7 @@ class TestDetect:
             "--format", "json",
         ])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = strict_json(capsys.readouterr().out)
         flagged = {row["site_id"] for row in payload["scores"] if row["outlier"]}
         assert flagged == {"17", "216", "238", "26", "317", "28", "29", "30"}
 
@@ -310,6 +316,28 @@ def test_differences_outside_the_float_range_exit_one(case, tmp_path, capsys):
         assert err == (
             "error: differences outside the float range: "
             "a difference, their sum or a deviation from their mean overflows\n"
+        )
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_SQUARE_CASES))
+def test_squared_errors_outside_the_float_range_exit_one(case, tmp_path, capsys):
+    from spatial_outliers.fileio import write_sites_csv
+
+    build, radius = OVERFLOWING_SQUARE_CASES[case]
+    sites = tmp_path / "sites.csv"
+    write_sites_csv(build().sites, sites)
+    assert main(["validate", "--sites", _p(sites)]) == 0
+    capsys.readouterr()
+    argv = ["--sites", _p(sites), "--radius", radius, "--regime", "buffer"]
+    assert main(["detect", *argv]) == 0
+    capsys.readouterr()
+    for fmt in ("csv", "json"):
+        assert main(["compare", *argv, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == (
+            "error: squared errors outside the float range: "
+            "a squared difference or their sum overflows\n"
         )
 
 

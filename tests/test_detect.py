@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -38,6 +39,7 @@ from spatial_outliers.fixtures import (
 from conftest import (
     EXTREME_FACTOR_CASES,
     OVERFLOWING_DIFFERENCE_CASES,
+    OVERFLOWING_SQUARE_CASES,
     grid_point_dataset,
     huge_squares_dataset,
     overflowing_costs_dataset,
@@ -395,6 +397,14 @@ class TestDetectOutliers:
             detect_outliers(village, VILLAGE_ATTRIBUTE, WeightParams(radius=5.0),
                             regime="polygon")
 
+    @pytest.mark.parametrize("regime", ["bogus", "polygon"])
+    def test_neighborhood_weights_checks_its_regime(self, network, regime):
+        params = WeightParams(radius=2.0, alpha=0.5, beta=0.5)
+        with pytest.raises(ValueError) as detected:
+            detect_outliers(network, "v", params, regime=regime)
+        with pytest.raises(ValueError, match=re.escape(str(detected.value))):
+            neighborhood_weights(network, "A", params, regime)
+
     def test_buffer_regime_requires_radius(self, village):
         with pytest.raises(ValueError):
             detect_outliers(village, VILLAGE_ATTRIBUTE, WeightParams(), regime="buffer")
@@ -657,6 +667,21 @@ class TestCompareModels:
                 _synthetic_result({"x": 1.0}, attribute="a"),
                 _synthetic_result({"x": 1.0}, attribute="b"),
             )
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_SQUARE_CASES))
+    def test_squared_errors_outside_the_float_range_rejected(self, case):
+        build, radius = OVERFLOWING_SQUARE_CASES[case]
+        ds = build()
+        assert validate_dataset(ds) == []
+        params = WeightParams(radius=float(radius))
+        classical, weighted = (
+            detect_outliers(ds, "v", params, mode=mode, regime="buffer") for mode in MODES
+        )
+        with pytest.raises(DegenerateDistributionError, match=re.escape(
+            "squared errors outside the float range: "
+            "a squared difference or their sum overflows"
+        )):
+            compare_models(classical, weighted)
 
     def test_aggregates(self):
         classical = _synthetic_result({"x": 2.0, "y": 1.0})

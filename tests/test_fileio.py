@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -44,7 +45,7 @@ from spatial_outliers.fixtures import (
     write_fixture_files,
 )
 
-from conftest import grid_polygons, unit_square
+from conftest import grid_polygons, strict_json, unit_square
 
 
 class TestLoadSites:
@@ -439,6 +440,12 @@ class TestLoadPolygons:
             ({"attributes": [1]}, "attributes must be an object"),
             ({"rings": [[[10 ** 400, 0], [1, 0], [0, 1]]]}, "ring coordinates must be numbers"),
             ({"attributes": {"v": None}}, "attribute values must be numbers"),
+            # float() takes booleans and strings; the file format does not
+            ({"rings": [[[True, 0], [1, 0], [0, 1]]]}, "ring coordinates must be numbers"),
+            ({"rings": [[[0, 0], ["1_0", "1"], [0, 1]]]}, "ring coordinates must be numbers"),
+            ({"attributes": {"v": "2_5"}}, "attribute values must be numbers"),
+            ({"attributes": {"v": False}}, "attribute values must be numbers"),
+            ({"id": True}, "bad site id True"),
         ],
     )
     def test_bad_value_names_its_record(self, tmp_path, fields, message):
@@ -581,7 +588,7 @@ class TestDetectionReport:
 
     def test_json_is_valid_and_ordered(self, survey_results):
         _, weighted = survey_results
-        payload = json.loads(render_report(weighted, "json"))
+        payload = strict_json(render_report(weighted, "json"))
         assert payload["attribute"] == SURVEY_ATTRIBUTE
         zs = [row["z"] for row in payload["scores"]]
         assert zs == sorted(zs)
@@ -627,5 +634,107 @@ class TestComparisonReport:
         text = render_comparison_csv(compare_models(result_c, result_w))
         row = next(l for l in text.splitlines() if l.startswith("x,"))
         assert row.endswith(",")
-        payload = json.loads(render_report(compare_models(result_c, result_w), "json"))
+        payload = strict_json(render_report(compare_models(result_c, result_w), "json"))
         assert payload["per_site"][0]["improvement_pct"] is None
+
+
+def _undefined_improvement_report():
+    """A comparison whose one row has no improvement: classical was exact."""
+    def result(diff):
+        score = SiteScore("x", 0.0, -diff, diff, 0.0, False)
+        return DetectionResult(attribute="v", scores=(score,), mu=0.0, sigma=1.0, theta=2.0)
+
+    return compare_models(result(0.0), result(0.3))
+
+
+def _csv_cell(value):
+    """A JSON report value as the CSV report prints it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+def test_non_finite_report_values_are_json_null():
+    empty = DetectionResult(attribute="v", scores=(), mu=math.nan, sigma=math.nan, theta=2.0)
+    payload = strict_json(render_report(empty, "json"))
+    assert payload["mu"] is None and payload["sigma"] is None
+    # classical's squared error 1e-320 is so far below weighted's 1 that the
+    # improvement is -inf
+    scores = [SiteScore("x", 0.0, -diff, diff, 0.0, False) for diff in (1e-160, 1.0)]
+    report = compare_models(*(
+        DetectionResult(attribute="v", scores=(s,), mu=0.0, sigma=1.0, theta=2.0)
+        for s in scores
+    ))
+    assert report.per_site[0].improvement_pct == report.mean_improvement_pct == -math.inf
+    payload = strict_json(render_report(report, "json"))
+    assert payload["per_site"][0]["improvement_pct"] is None
+    assert payload["mean_improvement_pct"] is None
+
+
+@pytest.mark.parametrize("which", ["classical", "weighted", "village", "undefined"])
+def test_csv_and_json_reports_give_the_same_rows(which, survey_results, village):
+    if which == "village":
+        params = WeightParams(radius=VILLAGE_RADIUS)
+        report = compare_models(*(
+            detect_outliers(village, VILLAGE_ATTRIBUTE, params, mode=mode, regime="buffer")
+            for mode in ("classical", "weighted")
+        ))
+    elif which == "undefined":
+        report = _undefined_improvement_report()
+    else:
+        report = survey_results[which == "weighted"]
+    header, *rows = (
+        line.split(",") for line in render_report(report, "csv").splitlines()
+        if not line.startswith("#")
+    )
+    payload = strict_json(render_report(report, "json"))
+    records = payload["scores" if isinstance(report, DetectionResult) else "per_site"]
+    assert len(records) == len(rows) > 0
+    for record, cells in zip(records, rows):
+        assert list(record) == header
+        assert [_csv_cell(value) for value in record.values()] == cells
+
+
+# CLI arguments of the bundled fixtures' reports, after the fixture directory
+# is substituted for {d}
+FIXTURE_ARGS = {
+    "network": [
+        "--sites", "{d}/network_sites.csv", "--edges", "{d}/network_edges.csv",
+        "--regime", "combined", "--radius", "2",
+        "--alpha", "0.5", "--beta", "0.25", "--delta", "0.25", "--cost-limit", "10",
+    ],
+    "village": ["--sites", "{d}/village_sites.csv", "--regime", "buffer", "--radius", "25"],
+    "survey": ["--sites", "{d}/survey_sites.csv", "--regime", "buffer", "--radius", "6"],
+}
+
+# sha256 of each fixture's JSON reports; these bytes must not change
+FIXTURE_JSON_DIGESTS = {
+    ("network", "classical"): "eea732a69fda0e5ca7ff63b25fe84ac318b7c68f1ce4d98d48b7efa555c8df21",
+    ("network", "weighted"): "1abf068f2b2f7809c3e03ccce0bd8d3c98e426474e77592e4ffa1c0b344f7ad8",
+    ("network", "compare"): "a629e643870138ed62f5da508a54088efd349cc85c74637db86eaa9b2a15e345",
+    ("village", "classical"): "aad555807d6e273bb08e47a700f3384c89efe9b0c900c16c50efc1128885c8de",
+    ("village", "weighted"): "e104a4c33b32df940c38f6ef090c09ffeed3eb74113acf2f8cbc312f1bf15c1a",
+    ("village", "compare"): "1b20693838ab19267b4b2b409186c15b053ed3e35cad373d553dd79cb376c393",
+    ("survey", "classical"): "12f521c5f5061e04c27cef1a1295815fde6ec0f58daa6a56c05366360dd0acba",
+    ("survey", "weighted"): "9c3c337e6fefa3f612cfd6320763d31a76ede8ddb573fb16ff47e8adf22ec25b",
+    ("survey", "compare"): "6b4070830cc894e762caa92fbcf3e5006adf1395470fbbaac667c725ceb08a3d",
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fixtures")
+    write_fixture_files(directory)
+    return directory
+
+
+@pytest.mark.parametrize("name, report", sorted(FIXTURE_JSON_DIGESTS))
+def test_fixture_json_reports_keep_their_bytes(name, report, fixture_files, capsys):
+    command = ["compare"] if report == "compare" else ["detect", "--mode", report]
+    args = [arg.replace("{d}", str(fixture_files)) for arg in FIXTURE_ARGS[name]]
+    assert main([*command, *args, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    strict_json(out)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIXTURE_JSON_DIGESTS[name, report]
