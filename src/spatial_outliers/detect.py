@@ -336,8 +336,8 @@ def compare_models(
 ) -> ComparisonReport:
     """Squared-error comparison of the two expectation models per site.
 
-    A squared difference, or the sum of either model's, outside the float
-    range raises, as significance_scores does for the differences.
+    Squared differences, their sum per model or the sum of improvement
+    percentages outside the float range raise, as significance_scores does.
     """
     if classical.attribute != weighted.attribute:
         raise ValueError(
@@ -382,13 +382,16 @@ def compare_models(
                 improvement_pct=pct,
             )
         )
+    try:  # no pct exceeds 100; -inf sorts first, so fsum raises on any overflow after it
+        mean_pct = math.fsum(sorted(improvements)) / len(improvements) if improvements else None
+    except OverflowError:
+        raise DegenerateDistributionError(
+            "improvement percentages outside the float range: their sum overflows") from None
 
     return ComparisonReport(
         attribute=classical.attribute,
         per_site=tuple(rows),
-        mean_improvement_pct=(
-            math.fsum(improvements) / len(improvements) if improvements else None
-        ),
+        mean_improvement_pct=mean_pct,
         mean_sq_error_reduction_pct=(
             (total_c - total_w) / total_c * 100.0 if total_c > 0.0 else None
         ),

@@ -36,8 +36,8 @@ class DegenerateDistributionError(SpatialOutlierError):
     detect.SPREAD_ULPS ulps of the largest |difference|), or they fall
     outside the float range: a difference, their sum or a deviation from
     their mean overflows.  Either way z-scores are undefined.  compare_models
-    raises it too when a squared difference, or the sum of a model's squared
-    differences, overflows.
+    raises it too when a squared difference, the sum of a model's squared
+    differences, or the sum of the improvement percentages overflows.
     """
 
 

@@ -262,7 +262,7 @@ _COMPARISON_SUMMARY = ("mean_improvement_pct", "mean_sq_error_reduction_pct")
 
 
 def _fmt(value) -> str:
-    if value is None:
+    if value is None or not math.isfinite(value):  # empty, as JSON gives null
         return ""
     return f"{value:.6f}"
 

@@ -16,9 +16,10 @@ first-seen order with a component label per node), and polygon rook
 adjacency.  The buffer table comes from one sweep over a uniform grid of
 site locations that measures each nearby pair once and appends it to the
 rows of both sites; a buffer query is then a lookup of the center's row.
-Rook adjacency is found through a grid over padded polygon bounding boxes,
-and the segment-overlap test runs only on segment pairs whose padded boxes
-meet.  The exact membership tests run on the candidates the index yields.
+Rook adjacency reads one table of segment records (endpoints, length, unit
+direction, padded box) through a grid over padded polygon boxes, and one
+overlap kernel measures only segment pairs whose boxes meet.  The exact
+membership tests run on the candidates the index yields.
 
 Factors are collected per center in column passes over the neighbor ids,
 sorted once; the cost search looks only for neighbors in the center's own
@@ -60,7 +61,7 @@ _CELL_PAD = 1.0 + 2.0 ** -20
 _MAX_CELL_INDEX = 2.0 ** 31
 
 # Polygon bounding boxes are padded far past BOUNDARY_TOLERANCE, plus a share
-# of the largest coordinate that dwarfs the rounding in _overlap_length, so
+# of the largest coordinate that dwarfs the rounding in the overlap kernel, so
 # polygons whose padded boxes are disjoint never share a boundary.
 _BOX_PAD = 1e3 * BOUNDARY_TOLERANCE
 _BOX_PAD_RELATIVE = 1e-9
@@ -182,29 +183,54 @@ def graph_neighbors(dataset: SpatialDataset, center: SiteId) -> set[SiteId]:
     return set(row) - {center}
 
 
-def _ring_segments(polygon: PolygonSite):
+def _segment_records(polygon: PolygonSite, pad: float | None) -> list[tuple]:
+    """(px, py, qx, qy, length, ux, uy, x0, y0, x1, y1) per ring segment, in ring order.
+
+    length is hypot of the vector (qx - px, qy - py), (ux, uy) that vector
+    over length (left as it is when length <= BOUNDARY_TOLERANCE), and the
+    box is the segment's, padded by pad, or unbounded when pad is None.
+    """
+    records = []
     for ring in (polygon.exterior, *polygon.holes):
-        n = len(ring)
-        for i in range(n):
-            yield ring[i], ring[(i + 1) % n]
+        for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
+            ux, uy = qx - px, qy - py
+            length = math.hypot(ux, uy)
+            if not length <= BOUNDARY_TOLERANCE:  # a nan length too: the kernel measures it
+                ux, uy = ux / length, uy / length
+            if pad is None:
+                records.append((px, py, qx, qy, length, ux, uy, -math.inf, -math.inf,
+                                math.inf, math.inf))
+            else:  # each conditional is min or max of two, at under half the cost
+                records.append((px, py, qx, qy, length, ux, uy,
+                                (qx if qx < px else px) - pad, (qy if qy < py else py) - pad,
+                                (qx if qx > px else px) + pad, (qy if qy > py else py) + pad))
+    return records
 
 
-def _overlap_length(p1, p2, q1, q2) -> float:
-    """Length of the collinear overlap of two segments, else 0."""
-    ux, uy = p2[0] - p1[0], p2[1] - p1[1]
-    length = math.hypot(ux, uy)
-    if length <= BOUNDARY_TOLERANCE:
-        return 0.0
-    ux, uy = ux / length, uy / length
-    off1 = abs((q1[0] - p1[0]) * uy - (q1[1] - p1[1]) * ux)
-    off2 = abs((q2[0] - p1[0]) * uy - (q2[1] - p1[1]) * ux)
-    if off1 > BOUNDARY_TOLERANCE or off2 > BOUNDARY_TOLERANCE:
-        return 0.0
-    t1 = (q1[0] - p1[0]) * ux + (q1[1] - p1[1]) * uy
-    t2 = (q2[0] - p1[0]) * ux + (q2[1] - p1[1]) * uy
-    lo = max(0.0, min(t1, t2))
-    hi = min(length, max(t1, t2))
-    return max(0.0, hi - lo)
+def _segments_share_boundary(center_records, candidate_records) -> bool:
+    """True when a center and a candidate segment whose boxes meet overlap.
+
+    The candidate's ends must lie within BOUNDARY_TOLERANCE of the center
+    segment's line, and their projections on it, clipped to [0, length],
+    must span more than that.  Each conditional picks what min or max of
+    the same two values would, nan included.
+    """
+    tol = BOUNDARY_TOLERANCE
+    for px, py, _, _, length, ux, uy, ax0, ay0, ax1, ay1 in center_records:
+        if length <= tol:
+            continue
+        for b in candidate_records:
+            if b[7] <= ax1 and ax0 <= b[9] and b[8] <= ay1 and ay0 <= b[10]:
+                dqx, dqy, drx, dry = b[0] - px, b[1] - py, b[2] - px, b[3] - py
+                if abs(dqx * uy - dqy * ux) > tol or abs(drx * uy - dry * ux) > tol:
+                    continue
+                t1 = dqx * ux + dqy * uy
+                t2 = drx * ux + dry * uy
+                hi = t2 if t2 > t1 else t1  # max(t1, t2)
+                lo = t2 if t2 < t1 else t1  # min(t1, t2)
+                if (hi if hi < length else length) - (lo if lo > 0.0 else 0.0) > tol:
+                    return True
+    return False
 
 
 def polygons_share_boundary(a: PolygonSite, b: PolygonSite) -> bool:
@@ -212,11 +238,7 @@ def polygons_share_boundary(a: PolygonSite, b: PolygonSite) -> bool:
 
     Touching at isolated points (a shared corner) does not qualify.
     """
-    for p1, p2 in _ring_segments(a):
-        for q1, q2 in _ring_segments(b):
-            if _overlap_length(p1, p2, q1, q2) > BOUNDARY_TOLERANCE:
-                return True
-    return False
+    return _segments_share_boundary(_segment_records(a, None), _segment_records(b, None))
 
 
 def _cells(box, cell: float):
@@ -229,40 +251,27 @@ def _cells(box, cell: float):
 
 
 def _box_grid(dataset: SpatialDataset):
-    """Padded polygon and segment boxes on a grid, or None to scan every polygon.
+    """Segment records and padded polygon boxes on a grid, or None to scan every polygon.
 
-    Returns (cell, boxes, segments, grid): boxes[i] and segments[i] belong
-    to dataset.sites[i], each segment as (p, q, x0, y0, x1, y1) with its
-    padded box, each polygon box spans its segment boxes (None without
-    vertices), and grid maps a cell to the positions whose boxes cover it.
+    Returns (boxes, segments, cells, grid), the first three by position in
+    dataset.sites: the polygon box spans its segment boxes (None without
+    vertices), segments are its _segment_records, cells lists the grid cells
+    its box covers, and grid maps a cell to the positions whose boxes cover it.
     The cell side is at least the mean box extent and the root of the mean
     box area, which bounds the cells all boxes cover to a small multiple of
     the polygon count.  None covers non-finite vertices and boxes too large
     for their areas to be summed.
     """
-    values = [
-        v
-        for site in dataset.sites
-        for ring in (site.exterior, *site.holes)
-        for point in ring
-        for v in point
-    ]
+    values = [v for site in dataset.sites for ring in (site.exterior, *site.holes)
+              for point in ring for v in point]
     if not all(map(math.isfinite, values)):
         return None
     scale = max(map(abs, values), default=0.0)
     pad = _BOX_PAD + _BOX_PAD_RELATIVE * scale
-    segments = [
-        [
-            (p, q, min(p[0], q[0]) - pad, min(p[1], q[1]) - pad,
-             max(p[0], q[0]) + pad, max(p[1], q[1]) + pad)
-            for p, q in _ring_segments(site)
-        ]
-        for site in dataset.sites
-    ]
-    boxes = [
-        (min(s[2] for s in segs), min(s[3] for s in segs),
-         max(s[4] for s in segs), max(s[5] for s in segs)) if segs else None
-        for segs in segments
+    segments = [_segment_records(site, pad) for site in dataset.sites]
+    boxes = [  # columns 7 to 10 of the records are the segment boxes
+        (min(c[7]), min(c[8]), max(c[9]), max(c[10])) if c else None
+        for c in (tuple(zip(*records)) for records in segments)
     ]
     present = [box for box in boxes if box is not None]
     if not present:
@@ -275,34 +284,22 @@ def _box_grid(dataset: SpatialDataset):
     cell = max(extent / len(present), math.sqrt(area / len(present)))
     if not math.isfinite((scale + pad) / cell):
         return None
+    cells = [() if box is None else _cells(box, cell) for box in boxes]
     grid: dict[tuple[int, int], list[int]] = {}
-    for i, box in enumerate(boxes):
-        if box is not None:
-            for key in _cells(box, cell):
-                grid.setdefault(key, []).append(i)
-    return cell, boxes, segments, grid
-
-
-def _segments_share_boundary(center_segments, candidate_segments) -> bool:
-    """polygons_share_boundary on segment lists, skipping pairs whose boxes miss."""
-    for p1, p2, ax0, ay0, ax1, ay1 in center_segments:
-        for q1, q2, bx0, by0, bx1, by1 in candidate_segments:
-            if (
-                bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1
-                and _overlap_length(p1, p2, q1, q2) > BOUNDARY_TOLERANCE
-            ):
-                return True
-    return False
+    for i, keys in enumerate(cells):
+        for key in keys:
+            grid.setdefault(key, []).append(i)
+    return boxes, segments, cells, grid
 
 
 def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
     """Polygons sharing a boundary line with each polygon.
 
-    The predicate runs as (center, candidate) on box candidates only, and
-    _overlap_length only on segment pairs whose padded boxes meet.  Two
-    segments that overlap along more than BOUNDARY_TOLERANCE have points
-    within that tolerance of each other, so their padded boxes, like the
-    padded boxes of their polygons, always meet.
+    The kernel runs as (center, candidate) on box candidates only, and
+    measures only segment pairs whose padded boxes meet.  Two segments that
+    overlap along more than BOUNDARY_TOLERANCE have points within that
+    tolerance of each other, so their padded boxes, like the padded boxes of
+    their polygons, always meet.
     """
     sites = dataset.sites
     rook: dict[SiteId, frozenset[SiteId]] = {}
@@ -316,7 +313,7 @@ def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
                 if site.id != center and polygons_share_boundary(center_site, site)
             )
         return rook
-    cell, boxes, segments, grid = prepared
+    boxes, segments, cells, grid = prepared
     for i, center_site in enumerate(sites):
         center = center_site.id
         if center in rook:  # dataset.site(center) is the first site with the id
@@ -327,7 +324,7 @@ def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
             continue
         x0, y0, x1, y1 = box
         found = set()
-        for j in {j for key in _cells(box, cell) for j in grid.get(key, ())}:
+        for j in {j for key in cells[i] for j in grid.get(key, ())}:
             bx0, by0, bx1, by1 = boxes[j]
             if (
                 bx0 <= x1 and x0 <= bx1 and by0 <= y1 and y0 <= by1

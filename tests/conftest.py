@@ -189,6 +189,18 @@ OVERFLOWING_DIFFERENCE_CASES = {
 }
 
 
+def overflowing_improvements_dataset():
+    """Two far-apart copies of a center valued 1e-152 with neighbors 24.4 at
+    distance 1 and -24.4 at distance 3.  At radius 3.5 each center's
+    classical squared error is 1e-304 and its weighted one 148.84, so each
+    improvement is -1.49e308 and their sum overflows; every squared error
+    and the sums of them are finite."""
+    cluster = (("a", 0.0, 1e-152), ("b", 1.0, 24.4), ("c", -3.0, -24.4))
+    return _points([
+        (f"{sid}{k}", x + 1000.0 * k, 0.0, v) for k in range(2) for sid, x, v in cluster
+    ])
+
+
 # valid point datasets whose differences standardize under the buffer regime
 # but whose squared differences leave the float range, as (dataset, radius);
 # unchecked, compare_models raised OverflowError

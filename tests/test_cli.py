@@ -14,6 +14,7 @@ from conftest import (
     EXTREME_FACTOR_CASES,
     OVERFLOWING_DIFFERENCE_CASES,
     OVERFLOWING_SQUARE_CASES,
+    overflowing_improvements_dataset,
     row_dataset,
     strict_json,
 )
@@ -339,6 +340,24 @@ def test_squared_errors_outside_the_float_range_exit_one(case, tmp_path, capsys)
             "error: squared errors outside the float range: "
             "a squared difference or their sum overflows\n"
         )
+
+
+def test_improvements_summing_past_the_float_range_exit_one(tmp_path, capsys):
+    from spatial_outliers.fileio import write_sites_csv
+
+    sites = tmp_path / "sites.csv"
+    write_sites_csv(overflowing_improvements_dataset().sites, sites)
+    assert main(["validate", "--sites", _p(sites)]) == 0
+    capsys.readouterr()
+    argv = ["compare", "--sites", _p(sites), "--radius", "3.5", "--regime", "buffer"]
+    for fmt in ("csv", "json"):
+        report = tmp_path / f"report.{fmt}"
+        for out in ([], ["--out", _p(report)]):
+            assert main([*argv, "--format", fmt, *out]) == 1
+            assert capsys.readouterr() == (
+                "", "error: improvement percentages outside the float range: their sum overflows\n"
+            )
+        assert not report.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "detect", "compare"])

@@ -43,6 +43,7 @@ from conftest import (
     grid_point_dataset,
     huge_squares_dataset,
     overflowing_costs_dataset,
+    overflowing_improvements_dataset,
     row_dataset,
     unit_square,
 )
@@ -681,6 +682,31 @@ class TestCompareModels:
             "squared errors outside the float range: "
             "a squared difference or their sum overflows"
         )):
+            compare_models(classical, weighted)
+
+    def test_improvements_summing_past_the_float_range_rejected(self):
+        ds = overflowing_improvements_dataset()
+        assert validate_dataset(ds) == []
+        params = WeightParams(radius=3.5)
+        classical, weighted = (
+            detect_outliers(ds, "v", params, mode=mode, regime="buffer") for mode in MODES
+        )
+        with pytest.raises(DegenerateDistributionError, match=re.escape(
+            "improvement percentages outside the float range: their sum overflows"
+        )):
+            compare_models(classical, weighted)
+        # one such improvement alone is a finite mean
+        report = compare_models(_synthetic_result({"a": 1e-152}), _synthetic_result({"a": -12.2}))
+        assert report.mean_improvement_pct == (1e-152 ** 2 - 12.2 ** 2) / 1e-152 ** 2 * 100.0
+
+    @pytest.mark.parametrize("infinite", ["a", "b", "c"])
+    def test_improvements_summing_past_the_float_range_beside_minus_inf_rejected(
+        self, infinite
+    ):
+        # fsum alone raises or returns -inf by where the -inf improvement sits
+        classical = _synthetic_result({s: 1e-160 if s == infinite else 1e-152 for s in "abc"})
+        weighted = _synthetic_result({s: 1.0 if s == infinite else -12.2 for s in "abc"})
+        with pytest.raises(DegenerateDistributionError, match="improvement percentages"):
             compare_models(classical, weighted)
 
     def test_aggregates(self):

@@ -656,24 +656,35 @@ def _csv_cell(value):
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
+def _infinite_improvement_report():
+    """A comparison whose one improvement is -inf: classical's squared error
+    1e-320 is that far below weighted's 1."""
+    scores = [SiteScore("x", 0.0, -diff, diff, 0.0, False) for diff in (1e-160, 1.0)]
+    return compare_models(*(
+        DetectionResult(attribute="v", scores=(s,), mu=0.0, sigma=1.0, theta=2.0)
+        for s in scores
+    ))
+
+
 def test_non_finite_report_values_are_json_null():
     empty = DetectionResult(attribute="v", scores=(), mu=math.nan, sigma=math.nan, theta=2.0)
     payload = strict_json(render_report(empty, "json"))
     assert payload["mu"] is None and payload["sigma"] is None
-    # classical's squared error 1e-320 is so far below weighted's 1 that the
-    # improvement is -inf
-    scores = [SiteScore("x", 0.0, -diff, diff, 0.0, False) for diff in (1e-160, 1.0)]
-    report = compare_models(*(
-        DetectionResult(attribute="v", scores=(s,), mu=0.0, sigma=1.0, theta=2.0)
-        for s in scores
-    ))
+    report = _infinite_improvement_report()
     assert report.per_site[0].improvement_pct == report.mean_improvement_pct == -math.inf
     payload = strict_json(render_report(report, "json"))
     assert payload["per_site"][0]["improvement_pct"] is None
     assert payload["mean_improvement_pct"] is None
 
 
-@pytest.mark.parametrize("which", ["classical", "weighted", "village", "undefined"])
+def test_non_finite_report_values_are_empty_csv_fields():
+    empty = DetectionResult(attribute="v", scores=(), mu=math.nan, sigma=math.nan, theta=2.0)
+    assert render_report(empty, "csv").splitlines()[1:] == ["# mu= sigma= theta=2.000000"]
+    lines = render_report(_infinite_improvement_report(), "csv").splitlines()
+    assert lines[1].endswith(",") and lines[2] == "# mean_improvement_pct="
+
+
+@pytest.mark.parametrize("which", ["classical", "weighted", "village", "undefined", "infinite"])
 def test_csv_and_json_reports_give_the_same_rows(which, survey_results, village):
     if which == "village":
         params = WeightParams(radius=VILLAGE_RADIUS)
@@ -683,6 +694,8 @@ def test_csv_and_json_reports_give_the_same_rows(which, survey_results, village)
         ))
     elif which == "undefined":
         report = _undefined_improvement_report()
+    elif which == "infinite":
+        report = _infinite_improvement_report()
     else:
         report = survey_results[which == "weighted"]
     header, *rows = (
@@ -695,6 +708,12 @@ def test_csv_and_json_reports_give_the_same_rows(which, survey_results, village)
     for record, cells in zip(records, rows):
         assert list(record) == header
         assert [_csv_cell(value) for value in record.values()] == cells
+    # and the summary: "# name=value" comment fields against the same JSON keys
+    summary = [
+        field.split("=") for line in render_report(report, "csv").splitlines()
+        if line.startswith("# ") and "=" in line for field in line[2:].split(" ")
+    ]
+    assert summary and all(_csv_cell(payload[name]) == cell for name, cell in summary)
 
 
 # CLI arguments of the bundled fixtures' reports, after the fixture directory

@@ -7,7 +7,8 @@ adjacency over numbered nodes with a Dijkstra pruned at the cost limit,
 polygon rook adjacency over bounding-box and segment-box candidates).  The scans below
 are the straightforward implementations the index replaced; each property
 requires both to give the same result, or to raise the same error, on the
-same input.
+same input.  The segment-overlap kernel is checked the same way, against the
+per-pair overlap length it replaced.
 """
 
 import gc
@@ -41,7 +42,11 @@ from spatial_outliers import (
 )
 from spatial_outliers import detect, neighborhood
 from spatial_outliers.dataset import site_id_key, site_location
-from spatial_outliers.neighborhood import NeighborFactors, polygons_share_boundary
+from spatial_outliers.neighborhood import (
+    BOUNDARY_TOLERANCE,
+    NeighborFactors,
+    polygons_share_boundary,
+)
 
 from conftest import grid_point_dataset, unit_square
 
@@ -77,6 +82,39 @@ def scan_polygon(dataset, center):
         for site in dataset.sites
         if site.id != center and polygons_share_boundary(center_site, site)
     }
+
+
+def reference_overlap_length(p1, p2, q1, q2):
+    """Length of the collinear overlap of two segments, measured along p1-p2, else 0."""
+    ux, uy = p2[0] - p1[0], p2[1] - p1[1]
+    length = math.hypot(ux, uy)
+    if length <= BOUNDARY_TOLERANCE:
+        return 0.0
+    ux, uy = ux / length, uy / length
+    off1 = abs((q1[0] - p1[0]) * uy - (q1[1] - p1[1]) * ux)
+    off2 = abs((q2[0] - p1[0]) * uy - (q2[1] - p1[1]) * ux)
+    if off1 > BOUNDARY_TOLERANCE or off2 > BOUNDARY_TOLERANCE:
+        return 0.0
+    t1 = (q1[0] - p1[0]) * ux + (q1[1] - p1[1]) * uy
+    t2 = (q2[0] - p1[0]) * ux + (q2[1] - p1[1]) * uy
+    lo = max(0.0, min(t1, t2))
+    hi = min(length, max(t1, t2))
+    return max(0.0, hi - lo)
+
+
+def ring_segments(polygon):
+    for ring in (polygon.exterior, *polygon.holes):
+        n = len(ring)
+        for i in range(n):
+            yield ring[i], ring[(i + 1) % n]
+
+
+def reference_share_boundary(a, b):
+    return any(
+        reference_overlap_length(p1, p2, q1, q2) > BOUNDARY_TOLERANCE
+        for p1, p2 in ring_segments(a)
+        for q1, q2 in ring_segments(b)
+    )
 
 
 def scan_connection_count(dataset, a, b):
@@ -348,6 +386,61 @@ def _tiling(draw, cols, rows):
 def tilings(draw):
     cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     return _tiling(draw, cols, rows), cols, rows
+
+
+# lengths on either side of the tolerance, each exact as a distance from 0
+NEAR_TOLERANCE = [
+    0.0, 5e-324, BOUNDARY_TOLERANCE / 2, math.nextafter(BOUNDARY_TOLERANCE, 0.0),
+    BOUNDARY_TOLERANCE, math.nextafter(BOUNDARY_TOLERANCE, 1.0), 2 * BOUNDARY_TOLERANCE,
+]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Two rings built to meet the overlap kernel's edge cases.
+
+    Ring a holds a segment p-q on the x axis from the origin, where
+    projections are exact, or a general one.  Ring b then gets p-q reversed,
+    or a collinear piece that overlaps it from p by a length near the
+    tolerance, or either ring gets a copy of a vertex about the tolerance
+    away; in a quarter of the cases a coordinate or two become nan or +-inf.
+    Rings are swapped half the time, so each case is also measured along
+    the other ring.
+    """
+    points = st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=4)
+    a, b = draw(points), draw(points)
+    if draw(st.booleans()):
+        length = draw(st.sampled_from([1e-8, 1.0, 3.0]))
+        p, q = (0.0, 0.0), (length, 0.0)
+    else:
+        p, q = draw(st.tuples(st.floats(-10, 10), st.floats(-10, 10))), a[0]
+    a[:1] = [p, q]
+    kind = draw(st.sampled_from(["reversed", "overlap", "short", "none"]))
+    at = draw(st.integers(0, len(b)))
+    if kind == "reversed":
+        b[at:at] = [q, p]
+    elif kind == "overlap":  # from p on by d, and back past p
+        d = draw(st.sampled_from(NEAR_TOLERANCE))
+        reach = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        length = math.hypot(q[0] - p[0], q[1] - p[1]) or 1.0
+        ux, uy = (q[0] - p[0]) / length, (q[1] - p[1]) / length
+        piece = [(p[0] + d * ux, p[1] + d * uy), (p[0] - reach * ux, p[1] - reach * uy)]
+        b[at:at] = piece if draw(st.booleans()) else piece[::-1]
+    elif kind == "short":  # a segment no longer than about the tolerance
+        ring = draw(st.sampled_from([a, b]))
+        k = draw(st.integers(0, len(ring) - 1))
+        d = draw(st.sampled_from(NEAR_TOLERANCE))
+        x, y = ring[k]
+        copies = [(x + d, y), (x, y - d), (x + d * 0.6, y + d * 0.8)]
+        ring.insert(k + 1, draw(st.sampled_from(copies)))
+    if draw(st.integers(0, 3)) == 0:
+        for ring in draw(st.lists(st.sampled_from([a, b]), min_size=1, max_size=2)):
+            k = draw(st.integers(0, len(ring) - 1))
+            bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            ring[k] = (bad, ring[k][1]) if draw(st.booleans()) else (ring[k][0], bad)
+    if draw(st.booleans()):
+        a, b = b, a
+    return PolygonSite(id="a", exterior=tuple(a)), PolygonSite(id="b", exterior=tuple(b))
 
 
 @st.composite
@@ -787,6 +880,44 @@ def _assert_rook_matches_scan(dataset):
         assert polygon_adjacent_neighbors(dataset, center) == scan_polygon(dataset, center)
 
 
+@given(kernel_cases())
+def test_shared_boundary_matches_the_reference_overlap_length(case):
+    a, b = case
+    expected = reference_share_boundary(a, b)
+    assert polygons_share_boundary(a, b) == expected
+    # with finite vertices the rook build measures only segments whose padded boxes meet
+    dataset = SpatialDataset(sites=(a, b))
+    if all(math.isfinite(v) for site in (a, b) for point in site.exterior for v in point):
+        assert neighborhood._box_grid(dataset) is not None
+    assert polygon_adjacent_neighbors(dataset, "a") == ({"b"} if expected else set())
+
+
+class _CountedRecords(list):
+    """Candidate records that count the loops over them."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("length, measured", [
+    (0.0, False), (BOUNDARY_TOLERANCE / 2, False),
+    (math.nextafter(BOUNDARY_TOLERANCE, 0.0), False), (BOUNDARY_TOLERANCE, False),
+    (math.nextafter(BOUNDARY_TOLERANCE, 1.0), True), (math.nan, True),
+])
+def test_center_segments_no_longer_than_the_tolerance_are_never_measured(length, measured):
+    # a segment of exactly the tolerance could never overlap by more, so a
+    # skip on < would not change a result: only the loops show it
+    center = PolygonSite(id="c", exterior=((0.0, 0.0), (length, 0.0)))
+    records = neighborhood._segment_records(center, None)
+    assert all(r[4] == length for r in records) or math.isnan(length)
+    candidates = _CountedRecords(neighborhood._segment_records(unit_square("s", ox=5.0), None))
+    assert not neighborhood._segments_share_boundary(records, candidates)
+    assert candidates.loops == (len(records) if measured else 0)
+
+
 @given(
     st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
     st.floats(0.01, 100),
@@ -871,6 +1002,35 @@ def test_rook_adjacency_matches_scan_with_a_non_finite_vertex(case, bad, which, 
         id=sites[k].id, exterior=tuple(map(tuple, ring)), attributes=sites[k].attributes
     )
     _assert_rook_matches_scan(SpatialDataset(sites=tuple(sites), attribute_names=("v",)))
+
+
+@given(
+    tilings(),
+    st.integers(0, 24),
+    st.integers(0, 3),
+    st.sampled_from(NEAR_TOLERANCE),
+    st.floats(0, 2 * math.pi),
+)
+def test_rook_adjacency_matches_scan_with_a_near_duplicate_vertex(case, which, vertex, gap, angle):
+    # the copy makes a segment about as long as the tolerance; at half of it
+    # or less every shared side still overlaps, and no corner starts to
+    dataset, cols, rows = case
+    sites = list(dataset.sites)
+    k = which % len(sites)
+    ring = list(sites[k].exterior)
+    x, y = ring[vertex]
+    ring.insert(vertex + 1, (x + gap * math.cos(angle), y + gap * math.sin(angle)))
+    sites[k] = replace(sites[k], exterior=tuple(ring))
+    dataset = SpatialDataset(sites=tuple(sites), attribute_names=("v",))
+    _assert_rook_matches_scan(dataset)
+    if gap <= BOUNDARY_TOLERANCE / 2:
+        for i in range(cols):
+            for j in range(rows):
+                assert polygon_adjacent_neighbors(dataset, f"{i}-{j}") == {
+                    f"{a}-{b}"
+                    for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                    if 0 <= a < cols and 0 <= b < rows
+                }
 
 
 def _detect_with_scans(*args, **kwargs):
