@@ -18,7 +18,7 @@ from .detect import (
     neighborhood_weights,
 )
 from .errors import NoNeighborsError, SpatialOutlierError
-from .fileio import _write_text, load_edges, load_polygons, load_sites, render_report
+from .fileio import _csv_ids, _write_text, load_edges, load_polygons, load_sites, render_report
 from .fixtures import write_fixture_files
 
 USAGE_ERROR = 2
@@ -184,9 +184,9 @@ def _cmd_weights(args) -> int:
             empty.append(sid)
             continue
         for neighbor, weight in weighting.entries:
-            lines.append(f"{sid},{neighbor},{weight:.6f}")
+            lines.append(",".join([*_csv_ids((sid, neighbor)), f"{weight:.6f}"]))
     if empty:
-        lines.append("# no neighbors: " + ",".join(str(s) for s in empty))
+        lines.append("# no neighbors: " + ",".join(_csv_ids(empty)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -10,6 +10,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 from itertools import chain
 
 from .dataset import Edge, PointSite, PolygonSite, site_id_key
@@ -100,6 +101,11 @@ def load_sites(path) -> tuple[PointSite, ...]:
     with _csv_rows(path) as (header, rows):
         if header[:3] != ["id", "x", "y"]:
             raise ParseError(path, 1, f"header must start with id,x,y, got {header[:3]}")
+        for k, name in enumerate(header):
+            if not name:
+                raise ParseError(path, 1, f"column {k + 1}: empty column name")
+            if name in header[:k]:
+                raise ParseError(path, 1, f"column {k + 1}: duplicate column name {name!r}")
         columns = header[1:]
         attr_names = header[3:]
         sites = []
@@ -267,13 +273,30 @@ def _fmt(value) -> str:
     return f"{value:.6f}"
 
 
+# what csv.writer quotes a field for by default: the delimiter, the quote, a line break
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_ids(ids) -> list[str]:
+    """Site ids as CSV fields, each quoted where csv.writer quotes it by default.
+
+    One search over all the ids together spares a search per id when none needs quotes.
+    """
+    fields = list(map(str, ids))
+    if _NEEDS_QUOTES("".join(fields)):
+        fields = ['"' + f.replace('"', '""') + '"' if _NEEDS_QUOTES(f) else f for f in fields]
+    return fields
+
+
 def _score_rows(result: DetectionResult):
     return sorted(result.scores, key=lambda s: (s.z, site_id_key(s.site)))
 
 
 def render_detection_csv(result: DetectionResult) -> str:
     lines = [",".join(_DETECTION_COLUMNS)]
-    for site, actual, expected, diff, z, is_outlier in _score_rows(result):
+    rows = _score_rows(result)
+    ids = _csv_ids([row.site for row in rows])
+    for site, (_, actual, expected, diff, z, is_outlier) in zip(ids, rows):
         lines.append(
             f"{site},{actual:.6f},{expected:.6f},{diff:.6f},{z:.6f},"
             f"{'true' if is_outlier else 'false'}"
@@ -282,14 +305,15 @@ def render_detection_csv(result: DetectionResult) -> str:
         f"# mu={_fmt(result.mu)} sigma={_fmt(result.sigma)} theta={_fmt(result.theta)}"
     )
     if result.skipped:
-        lines.append("# skipped: " + ",".join(str(s) for s in result.skipped))
+        lines.append("# skipped: " + ",".join(_csv_ids(result.skipped)))
     return "\n".join(lines) + "\n"
 
 
 def render_comparison_csv(report: ComparisonReport) -> str:
     lines = [",".join(_COMPARISON_COLUMNS)]
-    for site, *values in report.per_site:
-        lines.append(",".join([str(site), *map(_fmt, values)]))
+    ids = _csv_ids([row.site for row in report.per_site])
+    for site, (_, *values) in zip(ids, report.per_site):
+        lines.append(",".join([site, *map(_fmt, values)]))
     lines += [f"# {name}={_fmt(getattr(report, name))}" for name in _COMPARISON_SUMMARY]
     return "\n".join(lines) + "\n"
 

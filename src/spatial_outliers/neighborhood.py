@@ -17,9 +17,10 @@ adjacency.  The buffer table comes from one sweep over a uniform grid of
 site locations that measures each nearby pair once and appends it to the
 rows of both sites; a buffer query is then a lookup of the center's row.
 Rook adjacency reads one table of segment records (endpoints, length, unit
-direction, padded box) through a grid over padded polygon boxes, and one
-overlap kernel measures only segment pairs whose boxes meet.  The exact
-membership tests run on the candidates the index yields.
+direction, padded box) in one loop over the candidates of each polygon, and
+one overlap kernel measures only segment pairs whose boxes meet.  A grid over
+padded polygon boxes yields the candidates; where it cannot index a dataset,
+every polygon is a candidate of every other and no box excludes a pair.
 
 Factors are collected per center in column passes over the neighbor ids,
 sorted once; the cost search looks only for neighbors in the center's own
@@ -251,69 +252,62 @@ def _cells(box, cell: float):
 
 
 def _box_grid(dataset: SpatialDataset):
-    """Segment records and padded polygon boxes on a grid, or None to scan every polygon.
+    """Segment records, polygon boxes and box candidates of every polygon.
 
-    Returns (boxes, segments, cells, grid), the first three by position in
-    dataset.sites: the polygon box spans its segment boxes (None without
-    vertices), segments are its _segment_records, cells lists the grid cells
-    its box covers, and grid maps a cell to the positions whose boxes cover it.
-    The cell side is at least the mean box extent and the root of the mean
-    box area, which bounds the cells all boxes cover to a small multiple of
-    the polygon count.  None covers non-finite vertices and boxes too large
-    for their areas to be summed.
+    Returns (boxes, segments, candidates) by position in dataset.sites: the
+    polygon box spans its segment boxes (None without vertices), segments are
+    its _segment_records, and candidates holds the positions whose boxes share
+    a grid cell with its box.  The cell side is at least the mean box extent
+    and the root of the mean box area, which bounds the cells all boxes cover
+    to a small multiple of the polygon count.  When the grid cannot index the
+    dataset (a non-finite vertex, box areas that sum past the float range, or
+    cells too small for the coordinates), the records are unpadded, every box
+    is unbounded and every polygon with vertices is a candidate of every other.
     """
-    values = [v for site in dataset.sites for ring in (site.exterior, *site.holes)
+    sites = dataset.sites
+    values = [v for site in sites for ring in (site.exterior, *site.holes)
               for point in ring for v in point]
-    if not all(map(math.isfinite, values)):
-        return None
-    scale = max(map(abs, values), default=0.0)
-    pad = _BOX_PAD + _BOX_PAD_RELATIVE * scale
-    segments = [_segment_records(site, pad) for site in dataset.sites]
-    boxes = [  # columns 7 to 10 of the records are the segment boxes
-        (min(c[7]), min(c[8]), max(c[9]), max(c[10])) if c else None
-        for c in (tuple(zip(*records)) for records in segments)
-    ]
-    present = [box for box in boxes if box is not None]
-    if not present:
-        return None
-    try:
-        extent = math.fsum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in present)
-        area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in present)
-    except OverflowError:  # box areas that sum past the float range
-        return None
-    cell = max(extent / len(present), math.sqrt(area / len(present)))
-    if not math.isfinite((scale + pad) / cell):
-        return None
-    cells = [() if box is None else _cells(box, cell) for box in boxes]
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i, keys in enumerate(cells):
-        for key in keys:
-            grid.setdefault(key, []).append(i)
-    return boxes, segments, cells, grid
+    if all(map(math.isfinite, values)):
+        scale = max(map(abs, values), default=0.0)
+        pad = _BOX_PAD + _BOX_PAD_RELATIVE * scale
+        segments = [_segment_records(site, pad) for site in sites]
+        boxes = [  # columns 7 to 10 of the records are the segment boxes
+            (min(c[7]), min(c[8]), max(c[9]), max(c[10])) if c else None
+            for c in (tuple(zip(*records)) for records in segments)
+        ]
+        present = [box for box in boxes if box is not None]
+        try:
+            extent = math.fsum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in present)
+            area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in present)
+            cell = max(extent / len(present), math.sqrt(area / len(present)))
+        except (OverflowError, ZeroDivisionError):  # areas summing past the float range; no box
+            cell = math.nan
+        if math.isfinite((scale + pad) / cell):
+            cells = [() if box is None else _cells(box, cell) for box in boxes]
+            grid: dict[tuple[int, int], list[int]] = {}
+            for i, keys in enumerate(cells):
+                for key in keys:
+                    grid.setdefault(key, []).append(i)
+            return boxes, segments, [{j for key in keys for j in grid[key]} for keys in cells]
+    segments = [_segment_records(site, None) for site in sites]
+    unbounded = (-math.inf, -math.inf, math.inf, math.inf)
+    boxes = [unbounded if records else None for records in segments]
+    everyone = [j for j, box in enumerate(boxes) if box is not None]
+    return boxes, segments, [everyone] * len(sites)
 
 
 def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
     """Polygons sharing a boundary line with each polygon.
 
-    The kernel runs as (center, candidate) on box candidates only, and
-    measures only segment pairs whose padded boxes meet.  Two segments that
-    overlap along more than BOUNDARY_TOLERANCE have points within that
-    tolerance of each other, so their padded boxes, like the padded boxes of
-    their polygons, always meet.
+    The kernel runs as (center, candidate) on the candidates _box_grid gives
+    whose boxes meet the center's, and measures only segment pairs whose
+    boxes meet.  Two segments that overlap along more than
+    BOUNDARY_TOLERANCE have points within that tolerance of each other, so
+    their padded boxes, like the padded boxes of their polygons, always meet.
     """
     sites = dataset.sites
+    boxes, segments, candidates = _box_grid(dataset)
     rook: dict[SiteId, frozenset[SiteId]] = {}
-    prepared = _box_grid(dataset)
-    if prepared is None:
-        for center in dataset.site_ids():
-            center_site = dataset.site(center)
-            rook[center] = frozenset(
-                site.id
-                for site in sites
-                if site.id != center and polygons_share_boundary(center_site, site)
-            )
-        return rook
-    boxes, segments, cells, grid = prepared
     for i, center_site in enumerate(sites):
         center = center_site.id
         if center in rook:  # dataset.site(center) is the first site with the id
@@ -324,7 +318,7 @@ def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
             continue
         x0, y0, x1, y1 = box
         found = set()
-        for j in {j for key in cells[i] for j in grid.get(key, ())}:
+        for j in candidates[i]:
             bx0, by0, bx1, by1 = boxes[j]
             if (
                 bx0 <= x1 and x0 <= bx1 and by0 <= y1 and y0 <= by1

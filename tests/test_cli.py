@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -395,6 +397,55 @@ class TestCompare:
         assert float(cols[4]) == pytest.approx(361.0, abs=1e-6)   # 19^2
         assert float(cols[5]) == pytest.approx(4.0, abs=1e-6)     # 2^2
         assert float(cols[7]) == pytest.approx(98.89, abs=0.01)
+
+
+# ids that csv.writer quotes: a comma, a quote, a line feed, a carriage return
+QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "c\rd"]
+
+
+def _csv_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _report_ids(text, footer):
+    """The ids of each report row, read back by csv.reader, and those after footer."""
+    body, _, tail = text.partition("\n" + footer) if footer else (text, "", "")
+    header, *rows = csv.reader(io.StringIO(body))
+    rows = [row for row in rows if not row[0].startswith("# ")]
+    assert all(len(row) == len(header) for row in rows)
+    return rows, next(csv.reader(io.StringIO(tail)), [])
+
+
+@pytest.mark.parametrize("command, footer", [
+    ("detect", "# skipped: "), ("compare", None), ("weights", "# no neighbors: "),
+])
+def test_ids_that_need_quotes_read_back_from_every_csv_report(
+    command, footer, tmp_path, capsys
+):
+    # four sites within the radius of each other, and two isolated ones
+    sites = tmp_path / "sites.csv"
+    sites.write_text(_csv_text([
+        ["id", "x", "y", "v"],
+        *([sid, 0.0 + k % 2, 0.0 + k // 2, 2.0 ** k] for k, sid in enumerate(QUOTED_IDS)),
+        ["far, east", 99.0, 0.0, 3.0], ["far\"west", -99.0, 0.0, 5.0],
+    ]), encoding="utf-8")
+    assert main([command, "--sites", _p(sites), "--regime", "buffer", "--radius", "2"]) == 0
+    rows, footnoted = _report_ids(capsys.readouterr().out, footer)
+    assert {row[0] for row in rows} == set(QUOTED_IDS)
+    assert sorted(footnoted) == ([] if footer is None else ['far"west', "far, east"])
+    if command == "weights":
+        assert {(row[0], row[1]) for row in rows} == {
+            (a, b) for a in QUOTED_IDS for b in QUOTED_IDS if a != b
+        }
+
+
+def test_duplicate_sites_column_exits_one(tmp_path, capsys):
+    sites = tmp_path / "sites.csv"
+    sites.write_text("id,x,y,v,v\nA,0,0,1,2\nB,1,0,2,3\n", encoding="utf-8")
+    assert main(["detect", "--sites", _p(sites), "--regime", "buffer", "--radius", "2"]) == 1
+    assert f"{sites}:1: column 5: duplicate column name 'v'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["detect", "compare"])

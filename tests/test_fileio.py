@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -87,6 +88,20 @@ class TestLoadSites:
         path.write_text("name,lon,lat\nA,1,2\n", encoding="utf-8")
         with pytest.raises(ParseError, match="must start with id,x,y"):
             load_sites(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("id,x,y,v,v", "column 5: duplicate column name 'v'"),
+        ("id,x,y,x", "column 4: duplicate column name 'x'"),
+        ("id,x,y,", "column 4: empty column name"),
+        ("id,x,y,v, ,w", "column 5: empty column name"),
+    ])
+    def test_header_names_must_be_non_empty_and_distinct(self, tmp_path, header, message):
+        path = tmp_path / "sites.csv"
+        width = header.count(",") + 1
+        path.write_text(f"{header}\nA,0,0{',1' * (width - 3)}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_sites(path)
+        assert err.value.line == 1
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "sites.csv"
@@ -675,6 +690,13 @@ def test_non_finite_report_values_are_json_null():
     payload = strict_json(render_report(report, "json"))
     assert payload["per_site"][0]["improvement_pct"] is None
     assert payload["mean_improvement_pct"] is None
+
+
+@given(st.lists(st.one_of(st.text(alphabet=',"\r\n ab7', min_size=1), st.integers())))
+def test_ids_are_quoted_where_csv_writer_quotes_them(ids):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([*ids, 1])
+    assert buffer.getvalue() == ",".join([*fileio_module._csv_ids(ids), "1"]) + "\r\n"
 
 
 def test_non_finite_report_values_are_empty_csv_fields():

@@ -48,7 +48,7 @@ from spatial_outliers.neighborhood import (
     polygons_share_boundary,
 )
 
-from conftest import grid_point_dataset, unit_square
+from conftest import grid_point_dataset, grid_polygons, unit_square
 
 
 # ---------------------------------------------------------------- oracles
@@ -885,11 +885,34 @@ def test_shared_boundary_matches_the_reference_overlap_length(case):
     a, b = case
     expected = reference_share_boundary(a, b)
     assert polygons_share_boundary(a, b) == expected
-    # with finite vertices the rook build measures only segments whose padded boxes meet
+    # with finite vertices the rook build measures only segments whose padded
+    # boxes meet, on the candidates that share a grid cell
     dataset = SpatialDataset(sites=(a, b))
     if all(math.isfinite(v) for site in (a, b) for point in site.exterior for v in point):
-        assert neighborhood._box_grid(dataset) is not None
+        boxes, segments, candidates = neighborhood._box_grid(dataset)
+        assert all(map(math.isfinite, boxes[0] + boxes[1]))
+        for px, py, qx, qy, *_, x0, y0, x1, y1 in segments[0] + segments[1]:
+            assert x0 < min(px, qx) and y0 < min(py, qy)
+            assert max(px, qx) < x1 and max(py, qy) < y1
+        assert all(i in c for i, c in enumerate(candidates))
+        if expected:
+            assert 1 in candidates[0] and 0 in candidates[1]
     assert polygon_adjacent_neighbors(dataset, "a") == ({"b"} if expected else set())
+
+
+def test_unindexable_dataset_builds_each_polygons_segment_records_once():
+    # a nan vertex leaves the grid out: every polygon is a candidate of every
+    # other, but each polygon's records are still built once
+    sites = list(grid_polygons(5).sites)
+    sites[7] = replace(sites[7], exterior=((math.nan, 2.0), *sites[7].exterior[1:]))
+    dataset = SpatialDataset(sites=tuple(sites), attribute_names=("v",))
+    with mock.patch.object(
+        neighborhood, "_segment_records", wraps=neighborhood._segment_records
+    ) as spy:
+        polygon_adjacent_neighbors(dataset, "0-0")
+    assert spy.call_count == 25
+    assert all(call.args[1] is None for call in spy.call_args_list)
+    _assert_rook_matches_scan(dataset)
 
 
 class _CountedRecords(list):
