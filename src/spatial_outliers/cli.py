@@ -18,7 +18,8 @@ from .detect import (
     neighborhood_weights,
 )
 from .errors import NoNeighborsError, SpatialOutlierError
-from .fileio import _csv_ids, _write_text, load_edges, load_polygons, load_sites, render_report
+from .fileio import _neighbor_table, _write_text, load_edges, load_polygons, load_sites
+from .fileio import render_report
 from .fixtures import write_fixture_files
 
 USAGE_ERROR = 2
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check dataset invariants")
     add_io(p)
 
-    p = sub.add_parser("neighbors", help="print neighbor sets per site")
+    p = sub.add_parser("neighbors", help="print center,neighbor pairs as CSV")
     add_io(p)
     add_params(p)
     p.add_argument("--out", help="output path (default: stdout)")
@@ -159,35 +160,24 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_neighbors(args) -> int:
+def _cmd_neighborhoods(args) -> int:
+    """neighbors, or weights: one CSV row per center and neighbor, in id order."""
     dataset = _checked(_load_dataset(args))
     params = _params(args)
     regime = _check_regime(dataset, args.regime)
-    lines = []
+    weighted = args.command == "weights"
+    neighborhoods = []
     for sid in sorted(dataset.site_ids(), key=site_id_key):
-        found = _neighbor_ids(dataset, sid, regime, params)
-        lines.append(f"{sid}: {' '.join(str(n) for n in found)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _cmd_weights(args) -> int:
-    dataset = _checked(_load_dataset(args))
-    params = _params(args)
-    regime = _check_regime(dataset, args.regime)
-    lines = ["center,neighbor,weight"]
-    empty = []
-    for sid in sorted(dataset.site_ids(), key=site_id_key):
-        try:
-            weighting = neighborhood_weights(dataset, sid, params, regime)
-        except NoNeighborsError:
-            empty.append(sid)
-            continue
-        for neighbor, weight in weighting.entries:
-            lines.append(",".join([*_csv_ids((sid, neighbor)), f"{weight:.6f}"]))
-    if empty:
-        lines.append("# no neighbors: " + ",".join(_csv_ids(empty)))
-    _emit("\n".join(lines) + "\n", args.out)
+        if not weighted:
+            entries = [(n,) for n in _neighbor_ids(dataset, sid, regime, params)]
+        else:
+            try:
+                entries = neighborhood_weights(dataset, sid, params, regime).entries
+            except NoNeighborsError:
+                entries = ()
+        neighborhoods.append((sid, entries))
+    header = ("center", "neighbor", "weight") if weighted else ("center", "neighbor")
+    _emit(_neighbor_table(header, neighborhoods), args.out)
     return 0
 
 
@@ -225,8 +215,8 @@ def _cmd_fixtures(args) -> int:
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "neighbors": _cmd_neighbors,
-    "weights": _cmd_weights,
+    "neighbors": _cmd_neighborhoods,
+    "weights": _cmd_neighborhoods,
     "detect": _cmd_detect,
     "compare": _cmd_compare,
     "fixtures": _cmd_fixtures,
@@ -248,10 +238,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except SpatialOutlierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
+    except (SpatialOutlierError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

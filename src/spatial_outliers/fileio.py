@@ -2,12 +2,14 @@
 
 Sites and edges travel as headered CSV, polygons as a JSON list of records
 with rings and attributes.  Detection and comparison reports render as CSV
-(sorted, fixed 6-decimal numbers) or JSON.  All text I/O is UTF-8 with
-newline line endings, and identical inputs always produce identical bytes.
+(sorted, fixed 6-decimal numbers) or JSON.  Every input file is read and
+decoded as UTF-8 once (_read_text), and every CSV field written is quoted by
+one rule (_csv_ids).  Output is UTF-8 with newline line endings, and
+identical inputs always produce identical bytes.
 """
 
-import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -47,78 +49,72 @@ def _row_floats(path, line_no, columns, fields) -> list[float]:
     return [_parse_float(path, line_no, c, raw) for c, raw in zip(columns, fields)]
 
 
-def _not_utf8(path) -> ParseError:
-    """ParseError naming the line of the file's first byte that is not UTF-8.
+def _line_number(before: str) -> int:
+    """The line that follows the text `before`; lines end at \n, \r\n or \r, as in csv."""
+    return before.count("\n") + before.count("\r") - before.count("\r\n") + 1
 
-    Lines end at \n, \r\n or \r, as csv.reader splits them.
-    """
+
+def _read_text(path) -> str:
+    """The file read and decoded as UTF-8 once; a bad byte raises naming its line."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start]
-        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
-        return ParseError(
-            path, line, f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
-        )
-    return ParseError(path, 1, "not UTF-8")  # the file changed since it was read
+        line = _line_number(data[: exc.start].decode("utf-8"))
+        message = f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise ParseError(path, line, message) from None
 
 
-def _shaped(path, width, reader):
-    """The reader's non-blank rows, numbered from 2, each `width` fields wide."""
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != width:
-            if not row:
-                continue
-            raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
-        yield line_no, row
-
-
-@contextlib.contextmanager
 def _csv_rows(path):
-    """The stripped header of a UTF-8 CSV file and its rows, as _shaped gives them.
+    """A UTF-8 CSV file's stripped header, then its non-blank rows as (line, row).
 
-    Decoding runs as rows are read; a byte that is not UTF-8 raises
-    ParseError naming its line, and so does a row the CSV reader rejects
-    (a field past csv.field_size_limit, or a NUL byte before Python 3.11).
+    Rows are numbered from 2.  A missing header, a row not as wide as the
+    header and a row the CSV reader rejects (a field past
+    csv.field_size_limit, or a NUL byte before Python 3.11) raise ParseError
+    naming their line.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(path, 1, "missing header")
-            yield [h.strip() for h in header], _shaped(path, len(header), reader)
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-        except csv.Error as exc:
-            raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(path, 1, "missing header")
+        yield [h.strip() for h in header]
+        width = len(header)
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+            yield line_no, row
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
 def load_sites(path) -> tuple[PointSite, ...]:
     """Read point sites from CSV with columns id,x,y,<attr>,..."""
-    with _csv_rows(path) as (header, rows):
-        if header[:3] != ["id", "x", "y"]:
-            raise ParseError(path, 1, f"header must start with id,x,y, got {header[:3]}")
-        for k, name in enumerate(header):
-            if not name:
-                raise ParseError(path, 1, f"column {k + 1}: empty column name")
-            if name in header[:k]:
-                raise ParseError(path, 1, f"column {k + 1}: duplicate column name {name!r}")
-        columns = header[1:]
-        attr_names = header[3:]
-        sites = []
-        seen = set()
-        for line_no, row in rows:
-            site_id = row[0].strip()
-            if not site_id:
-                raise ParseError(path, line_no, "empty site id")
-            if site_id in seen:
-                raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
-            seen.add(site_id)
-            x, y, *values = _row_floats(path, line_no, columns, row[1:])
-            sites.append(PointSite(site_id, x, y, dict(zip(attr_names, values))))
+    rows = _csv_rows(path)
+    header = next(rows)
+    if header[:3] != ["id", "x", "y"]:
+        raise ParseError(path, 1, f"header must start with id,x,y, got {header[:3]}")
+    for k, name in enumerate(header):
+        if not name:
+            raise ParseError(path, 1, f"column {k + 1}: empty column name")
+        if name in header[:k]:
+            raise ParseError(path, 1, f"column {k + 1}: duplicate column name {name!r}")
+    columns = header[1:]
+    attr_names = header[3:]
+    sites = []
+    seen = set()
+    for line_no, row in rows:
+        site_id = row[0].strip()
+        if not site_id:
+            raise ParseError(path, line_no, "empty site id")
+        if site_id in seen:
+            raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
+        seen.add(site_id)
+        x, y, *values = _row_floats(path, line_no, columns, row[1:])
+        sites.append(PointSite(site_id, x, y, dict(zip(attr_names, values))))
     return tuple(sites)
 
 
@@ -127,46 +123,47 @@ def load_edges(path) -> tuple[Edge, ...]:
 
     Repeated rows for the same pair are kept as parallel connections.
     """
-    with _csv_rows(path) as (header, rows):
-        if header != ["from", "to", "length", "cost"]:
-            raise ParseError(path, 1, f"header must be from,to,length,cost, got {header}")
-        edges = []
-        for line_no, (source, target, raw_length, raw_cost) in rows:
-            source, target = source.strip(), target.strip()
-            if not source or not target:
-                raise ParseError(path, line_no, "empty endpoint id")
-            # as in _row_floats, written out for two fields: cheaper than join and map
-            try:
-                if "_" in raw_length + raw_cost:
-                    raise ValueError
-                length, cost = float(raw_length), float(raw_cost)
-                parsed = math.isfinite(length + cost)
-            except ValueError:
-                parsed = False
-            if not parsed:
-                length = _parse_float(path, line_no, "length", raw_length)
-                cost = _parse_float(path, line_no, "cost", raw_cost)
-            if length <= 0:
-                raise ParseError(path, line_no, f"length must be positive, got {length}")
-            if cost < 0:
-                raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
-            edges.append(Edge(source, target, length, cost))
+    rows = _csv_rows(path)
+    header = next(rows)
+    if header != ["from", "to", "length", "cost"]:
+        raise ParseError(path, 1, f"header must be from,to,length,cost, got {header}")
+    edges = []
+    for line_no, (source, target, raw_length, raw_cost) in rows:
+        source, target = source.strip(), target.strip()
+        if not source or not target:
+            raise ParseError(path, line_no, "empty endpoint id")
+        # as in _row_floats, written out for two fields: cheaper than join and map
+        try:
+            if "_" in raw_length + raw_cost:
+                raise ValueError
+            length, cost = float(raw_length), float(raw_cost)
+            parsed = math.isfinite(length + cost)
+        except ValueError:
+            parsed = False
+        if not parsed:
+            length = _parse_float(path, line_no, "length", raw_length)
+            cost = _parse_float(path, line_no, "cost", raw_cost)
+        if length <= 0:
+            raise ParseError(path, line_no, f"length must be positive, got {length}")
+        if cost < 0:
+            raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
+        edges.append(Edge(source, target, length, cost))
     return tuple(edges)
 
 
-# the types json.load gives numbers; float() also takes strings and booleans
+# the types json.loads gives numbers; float() also takes strings and booleans
 _JSON_NUMBERS = {int, float}
 
 
 def load_polygons(path) -> tuple[PolygonSite, ...]:
     """Read polygon sites from a JSON list of {id, rings, attributes}."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, exc.msg) from None
-        except ValueError as exc:  # bytes that are not UTF-8, overlong integers
-            raise ParseError(path, 1, str(exc)) from None
+    text = _read_text(path)
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, _line_number(text[: exc.pos]), exc.msg) from None
+    except ValueError as exc:  # overlong integers
+        raise ParseError(path, 1, str(exc)) from None
     if not isinstance(document, list):
         raise ParseError(path, 1, "document must be a list of polygon records")
     polygons = []
@@ -215,7 +212,7 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
         ring_areas, _, _, reason = _geometry(polygon)
         if any(map(_zero_area, ring_areas)):
             raise ParseError(path, where, "zero-area ring")
-        if reason == "non-finite vertex":  # json.load takes NaN, Infinity and 1e999
+        if reason == "non-finite vertex":  # json.loads takes NaN, Infinity and 1e999
             raise ParseError(path, where, "ring coordinates must be finite")
         if not all(map(math.isfinite, values.values())):
             raise ParseError(path, where, "attribute values must be finite")
@@ -227,22 +224,17 @@ def write_sites_csv(sites, path, attribute_names=None) -> None:
     """Emit sites as CSV; float repr keeps reload byte-exact."""
     if attribute_names is None:
         attribute_names = tuple(sites[0].attributes) if sites else ()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "x", "y", *attribute_names])
-        for site in sites:
-            writer.writerow(
-                [site.id, repr(site.x), repr(site.y)]
-                + [repr(float(site.attributes[name])) for name in attribute_names]
-            )
+    rows = (
+        [site.id, repr(site.x), repr(site.y)]
+        + [repr(float(site.attributes[name])) for name in attribute_names]
+        for site in sites
+    )
+    _write_text(_csv_text([["id", "x", "y", *attribute_names], *rows]), path)
 
 
 def write_edges_csv(edges, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["from", "to", "length", "cost"])
-        for edge in edges:
-            writer.writerow([edge.source, edge.target, repr(edge.length), repr(edge.cost)])
+    rows = ([edge.source, edge.target, repr(edge.length), repr(edge.cost)] for edge in edges)
+    _write_text(_csv_text([["from", "to", "length", "cost"], *rows]), path)
 
 
 def write_polygons_json(polygons, path) -> None:
@@ -273,12 +265,12 @@ def _fmt(value) -> str:
     return f"{value:.6f}"
 
 
-# what csv.writer quotes a field for by default: the delimiter, the quote, a line break
+# RFC 4180: a field holding the delimiter, the quote or a line break is quoted
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 def _csv_ids(ids) -> list[str]:
-    """Site ids as CSV fields, each quoted where csv.writer quotes it by default.
+    """Site ids, or any fields, as CSV fields, each quoted where RFC 4180 asks.
 
     One search over all the ids together spares a search per id when none needs quotes.
     """
@@ -286,6 +278,25 @@ def _csv_ids(ids) -> list[str]:
     if _NEEDS_QUOTES("".join(fields)):
         fields = ['"' + f.replace('"', '""') + '"' if _NEEDS_QUOTES(f) else f for f in fields]
     return fields
+
+
+def _csv_text(rows) -> str:
+    """Rows of fields as CSV lines, each field quoted by _csv_ids."""
+    return "".join(",".join(_csv_ids(row)) + "\n" for row in rows)
+
+
+def _neighbor_table(header, neighborhoods) -> str:
+    """CLI neighbors and weights output as CSV, one row per center and entry.
+
+    neighborhoods lists (center, entries) in output order; an entry is
+    (neighbor,) or (neighbor, weight), and weights print as report floats
+    do.  Centers without entries are named in a `# no neighbors:` footnote.
+    """
+    rows = [[center, neighbor, *map(_fmt, weight)]
+            for center, entries in neighborhoods for neighbor, *weight in entries]
+    lonely = _csv_ids(center for center, entries in neighborhoods if not entries)
+    footnote = "# no neighbors: " + ",".join(lonely) + "\n" if lonely else ""
+    return _csv_text([header, *rows]) + footnote
 
 
 def _score_rows(result: DetectionResult):

@@ -234,14 +234,6 @@ def _segments_share_boundary(center_records, candidate_records) -> bool:
     return False
 
 
-def polygons_share_boundary(a: PolygonSite, b: PolygonSite) -> bool:
-    """True when the two boundaries overlap along a positive length.
-
-    Touching at isolated points (a shared corner) does not qualify.
-    """
-    return _segments_share_boundary(_segment_records(a, None), _segment_records(b, None))
-
-
 def _cells(box, cell: float):
     x0, y0, x1, y1 = box
     return [

@@ -6,7 +6,9 @@ rescaled to sum to one.  Weights are positive and fall as influence falls
 (longer distance, fewer connections, higher traversal cost, smaller area).
 One rule decides degeneracy: a factor whose exact total overflows or is not
 in (0, inf) gives no shares and the rest of the blend is rescaled; with
-nothing usable left, DegenerateFactorsError is raised.  Neighbors whose
+nothing usable left, DegenerateFactorsError is raised.  Usable coefficients
+below 0.5 are lifted by one exact power of two, so a tiny one cannot
+underflow every product of its factor to zero.  Neighbors whose
 weight is zero are dropped from the result.
 Factor weightings transpose their records into columns once; the blend
 makes one pass per usable term, starting from the first.
@@ -51,16 +53,27 @@ def _blend(
 ) -> WeightedNeighborhood:
     """Sum coef * share per neighbor over the (coef, shares) terms, normalized.
 
-    Products are added in term order from the first term with shares; shares
-    of None add nothing, and zero weights drop.  Starting from 0.0 instead
-    changes only the sign of a zero weight, which drops and which fsum ignores.
+    Terms whose shares are None add nothing.  When the largest coefficient
+    of the usable terms is below 0.5, the blend is made again from the
+    usable terms alone, each coefficient scaled by the one exact power of
+    two that lifts that largest into [0.5, 1): a blend whose products are all normal floats keeps its
+    weights bit for bit, and a tiny usable coefficient no longer underflows
+    every product to zero.  Products are added in term order from the first
+    usable term, and zero weights drop.  Starting from 0.0 instead changes
+    only the sign of a zero weight, which drops and which fsum ignores.
     """
     weights = None
+    top = 0.0
     for coef, shares in terms:
         if shares is not None:
+            top = coef if coef > top else top
             weights = [coef * s for s in shares] if weights is None else [
                 w + coef * s for w, s in zip(weights, shares)
             ]
+    if 0.0 < top < 0.5:
+        lift = -math.frexp(top)[1]
+        usable = [(math.ldexp(c, lift), s) for c, s in terms if s is not None]
+        return _blend(center, neighbor_ids, usable)
     total = 0.0 if weights is None else math.fsum(weights)
     if not total > 0.0:
         raise DegenerateFactorsError(

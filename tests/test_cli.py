@@ -152,8 +152,9 @@ class TestNeighbors:
             "--regime", "graph",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "A: B D E" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "center,neighbor"
+        assert [line for line in lines if line.startswith("A,")] == ["A,B", "A,D", "A,E"]
 
     def test_buffer_regime(self, fixture_dir, capsys):
         code = main([
@@ -162,7 +163,9 @@ class TestNeighbors:
             "--regime", "buffer", "--radius", "2",
         ])
         assert code == 0
-        assert "A: B H J K" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "center,neighbor"
+        assert [line for line in lines if line.startswith("A,")] == ["A,B", "A,H", "A,J", "A,K"]
 
     @pytest.mark.parametrize("command", ["neighbors", "weights"])
     def test_graph_regime_on_polygons_is_a_usage_error(self, command, tmp_path, capsys):
@@ -401,6 +404,8 @@ class TestCompare:
 
 # ids that csv.writer quotes: a comma, a quote, a line feed, a carriage return
 QUOTED_IDS = ["a,b", 'say "hi"', "two\nlines", "c\rd"]
+# ids that need no quotes but would be ambiguous in a space- or colon-separated list
+SPACED_IDS = ["a b", "c: d", "e", "f: g h"]
 
 
 def _csv_text(rows):
@@ -418,27 +423,32 @@ def _report_ids(text, footer):
     return rows, next(csv.reader(io.StringIO(tail)), [])
 
 
-@pytest.mark.parametrize("command, footer", [
-    ("detect", "# skipped: "), ("compare", None), ("weights", "# no neighbors: "),
+@pytest.mark.parametrize("command, footer, ids", [
+    ("detect", "# skipped: ", QUOTED_IDS), ("compare", None, QUOTED_IDS),
+    ("weights", "# no neighbors: ", QUOTED_IDS), ("neighbors", "# no neighbors: ", QUOTED_IDS),
+    ("neighbors", "# no neighbors: ", SPACED_IDS),
+], ids=[
+    "detect-# skipped: ", "compare-None", "weights-# no neighbors: ",
+    "neighbors-# no neighbors: ", "neighbors-spaced",
 ])
 def test_ids_that_need_quotes_read_back_from_every_csv_report(
-    command, footer, tmp_path, capsys
+    command, footer, ids, tmp_path, capsys
 ):
     # four sites within the radius of each other, and two isolated ones
     sites = tmp_path / "sites.csv"
     sites.write_text(_csv_text([
         ["id", "x", "y", "v"],
-        *([sid, 0.0 + k % 2, 0.0 + k // 2, 2.0 ** k] for k, sid in enumerate(QUOTED_IDS)),
+        *([sid, 0.0 + k % 2, 0.0 + k // 2, 2.0 ** k] for k, sid in enumerate(ids)),
         ["far, east", 99.0, 0.0, 3.0], ["far\"west", -99.0, 0.0, 5.0],
     ]), encoding="utf-8")
     assert main([command, "--sites", _p(sites), "--regime", "buffer", "--radius", "2"]) == 0
     rows, footnoted = _report_ids(capsys.readouterr().out, footer)
-    assert {row[0] for row in rows} == set(QUOTED_IDS)
+    assert {row[0] for row in rows} == set(ids)
     assert sorted(footnoted) == ([] if footer is None else ['far"west', "far, east"])
-    if command == "weights":
-        assert {(row[0], row[1]) for row in rows} == {
-            (a, b) for a in QUOTED_IDS for b in QUOTED_IDS if a != b
-        }
+    if command in ("weights", "neighbors"):
+        assert [(row[0], row[1]) for row in rows] == [
+            (a, b) for a in sorted(ids) for b in sorted(ids) if a != b
+        ]
 
 
 def test_duplicate_sites_column_exits_one(tmp_path, capsys):

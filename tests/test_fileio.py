@@ -3,13 +3,14 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spatial_outliers import (
     DetectionResult,
@@ -117,8 +118,12 @@ class TestLoadSites:
             (b"id,x,y,v\rA,1,2,3\rB,1,2,3\rC,1,2,\x80\r", 4),
             (b"\xffid,x,y,v\n", 1),
             (b"id,x,y,v\n" + b"".join(b"S%d,1,2,3\n" % k for k in range(3000)) + b"\xff", 3002),
+            # the whole file is decoded before any row is parsed, so a bad
+            # byte past the first 8 KiB still wins over an earlier bad row
+            (b"id,x,y,v\nA,abc,2,3\n" + b"".join(b"S%d,1,2,3\n" % k for k in range(1000))
+             + b"Z,1,2,\xff\n", 1003),
         ],
-        ids=["lf", "crlf", "cr", "header", "past-first-read"],
+        ids=["lf", "crlf", "cr", "header", "past-first-read", "bad-row-first"],
     )
     def test_undecodable_bytes_name_their_line(self, tmp_path, data, line):
         path = tmp_path / "sites.csv"
@@ -501,6 +506,22 @@ class TestLoadPolygons:
         with pytest.raises(ParseError):
             load_polygons(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_undecodable_byte_names_its_line_and_offset(self, tmp_path, newline):
+        path = tmp_path / "polys.json"
+        data = f'[{newline}{{"id": "p", "attributes": {{"v": "'.encode() + b'\xff"}}]'
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        with pytest.raises(ParseError, match=f":2: not UTF-8: byte 0xff at offset {offset}$"):
+            load_polygons(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_syntax_error_names_its_line_whatever_the_line_ends(self, tmp_path, newline):
+        path = tmp_path / "polys.json"
+        path.write_bytes(newline.join(["[", '{"id": "p"}', '{"id": "q"}', "]"]).encode())
+        with pytest.raises(ParseError, match=":3: Expecting ',' delimiter$"):
+            load_polygons(path)
+
     def test_hole_ring_parsed(self, tmp_path):
         path = tmp_path / "polys.json"
         path.write_text(
@@ -548,6 +569,21 @@ class TestRoundTrips:
         path = tmp_path / "edges.csv"
         write_edges_csv(network.edges, path)
         assert load_edges(path) == network.edges
+
+    @given(st.lists(
+        st.text(alphabet=',"\r\n :ab', min_size=1).filter(lambda t: t == t.strip()),
+        min_size=1, max_size=6, unique=True,
+    ))
+    @example(["c\rd", "two\nlines", "cr\r\nlf", "a,b", 'say "hi"', "a b", "c: d", "e"])
+    def test_ids_that_need_quotes_survive(self, ids):
+        with tempfile.TemporaryDirectory() as directory:
+            sites = tuple(PointSite(id=sid, x=0.0, y=float(k), attributes={"v": 1.0})
+                          for k, sid in enumerate(ids))
+            edges = tuple(Edge(a, b, 2.0, 0.0) for a in ids for b in ids)
+            write_sites_csv(sites, os.path.join(directory, "sites.csv"))
+            write_edges_csv(edges, os.path.join(directory, "edges.csv"))
+            assert load_sites(os.path.join(directory, "sites.csv")) == sites
+            assert load_edges(os.path.join(directory, "edges.csv")) == edges
 
     def test_polygons_round_trip(self, tmp_path):
         grid = grid_polygons(2)

@@ -42,11 +42,7 @@ from spatial_outliers import (
 )
 from spatial_outliers import detect, neighborhood
 from spatial_outliers.dataset import site_id_key, site_location
-from spatial_outliers.neighborhood import (
-    BOUNDARY_TOLERANCE,
-    NeighborFactors,
-    polygons_share_boundary,
-)
+from spatial_outliers.neighborhood import BOUNDARY_TOLERANCE, NeighborFactors
 
 from conftest import grid_point_dataset, grid_polygons, unit_square
 
@@ -73,6 +69,17 @@ def scan_graph(dataset, center):
             out.add(edge.source)
     out.discard(center)
     return out
+
+
+def polygons_share_boundary(a, b):
+    """True when the two boundaries overlap along a positive length: the
+    library's overlap kernel over every segment pair, no box excluding one.
+
+    Touching at isolated points (a shared corner) does not qualify.
+    """
+    return neighborhood._segments_share_boundary(
+        neighborhood._segment_records(a, None), neighborhood._segment_records(b, None)
+    )
 
 
 def scan_polygon(dataset, center):

@@ -210,6 +210,9 @@ class TestCombinedWeights:
         assert w == pytest.approx({"B": 0.8, "C": 0.2})
 
     @given(FACTOR_LISTS, _coeffs())
+    # the only usable coefficient is so small that each product with a share
+    # of 0.5 underflows to 0
+    @example([(1.0, 0, None), (1.0, 0, None)], (5e-324, 0.0, 1.0))
     def test_normalized_over_random_factors(self, rows, coeffs):
         alpha, beta, delta = coeffs
         factors = make_factors(
@@ -310,18 +313,31 @@ def _ref_cost_shares(factors):
     ]
 
 
+def _ref_lifted(terms):
+    """Each term's coefficient, the usable ones (shares not None) doubled until
+    the largest of them is at least 0.5; doubling a float below 0.5 is exact."""
+    coefs = [coef for coef, _ in terms]
+    usable = [k for k, (_, shares) in enumerate(terms) if shares is not None]
+    while 0.0 < max([coefs[k] for k in usable], default=0.0) < 0.5:
+        for k in usable:
+            coefs[k] *= 2.0
+    return coefs
+
+
 def _ref_combined_weights(factors, params):
     if not factors:
         raise NoNeighborsError("cannot weight an empty neighborhood")
     n = len(factors)
-    d_shares = _ref_distance_shares(factors) or [0.0] * n
-    r_shares = _ref_connection_shares(factors) or [0.0] * n
-    c_shares = _ref_cost_shares(factors) or [0.0] * n
+    terms = [
+        (params.alpha, _ref_distance_shares(factors)),
+        (params.beta, _ref_connection_shares(factors)),
+        (params.delta, _ref_cost_shares(factors)),
+    ]
+    alpha, beta, delta = _ref_lifted(terms)
+    d_shares, r_shares, c_shares = (shares or [0.0] * n for _, shares in terms)
     pairs = []
     for f, ds, rs, cs in zip(factors, d_shares, r_shares, c_shares):
-        pairs.append(
-            (f.neighbor, params.alpha * ds + params.beta * rs + params.delta * cs)
-        )
+        pairs.append((f.neighbor, alpha * ds + beta * rs + delta * cs))
     return _ref_normalized(factors[0].center, pairs)
 
 
@@ -373,6 +389,10 @@ _SIMPLEX_CORNERS = st.sampled_from([
 @example([(5e-324, 1, 2.0), (1.0, 0, 3.0)], (0.5, 0.25, 0.25))
 @example([(1.0, 1, 1e-308), (2.0, 0, 1e-308)], (0.5, 0.25, 0.25))
 @example([(math.inf, 1, 2.0), (math.inf, 0, None)], (0.5, 0.25, 0.25))
+# only the distance factor is usable, and its coefficient makes every product
+# zero or subnormal
+@example([(1.0, 0, None), (1.0, 0, None)], (5e-324, 0.0, 1.0))
+@example([(1.0, 0, None), (3.0, 0, None)], (1e-310, 0.0, 1.0))
 def test_combined_weights_match_reference_bit_for_bit(rows, coeffs):
     alpha, beta, delta = coeffs
     try:
@@ -394,7 +414,7 @@ WIDE = st.one_of(
 def _zeros_blend(center, neighbor_ids, terms):
     """The blend written out from a list of zeros, as (center, entries)."""
     weights = [0.0] * len(neighbor_ids)
-    for coef, shares in terms:
+    for coef, (_, shares) in zip(_ref_lifted(terms), terms):
         if shares is not None:
             weights = [w + coef * s for w, s in zip(weights, shares)]
     return _ref_normalized(center, list(zip(neighbor_ids, weights)))
