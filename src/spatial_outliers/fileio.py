@@ -69,8 +69,8 @@ def _read_text(path) -> str:
 def _csv_rows(path):
     """A UTF-8 CSV file's stripped header, then its non-blank rows as (line, row).
 
-    Rows are numbered from 2.  A missing header, a row not as wide as the
-    header and a row the CSV reader rejects (a field past
+    line is the physical line a row starts on.  A missing header, a row not
+    as wide as the header and a row the CSV reader rejects (a field past
     csv.field_size_limit, or a NUL byte before Python 3.11) raise ParseError
     naming their line.
     """
@@ -81,7 +81,9 @@ def _csv_rows(path):
             raise ParseError(path, 1, "missing header")
         yield [h.strip() for h in header]
         width = len(header)
-        for line_no, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            line_no, start = start, reader.line_num + 1
             if len(row) != width:
                 if not row:
                     continue
@@ -220,12 +222,20 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
     return tuple(polygons)
 
 
+def _id_field(sid) -> str:
+    """A site id as text for a sites or edges file; one the loaders would change raises."""
+    text = str(sid)
+    if not text or text != text.strip():
+        raise ValueError(f"site id {sid!r} is empty or starts or ends with whitespace")
+    return text
+
+
 def write_sites_csv(sites, path, attribute_names=None) -> None:
     """Emit sites as CSV; float repr keeps reload byte-exact."""
     if attribute_names is None:
         attribute_names = tuple(sites[0].attributes) if sites else ()
     rows = (
-        [site.id, repr(site.x), repr(site.y)]
+        [_id_field(site.id), repr(site.x), repr(site.y)]
         + [repr(float(site.attributes[name])) for name in attribute_names]
         for site in sites
     )
@@ -233,7 +243,8 @@ def write_sites_csv(sites, path, attribute_names=None) -> None:
 
 
 def write_edges_csv(edges, path) -> None:
-    rows = ([edge.source, edge.target, repr(edge.length), repr(edge.cost)] for edge in edges)
+    rows = ([_id_field(edge.source), _id_field(edge.target), repr(edge.length), repr(edge.cost)]
+            for edge in edges)
     _write_text(_csv_text([["from", "to", "length", "cost"], *rows]), path)
 
 

@@ -14,8 +14,9 @@ over the edges (count rows per endpoint, counts[a][b] == counts[b][a], which
 also give graph neighbors, and the cheapest-edge adjacency over nodes in
 first-seen order with a component label per node), and polygon rook
 adjacency.  The buffer table comes from one sweep over a uniform grid of
-site locations that measures each nearby pair once and appends it to the
-rows of both sites; a buffer query is then a lookup of the center's row.
+site locations (one cell where the grid cannot index them) that measures
+each nearby pair once; a query reads the center's row, and walks the sites
+only for a suspect: an id on another id's spot, or any id if one has no location.
 Rook adjacency reads one table of segment records (endpoints, length, unit
 direction, padded box) in one loop over the candidates of each polygon, and
 one overlap kernel measures only segment pairs whose boxes meet.  A grid over
@@ -55,9 +56,8 @@ from .errors import GeometryError, SiteLookupError
 BOUNDARY_TOLERANCE = 1e-9
 
 # Buffer grid cells are this much wider than the radius, so that rounding in
-# x / cell never puts two sites within the radius two cells apart, provided
-# every |coordinate| / cell stays below _MAX_CELL_INDEX; otherwise every site
-# is a candidate.
+# x / cell never puts two sites within the radius two cells apart while every
+# |coordinate| / cell stays below _MAX_CELL_INDEX; else all share one cell.
 _CELL_PAD = 1.0 + 2.0 ** -20
 _MAX_CELL_INDEX = 2.0 ** 31
 
@@ -94,64 +94,62 @@ def _prepared(dataset: SpatialDataset, key, build, *args):
     return cache[key]
 
 
-def _buffer_table(dataset: SpatialDataset, radius: float, cell: float):
-    """Buffer neighbors of every site id, or None to scan every site per query.
+def _buffer_table(dataset: SpatialDataset, radius: float):
+    """(rows, suspects): buffer neighbors of every site id, and the ids to check.
 
-    Returns (rows, coincident): rows[id] lists the ids within radius of the
-    first site with that id, the one dataset.site gives, and coincident maps
-    an id to the first site in dataset order, under another id, at that
-    exact spot.  One sweep over each grid cell and its four forward cells
-    measures every candidate pair once: hypot(xa - xb, ya - yb) is bit for
-    bit the distance site_distance gives in either order.  None covers
-    non-finite locations, cells too small for the coordinates, and polygons
-    without a centroid.
+    rows[id] lists the ids within radius (>= 0) of the first site with that
+    id, the one dataset.site gives; suspects holds each id with a site on
+    the spot of a site under another id, or every id if a site has no
+    location.  One sweep over each grid cell and its four forward cells
+    measures each candidate pair once, bit for bit as site_distance does.
+    Where the grid cannot index the sites (a radius not a positive normal
+    float, a non-finite location, cells too small) they share one cell: even
+    one query then costs O(n²), not a scan's O(n), but callers query every center.
     """
-    sites = dataset.sites
     rows: dict[SiteId, list[SiteId]] = {}
     # entries are lists, not tuples: CPython keeps freed small tuples for
     # reuse by tuples of the same size, so a tuple per site would go on
     # holding its memory once the table is built
+    located: list[list] = []
+    for site in dataset.sites:
+        row: list[SiteId] = []
+        rows.setdefault(site.id, row)  # the first site with the id
+        try:
+            located.append([site.id, *site_location(site), row])
+        except GeometryError:
+            pass
+    cell = radius * _CELL_PAD if sys.float_info.min <= radius else math.nan
     grid: dict[tuple[int, int], list] = {}
-    try:
-        for i, site in enumerate(sites):
-            x, y = site_location(site)
-            gx, gy = x / cell, y / cell
-            if not (abs(gx) < _MAX_CELL_INDEX and abs(gy) < _MAX_CELL_INDEX):
-                return None
-            row = []
-            if site.id not in rows:  # the first site with the id
-                rows[site.id] = row
-            grid.setdefault((math.floor(gx), math.floor(gy)), []).append([i, site.id, x, y, row])
-    except GeometryError:
-        return None
-    first: dict[int, int] = {}  # position -> position of its first coincident site
+    for entry in located:
+        gx, gy = entry[1] / cell, entry[2] / cell
+        if not (abs(gx) < _MAX_CELL_INDEX and abs(gy) < _MAX_CELL_INDEX):
+            grid = {(0, 0): located}
+            break
+        grid.setdefault((math.floor(gx), math.floor(gy)), []).append(entry)
+    suspects = set(rows) if len(located) < len(dataset.sites) else set()
     for (gx, gy), members in grid.items():
         ahead = [
             grid.get(key, ())
             for key in ((gx, gy + 1), (gx + 1, gy - 1), (gx + 1, gy), (gx + 1, gy + 1))
         ]
-        for k, (i, a, ax, ay, row_a) in enumerate(members):
+        for k, (a, ax, ay, row_a) in enumerate(members):
             for candidates in (members[k + 1:], *ahead):
-                for j, b, bx, by, row_b in candidates:
+                for b, bx, by, row_b in candidates:
                     d = math.hypot(ax - bx, ay - by)
                     if d <= radius and a != b:
                         row_a.append(b)
                         row_b.append(a)
-                        if d == 0.0:  # same cell, swept in dataset order: first stays
-                            first.setdefault(i, j)
-                            first.setdefault(j, i)
-    coincident = {
-        sites[i].id: sites[j] for i, j in first.items() if dataset.site(sites[i].id) is sites[i]
-    }
-    return rows, coincident
+                        if d == 0.0:
+                            suspects.update((a, b))
+    return rows, suspects
 
 
-def _radius_table(dataset: SpatialDataset, radius: float, cell: float):
+def _radius_table(dataset: SpatialDataset, radius: float):
     """The buffer table for radius, kept in one slot that a new radius replaces."""
+    radius = max(0.0, radius)  # nan and radii below 0 find only distance-0 pairs, as 0 does
     slot = dataset._prepared.get("grid")
     if slot is None or slot[0] != radius:
-        slot = (radius, _buffer_table(dataset, radius, cell))
-        dataset._prepared["grid"] = slot
+        slot = dataset._prepared["grid"] = (radius, _buffer_table(dataset, radius))
     return slot[1]
 
 
@@ -160,20 +158,11 @@ def buffer_neighbors(
 ) -> set[SiteId]:
     """All other sites within `radius` of the center, edges ignored."""
     center_site = dataset.site(center)
-    cell = radius * _CELL_PAD
-    table = None
-    # tiny, non-finite and non-positive radii get no table (and no cache entry)
-    if sys.float_info.min <= radius and math.isfinite(cell):
-        table = _radius_table(dataset, radius, cell)
-    if table is None:
-        return {
-            site.id
-            for site in dataset.sites
-            if site.id != center and site_distance(center_site, site) <= radius
-        }
-    rows, coincident = table
-    if center in coincident:  # raises the error site_distance gives for the pair
-        site_distance(center_site, coincident[center])
+    rows, suspects = _radius_table(dataset, radius)
+    if center in suspects:  # raises where a scan of the sites would
+        for site in dataset.sites:
+            if site.id != center:
+                site_distance(center_site, site)
     return set(rows[center])
 
 

@@ -65,12 +65,19 @@ class TestLoadSites:
         assert load_sites(path) == ()
 
     def test_bad_coordinate_names_line(self, tmp_path):
+        # a quoted id over two lines: rows below it, and the row itself, are
+        # named by the physical line they start on
         path = tmp_path / "sites.csv"
-        path.write_text("id,x,y,v\nA,1,2,3\nB,abc,2,3\n", encoding="utf-8")
-        with pytest.raises(ParseError) as err:
-            load_sites(path)
-        assert err.value.line == 3
-        assert "not a number" in str(err.value)
+        for text, line in (
+            ("id,x,y,v\nA,1,2,3\nB,abc,2,3\n", 3),
+            ('id,x,y,v\n"a\nb",0,0,1\nc,zz,0,1\n', 4),
+            ('id,x,y,v\nA,1,2,3\n"a\r\nb",zz,0,1\n', 3),
+        ):
+            path.write_bytes(text.encode())
+            with pytest.raises(ParseError) as err:
+                load_sites(path)
+            assert err.value.line == line
+            assert "not a number" in str(err.value)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "sites.csv"
@@ -109,6 +116,10 @@ class TestLoadSites:
         path.write_text("id,x,y,v\nA,1,2\n", encoding="utf-8")
         with pytest.raises(ParseError, match="expected 4 columns"):
             load_sites(path)
+        path.write_text('id,x,y,v\n"a\n\nb",0,0,1\n\nc,1,2\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="expected 4 columns") as err:
+            load_sites(path)
+        assert err.value.line == 6
 
     @pytest.mark.parametrize(
         "data, line",
@@ -584,6 +595,16 @@ class TestRoundTrips:
             write_edges_csv(edges, os.path.join(directory, "edges.csv"))
             assert load_sites(os.path.join(directory, "sites.csv")) == sites
             assert load_edges(os.path.join(directory, "edges.csv")) == edges
+
+    @pytest.mark.parametrize("bad", ["", " a", "a ", "\ta", "a\n", "\r"])
+    def test_ids_the_loaders_would_change_are_refused(self, tmp_path, bad):
+        # the loaders strip ids and refuse empty ones, so the writers refuse both
+        sites = (PointSite("b", 0.0, 0.0, {"v": 1.0}), PointSite(bad, 1.0, 0.0, {"v": 1.0}))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_sites_csv(sites, tmp_path / "sites.csv")
+        for edge in (Edge("b", bad, 1.0, 0.0), Edge(bad, "b", 1.0, 0.0)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                write_edges_csv((edge,), tmp_path / "edges.csv")
 
     def test_polygons_round_trip(self, tmp_path):
         grid = grid_polygons(2)

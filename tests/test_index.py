@@ -2,13 +2,15 @@
 
 Every neighbor and factor lookup in the library goes through a per-dataset
 index (a buffer table swept once per radius from a grid over cached
-coordinates, id rank, an edge table of counts per endpoint and cheapest-edge
-adjacency over numbered nodes with a Dijkstra pruned at the cost limit,
-polygon rook adjacency over bounding-box and segment-box candidates).  The scans below
-are the straightforward implementations the index replaced; each property
-requires both to give the same result, or to raise the same error, on the
-same input.  The segment-overlap kernel is checked the same way, against the
-per-pair overlap length it replaced.
+coordinates, or from one cell where the grid cannot index the sites, with
+the ids whose queries walk the sites to raise where a scan raises; id rank,
+an edge table of counts per endpoint and cheapest-edge adjacency over
+numbered nodes with a Dijkstra pruned at the cost limit, polygon rook
+adjacency over bounding-box and segment-box candidates).  The scans below
+are the straightforward implementations the index replaced, kept only
+here; each property requires both to give the same result, or to raise the
+same error, on the same input.  The segment-overlap kernel is checked the
+same way, against the per-pair overlap length it replaced.
 """
 
 import gc
@@ -254,6 +256,8 @@ text_ids = st.text(alphabet="aZ0 _-éÿ中\U0001f600", max_size=3)
 radii = st.one_of(
     st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
     st.sampled_from([5e-324, 1e-300, 1e-9, 0.1, 0.3, 1.0, 2.0, 1e12]),
+    # no positive normal radius: the scan still raises on coinciding sites
+    st.sampled_from([0.0, -1.0, math.nan, math.inf]),
 )
 
 
@@ -262,7 +266,7 @@ def buffer_cases(draw):
     """Lattice sites exactly `radius` apart, plus arbitrary extra sites.
 
     Extras may be huge, infinite or NaN, so some layouts have no usable
-    grid cells and must fall back to a full scan.
+    grid cells and put every site in one cell.
     """
     radius = draw(radii)
     ox, oy = draw(st.tuples(
@@ -313,8 +317,9 @@ def multigraphs(draw, max_sites=8, dangling=True):
 def coincident_cases(draw):
     """Lattice sites where some spots hold several sites, and a radius.
 
-    The scaled, shifted lattice keeps every coordinate small next to the
-    radius, so the buffer grid is always built.
+    The scaled, shifted lattice keeps every coordinate small next to a
+    positive radius, so the buffer grid indexes the sites; a negative or nan
+    radius puts them all in one cell, and coinciding sites still raise.
     """
     step = draw(st.floats(0.01, 100))
     ox, oy = draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
@@ -324,7 +329,7 @@ def coincident_cases(draw):
     ))
     repeats = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=4))
     placed = draw(st.permutations(spots + repeats))
-    radius = step * draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    radius = step * draw(st.sampled_from([0.5, 1.0, 1.5, 3.0, -1.0, math.nan]))
     sites = tuple(
         PointSite(id=k, x=ox + i * step, y=oy + j * step) for k, (i, j) in enumerate(placed)
     )
@@ -492,7 +497,7 @@ def test_coincident_sites_raise_like_scan(case):
     raised = 0
     for center in dataset.site_ids():
         got = outcome(buffer_neighbors, dataset, center, radius)
-        assert dataset._prepared["grid"][1] is not None  # the grid path ran
+        assert dataset._prepared["grid"][1] is not None  # always a table: no query scans
         assert got == outcome(scan_buffer, dataset, center, radius)
         assert error_text(buffer_neighbors, dataset, center, radius) == error_text(
             scan_buffer, dataset, center, radius
@@ -517,11 +522,56 @@ def test_duplicate_ids_match_scan(case):
     dataset, radius = case
     for center in set(dataset.site_ids()):
         got = outcome(buffer_neighbors, dataset, center, radius)
-        assert dataset._prepared["grid"][1] is not None  # the table path ran
+        assert dataset._prepared["grid"][1] is not None  # always a table: no query scans
         assert got == outcome(scan_buffer, dataset, center, radius)
         assert error_text(buffer_neighbors, dataset, center, radius) == error_text(
             scan_buffer, dataset, center, radius
         )
+
+
+def _flat(sid):
+    """A polygon with no centroid: its ring is collinear."""
+    return PolygonSite(id=sid, exterior=((0.0, 5.0), (1.0, 5.0), (2.0, 5.0)))
+
+
+@pytest.mark.parametrize("sites", [
+    (unit_square("a"), _flat("f"), unit_square("b", ox=1.0), unit_square("c", ox=3.0)),
+    (unit_square("a"), unit_square("b", ox=1.0), _flat("a"), unit_square("c", ox=3.0)),
+    (_flat("a"), unit_square("a"), unit_square("b", ox=1.0)),
+    (_flat("f"),),
+    (PointSite("p", 1.0, 1.0),),
+], ids=["flat-unique-id", "flat-duplicate-id", "flat-first-of-its-id", "one-flat", "one-point"])
+def test_sites_without_a_location_and_single_sites_match_scan(sites):
+    # every radius queries one dataset, so the slot also serves radii in turn
+    dataset = SpatialDataset(sites=sites)
+    for radius in (0.0, -1.0, math.nan, math.inf, 5e-324, 1e-300, 1.5, 3.0, 1e308, math.nan):
+        for center in dict.fromkeys(dataset.site_ids()):
+            assert outcome(buffer_neighbors, dataset, center, radius) == outcome(
+                scan_buffer, dataset, center, radius
+            )
+            assert error_text(buffer_neighbors, dataset, center, radius) == error_text(
+                scan_buffer, dataset, center, radius
+            )
+
+
+def test_unindexable_points_locate_each_site_once_and_never_measure_a_query():
+    # a nan point and cells of 1e-300 leave the grid out: every site shares
+    # one cell, the table is still built once per radius, and a center that
+    # coincides with no other site answers from its row
+    sites = list(grid_point_dataset(5, 5, [0.0] * 25).sites)
+    sites[7] = replace(sites[7], x=math.nan)
+    dataset = SpatialDataset(sites=tuple(sites), attribute_names=("v",))
+    with mock.patch.object(
+        neighborhood, "site_location", wraps=neighborhood.site_location
+    ) as located, mock.patch.object(
+        neighborhood, "site_distance", wraps=neighborhood.site_distance
+    ) as measured:
+        for radius in (1e-300, 1e-300, math.nan, math.nan):
+            for center in dataset.site_ids():
+                assert buffer_neighbors(dataset, center, radius) == set()
+        assert located.call_count == 50  # one table for 1e-300, one for nan
+        assert measured.call_count == 0
+    assert buffer_neighbors(dataset, sites[0].id, 1.5) == scan_buffer(dataset, sites[0].id, 1.5)
 
 
 def test_duplicate_id_centers_on_its_first_site():
