@@ -9,18 +9,13 @@ import argparse
 import sys
 
 from .dataset import SpatialDataset, WeightParams, site_id_key, validate_dataset
-from .detect import (
-    REGIMES,
-    _check_regime,
-    _neighbor_ids,
-    compare_models,
-    detect_outliers,
-    neighborhood_weights,
-)
-from .errors import NoNeighborsError, SpatialOutlierError
+from .detect import REGIMES, _check_regime, _neighbors, compare_models, detect_outliers
+from .errors import SpatialOutlierError
 from .fileio import _neighbor_table, _write_text, load_edges, load_polygons, load_sites
 from .fileio import render_report
 from .fixtures import write_fixture_files
+from .neighborhood import _sorted_ids
+from .weights import _weigh_center
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -168,13 +163,11 @@ def _cmd_neighborhoods(args) -> int:
     weighted = args.command == "weights"
     neighborhoods = []
     for sid in sorted(dataset.site_ids(), key=site_id_key):
-        if not weighted:
-            entries = [(n,) for n in _neighbor_ids(dataset, sid, regime, params)]
+        found = _neighbors(dataset, sid, regime, params)
+        if weighted and found:
+            entries = list(zip(*_weigh_center(dataset, sid, found, params, regime)))
         else:
-            try:
-                entries = neighborhood_weights(dataset, sid, params, regime).entries
-            except NoNeighborsError:
-                entries = ()
+            entries = [(n,) for n in _sorted_ids(dataset, found)]
         neighborhoods.append((sid, entries))
     header = ("center", "neighbor", "weight") if weighted else ("center", "neighbor")
     _emit(_neighbor_table(header, neighborhoods), args.out)

@@ -1,10 +1,10 @@
 """Expectation models, standardized difference scoring, and model comparison.
 
 A site is flagged when its attribute value differs from its neighborhood
-expectation by more than theta population standard deviations.  The classical
-model expects the plain neighbor mean; the weighted model expects the
-weight-of-effect average.  ``compare_models`` quantifies how much the
-weighted expectation shrinks the squared difference error.
+expectation by more than theta population standard deviations.  Classical
+mode expects the plain neighbor mean; weighted mode the weight-of-effect
+average, taken straight from the ids and weights of each center's column pass.
+``compare_models`` quantifies how much that shrinks the squared difference error.
 """
 
 import math
@@ -21,17 +21,10 @@ from .errors import (
 from .neighborhood import (
     _sorted_ids,
     buffer_neighbors,
-    collect_factors,
     graph_neighbors,
     polygon_adjacent_neighbors,
 )
-from .weights import (
-    WeightedNeighborhood,
-    combined_weights,
-    connection_weights,
-    distance_weights,
-    polygon_weights,
-)
+from .weights import WeightedNeighborhood, _weigh_center
 
 REGIMES = ("buffer", "graph", "polygon", "combined")
 MODES = ("classical", "weighted")
@@ -210,10 +203,6 @@ def _neighbors(dataset, center, regime, params) -> set[SiteId]:
     return buffer_neighbors(dataset, center, params.radius)
 
 
-def _neighbor_ids(dataset, center, regime, params) -> list[SiteId]:
-    return _sorted_ids(dataset, _neighbors(dataset, center, regime, params))
-
-
 def neighborhood_weights(
     dataset: SpatialDataset,
     center: SiteId,
@@ -224,29 +213,13 @@ def neighborhood_weights(
 
     buffer weights by inverse distance, graph by connection count, combined
     blends distance, connections, and traversal cost over the buffer
-    membership, polygon mixes centroid distance with area.  The neighbors
-    are sorted once: by collect_factors, or here for polygon_weights.
+    membership, polygon mixes centroid distance with area, in the column
+    pass that weighted detection makes.
     """
-    return _weighting(dataset, center, params, _check_regime(dataset, regime))
-
-
-def _weighting(dataset, center, params, regime) -> WeightedNeighborhood:
-    """neighborhood_weights under a regime that _check_regime returned."""
+    regime = _check_regime(dataset, regime)
     found = _neighbors(dataset, center, regime, params)
-    if not found:
-        raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
-    if regime == "polygon":
-        return polygon_weights(
-            dataset.site(center),
-            [dataset.site(n) for n in _sorted_ids(dataset, found)],
-            params.gamma,
-        )
-    factors = collect_factors(dataset, center, found, params)
-    if regime == "buffer":
-        return distance_weights(factors)
-    if regime == "graph":
-        return connection_weights(factors)
-    return combined_weights(factors, params)
+    ids, weights = _weigh_center(dataset, center, found, params, regime)
+    return WeightedNeighborhood(center=center, entries=tuple(zip(ids, weights)))
 
 
 def _check_regime(dataset: SpatialDataset, regime: str | None) -> str:
@@ -296,9 +269,11 @@ def detect_outliers(
             except KeyError as exc:  # the error _sorted_ids gives
                 raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
             expecteds[center] = expected_classical(neighbor_values)
-        else:
-            weighting = _weighting(dataset, center, params, regime)
-            expecteds[center] = expected_weighted(weighting, values)
+        else:  # discovered again: bench/test_bench.py pins two discoveries per center
+            found = _neighbors(dataset, center, regime, params)
+            ids, weights = _weigh_center(dataset, center, found, params, regime)
+            # ids passed _sorted_ids, so each is a site id, and every site has a value
+            expecteds[center] = _expectation(weights, list(map(values.__getitem__, ids)))
 
     if not expecteds:
         return DetectionResult(

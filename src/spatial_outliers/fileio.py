@@ -222,24 +222,35 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
     return tuple(polygons)
 
 
-def _id_field(sid) -> str:
-    """A site id as text for a sites or edges file; one the loaders would change raises."""
+def _id_field(sid, seen=None) -> str:
+    """A site id as text for a file; one the loaders would change, or a text in seen, raises."""
     text = str(sid)
     if not text or text != text.strip():
         raise ValueError(f"site id {sid!r} is empty or starts or ends with whitespace")
+    if seen is not None:
+        if text in seen:
+            raise ValueError(f"site id {sid!r} writes {text!r}, as an earlier site id does")
+        seen.add(text)
     return text
 
 
 def write_sites_csv(sites, path, attribute_names=None) -> None:
-    """Emit sites as CSV; float repr keeps reload byte-exact."""
+    """Emit sites as CSV; float repr keeps reload byte-exact.  An attribute
+    name or an id text that load_sites would change or reject raises ValueError."""
     if attribute_names is None:
         attribute_names = tuple(sites[0].attributes) if sites else ()
+    header = ["id", "x", "y", *map(str, attribute_names)]
+    for k, name in enumerate(header[3:], 3):
+        if not name or name != name.strip() or name in header[:k]:
+            raise ValueError(
+                f"attribute name {name!r} is empty, has whitespace at an end or repeats")
+    seen = set()
     rows = (
-        [_id_field(site.id), repr(site.x), repr(site.y)]
+        [_id_field(site.id, seen), repr(site.x), repr(site.y)]
         + [repr(float(site.attributes[name])) for name in attribute_names]
         for site in sites
     )
-    _write_text(_csv_text([["id", "x", "y", *attribute_names], *rows]), path)
+    _write_text(_csv_text([header, *rows]), path)
 
 
 def write_edges_csv(edges, path) -> None:

@@ -23,8 +23,9 @@ one overlap kernel measures only segment pairs whose boxes meet.  A grid over
 padded polygon boxes yields the candidates; where it cannot index a dataset,
 every polygon is a candidate of every other and no box excludes a pair.
 
-Factors are collected per center in column passes over the neighbor ids,
-sorted once; the cost search looks only for neighbors in the center's own
+Each factor is one column pass over the neighbor ids, sorted once, so a
+caller measures only the factors it reads; collect_factors measures all
+three.  The cost search looks only for neighbors in the center's own
 component of the edge graph, so an unreachable one never floods it.
 
 Polygon centroids and areas come from the geometry record that the dataset
@@ -448,6 +449,30 @@ def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
     return out
 
 
+def _factor_columns(dataset: SpatialDataset, center: SiteId, ordered, cost_limit, regime):
+    """(distances, counts, costs) to each id of ordered, one pass per column.
+
+    Distances raise where site_distance does; counts are measured for graph
+    and combined, costs (one search) for combined alone, and None otherwise.
+    """
+    center_site = dataset.site(center)
+    here = site_location(center_site)
+    locations = _prepared(dataset, "locations", _locations)
+    # site_distance's hypot(cx - x, cy - y) in bits; no location reads as the center's
+    distances = list(map(math.dist, repeat(here), map(locations.get, ordered, repeat(here))))
+    if not all(map((0.0).__lt__, distances)):  # 0.0 or nan
+        for neighbor in ordered:
+            site_distance(center_site, dataset._index[neighbor])
+    if regime not in ("graph", "combined"):
+        return distances, None, None
+    row = _prepared(dataset, "edges", _edge_table)[0].get(center, {})
+    counts = list(map(row.get, ordered, repeat(0)))
+    if regime == "graph":
+        return distances, counts, None
+    costs = _costs_from(dataset, center, ordered, cost_limit)
+    return distances, counts, list(map(costs.get, ordered))
+
+
 def collect_factors(
     dataset: SpatialDataset,
     center: SiteId,
@@ -460,21 +485,11 @@ def collect_factors(
     by neighbor id so downstream weighting and reporting are deterministic.
     Each factor is one column pass over that order.
     """
-    center_site = dataset.site(center)
+    dataset.site(center)
     ordered = _sorted_ids(dataset, neighbors)  # also checks every id
     if not ordered:  # nothing to measure: not even the center's location
         return []
-    here = site_location(center_site)
-    locations = _prepared(dataset, "locations", _locations)
-    # site_distance's hypot(cx - x, cy - y) in bits; no location reads as the center's
-    distances = list(map(math.dist, repeat(here), map(locations.get, ordered, repeat(here))))
-    if not all(map((0.0).__lt__, distances)):  # 0.0 or nan: raise where site_distance does
-        for neighbor in ordered:
-            site_distance(center_site, dataset._index[neighbor])
-    costs = _costs_from(dataset, center, ordered, params.cost_limit)
-    counts = _prepared(dataset, "edges", _edge_table)[0].get(center, {})
+    columns = _factor_columns(dataset, center, ordered, params.cost_limit, "combined")
     # tuple.__new__ is what NeighborFactors._make calls, without a frame per record
-    return list(map(tuple.__new__, repeat(NeighborFactors), zip(
-        repeat(center), ordered, distances, map(counts.get, ordered, repeat(0)),
-        map(costs.get, ordered),
-    )))
+    return list(map(tuple.__new__, repeat(NeighborFactors),
+                    zip(repeat(center), ordered, *columns)))

@@ -8,10 +8,8 @@ One rule decides degeneracy: a factor whose exact total overflows or is not
 in (0, inf) gives no shares and the rest of the blend is rescaled; with
 nothing usable left, DegenerateFactorsError is raised.  Usable coefficients
 below 0.5 are lifted by one exact power of two, so a tiny one cannot
-underflow every product of its factor to zero.  Neighbors whose
-weight is zero are dropped from the result.
-Factor weightings transpose their records into columns once; the blend
-makes one pass per usable term, starting from the first.
+underflow every product of its factor to zero.  Zero weights drop.  Detection
+weighs a center in one column pass over only the factors its regime reads.
 """
 
 import math
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 from .dataset import PolygonSite, SiteId, WeightParams, polygon_area, site_distance
 from .errors import DegenerateFactorsError, NoNeighborsError
-from .neighborhood import NeighborFactors
+from .neighborhood import NeighborFactors, _factor_columns, _sorted_ids
 
 
 @dataclass(frozen=True)
@@ -46,12 +44,12 @@ def _shares(values: Sequence[float]) -> list[float] | None:
     return [v / total for v in values]
 
 
-def _blend(
+def _weigh(
     center: SiteId,
     neighbor_ids: Sequence[SiteId],
     terms: list[tuple[float, list[float] | None]],
-) -> WeightedNeighborhood:
-    """Sum coef * share per neighbor over the (coef, shares) terms, normalized.
+) -> tuple[Sequence[SiteId], list[float]]:
+    """(ids, weights): coef * share summed per neighbor over the (coef, shares) terms, normalized.
 
     Terms whose shares are None add nothing.  When the largest coefficient
     of the usable terms is below 0.5, the blend is made again from the
@@ -73,24 +71,21 @@ def _blend(
     if 0.0 < top < 0.5:
         lift = -math.frexp(top)[1]
         usable = [(math.ldexp(c, lift), s) for c, s in terms if s is not None]
-        return _blend(center, neighbor_ids, usable)
+        return _weigh(center, neighbor_ids, usable)
     total = 0.0 if weights is None else math.fsum(weights)
     if not total > 0.0:
         raise DegenerateFactorsError(
             f"no usable weighting factor for neighborhood of {center!r}"
         )
-    return WeightedNeighborhood(
-        center=center,
-        entries=tuple([(nid, w / total) for nid, w in zip(neighbor_ids, weights) if w > 0.0]),
-    )
+    if not 0.0 < min(weights):  # no weight is nan here, or fsum would be nan
+        neighbor_ids, weights = zip(*[(n, w) for n, w in zip(neighbor_ids, weights) if w > 0.0])
+    return neighbor_ids, [w / total for w in weights]
 
 
-def _columns(factors: list[NeighborFactors]):
-    """(center, ids, distances, counts, costs) of a non-empty factor list."""
-    if not factors:
-        raise NoNeighborsError("cannot weight an empty neighborhood")
-    centers, ids, distances, counts, costs = zip(*factors)
-    return centers[0], ids, distances, counts, costs
+def _blend(center: SiteId, neighbor_ids: Sequence[SiteId], terms) -> WeightedNeighborhood:
+    """_weigh's result as a WeightedNeighborhood."""
+    ids, weights = _weigh(center, neighbor_ids, terms)
+    return WeightedNeighborhood(center=center, entries=tuple(zip(ids, weights)))
 
 
 def _cost_shares(costs: Sequence[float | None]) -> list[float] | None:
@@ -104,16 +99,49 @@ def _cost_shares(costs: Sequence[float | None]) -> list[float] | None:
     return _shares([0.0 if c is None else 1.0 / c for c in costs])
 
 
+def _terms(regime: str, params: WeightParams, distances, column=None, costs=None) -> list:
+    """The (coef, shares) terms of a regime: buffer reads distances, graph counts
+    (column), polygon distances and areas (column), combined all three factors."""
+    if regime == "graph":
+        return [(1.0, _shares(column))]
+    inverse = _shares([1.0 / d for d in distances])
+    if regime == "buffer":
+        return [(1.0, inverse)]
+    if regime == "polygon":
+        return [(params.gamma, inverse), (1.0 - params.gamma, _shares(column))]
+    return [
+        (params.alpha, inverse),
+        (params.beta, _shares(column)),
+        (params.delta, _cost_shares(costs)),
+    ]
+
+
+def _weigh_center(dataset, center: SiteId, found, params: WeightParams, regime: str):
+    """(ids, weights) of a center's found neighbors, sorted once, under a checked regime."""
+    if not found:
+        raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
+    ids = _sorted_ids(dataset, found)
+    distances, counts, costs = _factor_columns(dataset, center, ids, params.cost_limit, regime)
+    column = [polygon_area(dataset._index[n]) for n in ids] if regime == "polygon" else counts
+    return _weigh(center, ids, _terms(regime, params, distances, column, costs))
+
+
+def _factor_weights(factors: list[NeighborFactors], regime: str, params=None):
+    """A point regime's weighting of a non-empty factor list."""
+    if not factors:
+        raise NoNeighborsError("cannot weight an empty neighborhood")
+    centers, ids, distances, counts, costs = zip(*factors)
+    return _blend(centers[0], ids, _terms(regime, params, distances, counts, costs))
+
+
 def distance_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
     """Inverse-distance weighting: the nearest neighbor matters most."""
-    center, ids, distances, _, _ = _columns(factors)
-    return _blend(center, ids, [(1.0, _shares([1.0 / d for d in distances]))])
+    return _factor_weights(factors, "buffer")
 
 
 def connection_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
     """Weights proportional to the number of direct connections."""
-    center, ids, _, counts, _ = _columns(factors)
-    return _blend(center, ids, [(1.0, _shares(counts))])
+    return _factor_weights(factors, "graph")
 
 
 def combined_weights(
@@ -126,12 +154,7 @@ def combined_weights(
     nothing and the remaining blend is rescaled.  At the simplex corners
     this reduces exactly to the single-factor weightings.
     """
-    center, ids, distances, counts, costs = _columns(factors)
-    return _blend(center, ids, [
-        (params.alpha, _shares([1.0 / d for d in distances])),
-        (params.beta, _shares(counts)),
-        (params.delta, _cost_shares(costs)),
-    ])
+    return _factor_weights(factors, "combined", params)
 
 
 def polygon_weights(
@@ -140,14 +163,12 @@ def polygon_weights(
     """Mix inverse centroid distance with area for polygon neighbors.
 
     gamma=1 is pure inverse distance; gamma=0 weights by area alone
-    (bigger zones press harder on their neighbors); like WeightParams, a
-    gamma outside [0, 1] raises ValueError.
+    (bigger zones press harder on their neighbors); WeightParams raises
+    ValueError on a gamma outside [0, 1].
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    params = WeightParams(gamma=gamma)
     if not neighbors:
         raise NoNeighborsError("cannot weight an empty neighborhood")
-    return _blend(center.id, [nb.id for nb in neighbors], [
-        (gamma, _shares([1.0 / site_distance(center, nb) for nb in neighbors])),
-        (1.0 - gamma, _shares([polygon_area(nb) for nb in neighbors])),
-    ])
+    distances = [site_distance(center, nb) for nb in neighbors]
+    terms = _terms("polygon", params, distances, [polygon_area(nb) for nb in neighbors])
+    return _blend(center.id, [nb.id for nb in neighbors], terms)

@@ -606,6 +606,28 @@ class TestRoundTrips:
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 write_edges_csv((edge,), tmp_path / "edges.csv")
 
+    @pytest.mark.parametrize("first, second", [(1, "1"), ("1", 1), ("a", "a"), (2, 2)])
+    def test_ids_that_write_the_same_text_are_refused(self, tmp_path, first, second):
+        # load_sites refuses a repeated id, and 1 and "1" both write 1
+        sites = (PointSite(first, 0.0, 0.0, {"v": 1.0}), PointSite(second, 1.0, 0.0, {"v": 1.0}))
+        with pytest.raises(ValueError, match=re.escape(repr(second))):
+            write_sites_csv(sites, tmp_path / "sites.csv")
+        assert not (tmp_path / "sites.csv").exists()
+
+    @pytest.mark.parametrize("names", [
+        [""], [" v"], ["w "], ["\tw"], ["id"], ["x"], ["y"], ["v"], [1, "1"],
+    ])
+    def test_attribute_names_the_loader_would_change_are_refused(self, tmp_path, names):
+        # load_sites strips header names and refuses empty and repeated ones,
+        # and the names 1 and "1" both write 1
+        sites = (PointSite("a", 0.0, 0.0, {"v": 1.0, **{name: 2.0 for name in names}}),)
+        with pytest.raises(ValueError, match=re.escape(repr(str(names[-1])))):
+            write_sites_csv(sites, tmp_path / "sites.csv", ("v", *names))
+        assert not (tmp_path / "sites.csv").exists()
+        write_sites_csv(sites, tmp_path / "sites.csv", ("v",))
+        value = sites[0].attributes["v"]
+        assert load_sites(tmp_path / "sites.csv") == (PointSite("a", 0.0, 0.0, {"v": value}),)
+
     def test_polygons_round_trip(self, tmp_path):
         grid = grid_polygons(2)
         path = tmp_path / "polys.json"

@@ -25,8 +25,10 @@ from hypothesis import assume, given, strategies as st
 
 from spatial_outliers import (
     DegenerateDistanceError,
+    DegenerateFactorsError,
     Edge,
     GeometryError,
+    NoNeighborsError,
     PointSite,
     PolygonSite,
     SiteLookupError,
@@ -39,7 +41,9 @@ from spatial_outliers import (
     direct_connection_count,
     graph_neighbors,
     min_cost,
+    neighborhood_weights,
     polygon_adjacent_neighbors,
+    polygon_area,
     site_distance,
 )
 from spatial_outliers import detect, neighborhood
@@ -47,6 +51,14 @@ from spatial_outliers.dataset import site_id_key, site_location
 from spatial_outliers.neighborhood import BOUNDARY_TOLERANCE, NeighborFactors
 
 from conftest import grid_point_dataset, grid_polygons, unit_square
+from test_weights import (
+    _SIMPLEX_CORNERS,
+    _coeffs,
+    _ref_combined_weights,
+    _ref_lifted,
+    _ref_normalized,
+    _ref_total,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -801,12 +813,10 @@ def test_mixed_ids_come_back_in_key_order(dataset, limit, data):
     params = WeightParams(radius=3.0, cost_limit=limit)
     ids = dataset.site_ids()
     for center in ids:
-        assert detect._neighbor_ids(dataset, center, "buffer", params) == sorted(
-            scan_buffer(dataset, center, 3.0), key=site_id_key
-        )
-        assert detect._neighbor_ids(dataset, center, "graph", params) == sorted(
-            scan_graph(dataset, center), key=site_id_key
-        )
+        for regime, scanned in (("buffer", scan_buffer(dataset, center, 3.0)),
+                                ("graph", scan_graph(dataset, center))):
+            found = detect._neighbors(dataset, center, regime, params)
+            assert neighborhood._sorted_ids(dataset, found) == sorted(scanned, key=site_id_key)
         neighbors = data.draw(st.sets(st.sampled_from(ids))) - {center}
         got = collect_factors(dataset, center, neighbors, params)
         assert [f.neighbor for f in got] == sorted(neighbors, key=site_id_key)
@@ -1121,7 +1131,6 @@ def _detect_with_scans(*args, **kwargs):
         buffer_neighbors=scan_buffer,
         graph_neighbors=scan_graph,
         polygon_adjacent_neighbors=scan_polygon,
-        collect_factors=scan_collect_factors,
     ):
         return outcome(detect_outliers, *args, **kwargs)
 
@@ -1175,3 +1184,190 @@ def test_dataset_is_freed_by_reference_counting():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+# ------------------------------------------------ the weighted column pass
+#
+# Weighted detection, neighborhood_weights and the CLI weights command weigh
+# each center in one column pass that measures only the factors its regime
+# reads.  The oracles below never call that pass or the public weightings:
+# discovery by the scans above, factors by scan_collect_factors, the blend by
+# the reference of test_weights.py, and polygon weights written out.
+
+
+def _ref_shares(values):
+    total = _ref_total(values)
+    return None if total is None else [v / total for v in values]
+
+
+def _ref_polygon_weights(center, neighbors, gamma):
+    """gamma inverse-centroid-distance shares plus (1 - gamma) area shares."""
+    terms = [
+        (gamma, _ref_shares([1.0 / site_distance(center, nb) for nb in neighbors])),
+        (1.0 - gamma, _ref_shares([polygon_area(nb) for nb in neighbors])),
+    ]
+    lifted_gamma, lifted_area = _ref_lifted(terms)
+    d_shares, a_shares = (shares or [0.0] * len(neighbors) for _, shares in terms)
+    pairs = [
+        (nb.id, lifted_gamma * ds + lifted_area * sa)
+        for nb, ds, sa in zip(neighbors, d_shares, a_shares)
+    ]
+    return _ref_normalized(center.id, pairs)
+
+
+# buffer and graph weightings are the combined blend at a simplex corner
+_CORNER = {"buffer": (1.0, 0.0, 0.0), "graph": (0.0, 1.0, 0.0)}
+
+
+def _ref_neighborhood_weights(dataset, center, params, regime):
+    """(center, entries) of a center from the oracles; raises as they do."""
+    if regime == "graph":
+        found = scan_graph(dataset, center)
+    elif regime == "polygon":
+        found = scan_polygon(dataset, center)
+    else:
+        found = scan_buffer(dataset, center, params.radius)
+    if not found:
+        raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
+    if regime == "polygon":
+        neighbors = [dataset.site(n) for n in sorted(found, key=site_id_key)]
+        return _ref_polygon_weights(dataset.site(center), neighbors, params.gamma)
+    factors = scan_collect_factors(dataset, center, found, params)
+    if regime in _CORNER:
+        alpha, beta, delta = _CORNER[regime]
+        params = WeightParams(alpha=alpha, beta=beta, delta=delta)
+    return _ref_combined_weights(factors, params)
+
+
+def _ref_expectations(dataset, params, regime):
+    """Each scored center's expected value as hex, or the first error raised."""
+    values = dataset.values("v")
+    out = {}
+    try:
+        for center in sorted(set(dataset.site_ids()), key=site_id_key):
+            try:
+                _, entries = _ref_neighborhood_weights(dataset, center, params, regime)
+            except NoNeighborsError:
+                continue
+            neighbor_values = [values[n] for n, _ in entries]
+            if neighbor_values.count(neighbor_values[0]) == len(neighbor_values):
+                out[center] = (neighbor_values[0] + 0.0).hex()
+            else:
+                out[center] = math.fsum(
+                    [w * v for (_, w), v in zip(entries, neighbor_values)]).hex()
+    except SpatialOutlierError as exc:
+        return "raised", type(exc), str(exc)
+    return "ok", out
+
+
+def _detect_expectations(dataset, params, regime):
+    """detect_outliers' expected values as hex, seen where it hands them to
+    difference_scores, so a later standardization error hides nothing."""
+    seen = []
+    difference_scores = detect.difference_scores
+
+    def spy(actuals, expecteds):
+        seen.append({sid: e.hex() for sid, e in expecteds.items()})
+        return difference_scores(actuals, expecteds)
+
+    with mock.patch.object(detect, "difference_scores", spy):
+        try:
+            detect_outliers(dataset, "v", params, mode="weighted", regime=regime)
+        except SpatialOutlierError as exc:
+            if not seen:
+                return "raised", type(exc), str(exc)
+    return "ok", seen[0] if seen else {}
+
+
+def _entries_bits(fn, *args):
+    try:
+        got = fn(*args)
+    except SpatialOutlierError as exc:
+        return "raised", type(exc), str(exc)
+    center, entries = got if isinstance(got, tuple) else (got.center, got.entries)
+    return "ok", center, [(n, w.hex()) for n, w in entries]
+
+
+_TINY_COEFFS = st.sampled_from([
+    (5e-324, 0.0, 1.0), (0.0, 5e-324, 1.0), (1.0, 0.0, 5e-324), (1e-310, 1.0, 0.0),
+])
+
+
+@given(
+    # plain datasets mostly score; factor_datasets adds coincident copies,
+    # polygons without a centroid and mixed ids, which mostly raise
+    st.one_of(
+        multigraphs(max_sites=10), mixed_id_multigraphs(), tilings().map(lambda case: case[0]),
+        factor_datasets(),
+    ),
+    st.one_of(_SIMPLEX_CORNERS, _coeffs(), _TINY_COEFFS),
+    st.sampled_from([1.5, 2.5, 4.0, 40.0]),
+    st.one_of(st.none(), st.sampled_from([0.5, 1.0, 4.0]), st.floats(0.5, 12)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+    st.data(),
+)
+def test_column_pass_matches_the_oracles_bit_for_bit(
+    dataset, coeffs, radius, limit, gamma, data
+):
+    alpha, beta, delta = coeffs
+    try:
+        params = WeightParams(alpha=alpha, beta=beta, delta=delta, gamma=gamma,
+                              radius=radius, cost_limit=limit)
+    except ValueError:
+        assume(False)  # rounding pushed the simplex sum out of tolerance
+    kinds = ["polygon", "buffer"] if dataset.kind == "polygon" else ["buffer", "graph", "combined"]
+    regime = data.draw(st.sampled_from(kinds))
+    assert _detect_expectations(dataset, params, regime) == _ref_expectations(
+        dataset, params, regime)
+    for center in sorted(set(dataset.site_ids()), key=site_id_key):
+        assert _entries_bits(neighborhood_weights, dataset, center, params, regime) == (
+            _entries_bits(_ref_neighborhood_weights, dataset, center, params, regime))
+
+
+def _error(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except SpatialOutlierError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_column_pass_raises_the_oracles_errors():
+    a, b = PointSite("a", 0.0, 0.0, {"v": 1.0}), PointSite("b", 1.0, 0.0, {"v": 2.0})
+    cases = [
+        # coincident sites, found by buffer discovery
+        (SpatialDataset(sites=(a, b, PointSite("c", 0.0, 0.0, {"v": 3.0}))),
+         WeightParams(radius=2.0), "buffer", DegenerateDistanceError),
+        # no usable factor: the only coefficient is on costs, and nothing is reachable
+        (SpatialDataset(sites=(a, b)), WeightParams(alpha=0.0, delta=1.0, radius=2.0),
+         "combined", DegenerateFactorsError),
+        # a graph neighbor that is not a site
+        (SpatialDataset(sites=(a, b), edges=(Edge("a", "b", 1.0, 1.0), Edge("a", "z", 1.0, 1.0))),
+         WeightParams(), "graph", SiteLookupError),
+    ]
+    for dataset, params, regime, error in cases:
+        expected = _error(_ref_neighborhood_weights, dataset, "a", params, regime)
+        assert expected[0] is error
+        assert _error(neighborhood_weights, dataset, "a", params, regime) == expected
+        assert _error(detect_outliers, dataset, "v", params, regime=regime) == expected
+        assert _detect_expectations(dataset, params, regime) == _ref_expectations(
+            dataset, params, regime)
+
+
+@pytest.mark.parametrize("regime, searches", [("buffer", 0), ("graph", 0), ("combined", 1)])
+def test_only_combined_runs_the_cost_search(network, regime, searches):
+    params = WeightParams(alpha=0.5, beta=0.25, delta=0.25, radius=2.0, cost_limit=4.0)
+    assert network.edges
+    with mock.patch.object(
+        neighborhood, "_costs_from", wraps=neighborhood._costs_from
+    ) as costs_from:
+        result = detect_outliers(network, "v", params, mode="weighted", regime=regime)
+        assert result.scores
+        assert costs_from.call_count == searches * len(result.scores)
+        costs_from.reset_mock()
+        center = result.scores[0].site
+        neighborhood_weights(network, center, params, regime)
+        assert costs_from.call_count == searches
+        costs_from.reset_mock()
+        collect_factors(network, center, graph_neighbors(network, center), params)
+        assert costs_from.call_count == 1
