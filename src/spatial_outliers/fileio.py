@@ -1,11 +1,11 @@
 """File formats: delimited site/edge tables, polygon documents, reports.
 
-Sites and edges travel as headered CSV, polygons as a JSON list of records
-with rings and attributes.  Detection and comparison reports render as CSV
-(sorted, fixed 6-decimal numbers) or JSON.  Every input file is read and
-decoded as UTF-8 once (_read_text), and every CSV field written is quoted by
-one rule (_csv_ids).  Output is UTF-8 with newline line endings, and
-identical inputs always produce identical bytes.
+Sites and edges travel as headered CSV, polygons as JSON records with rings
+and attributes, reports as sorted CSV (6-decimal numbers) or JSON.  Input is
+decoded as UTF-8 once, less a leading BOM (_read_text); a CSV table converts
+column by column (_csv_columns), and only a faulty one is walked row by row
+(_csv_rows).  Every CSV field written is quoted by one rule (_csv_ids), output
+is UTF-8 with newline line endings, and identical inputs give identical bytes.
 """
 
 import csv
@@ -13,7 +13,7 @@ import io
 import json
 import math
 import re
-from itertools import chain
+from itertools import chain, repeat
 
 from .dataset import Edge, PointSite, PolygonSite, site_id_key
 from .dataset import _geometry, _zero_area
@@ -33,48 +33,32 @@ def _parse_float(path, line_no, column, raw) -> float:
     return value
 
 
-def _row_floats(path, line_no, columns, fields) -> list[float]:
-    """A row's numeric fields as floats, converted in one step.
-
-    Only a row that fails that step or whose sum is not finite is walked in
-    column order, which names the first bad field or accepts the row.
-    """
-    try:
-        if "_" not in "".join(fields):
-            values = [*map(float, fields)]
-            if math.isfinite(sum(values)):
-                return values
-    except ValueError:
-        pass
-    return [_parse_float(path, line_no, c, raw) for c, raw in zip(columns, fields)]
-
-
 def _line_number(before: str) -> int:
     """The line that follows the text `before`; lines end at \n, \r\n or \r, as in csv."""
     return before.count("\n") + before.count("\r") - before.count("\r\n") + 1
 
 
 def _read_text(path) -> str:
-    """The file read and decoded as UTF-8 once; a bad byte raises naming its line."""
+    """The file decoded as UTF-8 once, less a leading BOM; a bad byte raises naming its line."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")  # a BOM, as spreadsheets write
     except UnicodeDecodeError as exc:
         line = _line_number(data[: exc.start].decode("utf-8"))
         message = f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
         raise ParseError(path, line, message) from None
 
 
-def _csv_rows(path):
-    """A UTF-8 CSV file's stripped header, then its non-blank rows as (line, row).
+def _csv_rows(path, text):
+    """The row walk: a CSV text's stripped header, then its non-blank rows as (line, row).
 
     line is the physical line a row starts on.  A missing header, a row not
     as wide as the header and a row the CSV reader rejects (a field past
     csv.field_size_limit, or a NUL byte before Python 3.11) raise ParseError
-    naming their line.
+    naming their line; the loaders walk only a text _csv_columns refused.
     """
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -89,14 +73,38 @@ def _csv_rows(path):
                     continue
                 raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
             yield line_no, row
+        raise AssertionError(f"{path}: no fault found in a table the columnar pass refused")
     except csv.Error as exc:
         raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
-def load_sites(path) -> tuple[PointSite, ...]:
-    """Read point sites from CSV with columns id,x,y,<attr>,..."""
-    rows = _csv_rows(path)
-    header = next(rows)
+def _csv_columns(text):
+    """A CSV text's stripped header (its first row, even when blank) and its
+    non-blank rows as columns, read in one pass; None when the reader rejects
+    the text, it is empty or a row is not as wide as the header."""
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:
+        return None
+    body = [*filter(None, rows[1:])]
+    if not rows or not set(map(len, body)) <= {len(rows[0])}:
+        return None
+    return [h.strip() for h in rows[0]], [*zip(*body)] or [()] * len(rows[0])
+
+
+def _float_columns(columns):
+    """Numeric columns as lists of floats; None when a field fails _parse_float."""
+    if any("_" in "".join(column) for column in columns):
+        return None
+    try:
+        floats = [[*map(float, column)] for column in columns]
+    except ValueError:
+        return None
+    return floats if all(map(math.isfinite, chain(*floats))) else None
+
+
+def _site_columns(path, header) -> list[str]:
+    """A sites header's column names after id; a header load_sites refuses raises."""
     if header[:3] != ["id", "x", "y"]:
         raise ParseError(path, 1, f"header must start with id,x,y, got {header[:3]}")
     for k, name in enumerate(header):
@@ -104,9 +112,23 @@ def load_sites(path) -> tuple[PointSite, ...]:
             raise ParseError(path, 1, f"column {k + 1}: empty column name")
         if name in header[:k]:
             raise ParseError(path, 1, f"column {k + 1}: duplicate column name {name!r}")
-    columns = header[1:]
-    attr_names = header[3:]
-    sites = []
+    return header[1:]
+
+
+def load_sites(path) -> tuple[PointSite, ...]:
+    """Read point sites from CSV with columns id,x,y,<attr>,..."""
+    text = _read_text(path)
+    table = _csv_columns(text)
+    if table is not None:
+        attr_names = _site_columns(path, table[0])[2:]
+        ids = [*map(str.strip, table[1][0])]
+        numbers = _float_columns(table[1][1:])
+        if all(ids) and len(set(ids)) == len(ids) and numbers is not None:
+            # each row ends in its id, so there are rows without attributes too; zip drops it
+            attributes = map(dict, map(zip, repeat(attr_names), zip(*numbers[2:], ids)))
+            return tuple(map(PointSite, ids, numbers[0], numbers[1], attributes))
+    rows = _csv_rows(path, text)
+    columns = _site_columns(path, next(rows))
     seen = set()
     for line_no, row in rows:
         site_id = row[0].strip()
@@ -115,9 +137,11 @@ def load_sites(path) -> tuple[PointSite, ...]:
         if site_id in seen:
             raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
         seen.add(site_id)
-        x, y, *values = _row_floats(path, line_no, columns, row[1:])
-        sites.append(PointSite(site_id, x, y, dict(zip(attr_names, values))))
-    return tuple(sites)
+        for column, raw in zip(columns, row[1:]):
+            _parse_float(path, line_no, column, raw)
+
+
+_EDGE_HEADER = ["from", "to", "length", "cost"]
 
 
 def load_edges(path) -> tuple[Edge, ...]:
@@ -125,32 +149,28 @@ def load_edges(path) -> tuple[Edge, ...]:
 
     Repeated rows for the same pair are kept as parallel connections.
     """
-    rows = _csv_rows(path)
+    text = _read_text(path)
+    table = _csv_columns(text)
+    if table is not None and table[0] == _EDGE_HEADER:
+        ends = [[*map(str.strip, column)] for column in table[1][:2]]
+        numbers = _float_columns(table[1][2:])
+        if (all(chain(*ends)) and numbers is not None
+                and min(numbers[0], default=1.0) > 0 and min(numbers[1], default=0.0) >= 0):
+            # tuple.__new__ is what Edge._make calls, without a frame per edge
+            return tuple(map(tuple.__new__, repeat(Edge), zip(*ends, *numbers)))
+    rows = _csv_rows(path, text)
     header = next(rows)
-    if header != ["from", "to", "length", "cost"]:
+    if header != _EDGE_HEADER:
         raise ParseError(path, 1, f"header must be from,to,length,cost, got {header}")
-    edges = []
     for line_no, (source, target, raw_length, raw_cost) in rows:
-        source, target = source.strip(), target.strip()
-        if not source or not target:
+        if not source.strip() or not target.strip():
             raise ParseError(path, line_no, "empty endpoint id")
-        # as in _row_floats, written out for two fields: cheaper than join and map
-        try:
-            if "_" in raw_length + raw_cost:
-                raise ValueError
-            length, cost = float(raw_length), float(raw_cost)
-            parsed = math.isfinite(length + cost)
-        except ValueError:
-            parsed = False
-        if not parsed:
-            length = _parse_float(path, line_no, "length", raw_length)
-            cost = _parse_float(path, line_no, "cost", raw_cost)
+        length = _parse_float(path, line_no, "length", raw_length)
+        cost = _parse_float(path, line_no, "cost", raw_cost)
         if length <= 0:
             raise ParseError(path, line_no, f"length must be positive, got {length}")
         if cost < 0:
             raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
-        edges.append(Edge(source, target, length, cost))
-    return tuple(edges)
 
 
 # the types json.loads gives numbers; float() also takes strings and booleans

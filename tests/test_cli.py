@@ -219,6 +219,22 @@ class TestDetect:
         assert text.startswith("site_id,actual,expected,diff,z,outlier")
         capsys.readouterr()
 
+    def test_files_with_a_byte_order_mark_give_the_same_report(self, fixture_dir, tmp_path,
+                                                               capsys):
+        # spreadsheets' "CSV UTF-8" export starts the file with one
+        for name in ("network_sites.csv", "network_edges.csv"):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (fixture_dir / name).read_bytes())
+        reports = []
+        for directory in (fixture_dir, tmp_path):
+            assert main([
+                "detect",
+                "--sites", _p(directory / "network_sites.csv"),
+                "--edges", _p(directory / "network_edges.csv"),
+                "--regime", "graph", "--attribute", "v",
+            ]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] != ""
+
     def test_stdout_json(self, fixture_dir, capsys):
         code = main([
             "detect",

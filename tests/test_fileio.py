@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -72,6 +73,8 @@ class TestLoadSites:
             ("id,x,y,v\nA,1,2,3\nB,abc,2,3\n", 3),
             ('id,x,y,v\n"a\nb",0,0,1\nc,zz,0,1\n', 4),
             ('id,x,y,v\nA,1,2,3\n"a\r\nb",zz,0,1\n', 3),
+            # an id quoted over four lines, then a clean row, then the fault
+            ('id,x,y,v\n"a\n\n\nb",0,0,1\nc,1,1,1\nd,zz,0,1\n', 7),
         ):
             path.write_bytes(text.encode())
             with pytest.raises(ParseError) as err:
@@ -96,6 +99,31 @@ class TestLoadSites:
         path.write_text("name,lon,lat\nA,1,2\n", encoding="utf-8")
         with pytest.raises(ParseError, match="must start with id,x,y"):
             load_sites(path)
+
+    def test_a_blank_first_line_is_the_header(self, tmp_path):
+        # blank rows are dropped only after the header is taken
+        path = tmp_path / "lead.csv"
+        path.write_text("\nid,x,y,v\na,0,0,1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_sites(path)
+        assert str(err.value) == f"{path}:1: header must start with id,x,y, got []"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, newline):
+        path = tmp_path / "bom.csv"
+        text = newline.join(["id,x,y,v", "a,0,0,1", "b,1,0,2", ""])
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_sites(path) == (PointSite("a", 0.0, 0.0, {"v": 1.0}),
+                                    PointSite("b", 1.0, 0.0, {"v": 2.0}))
+
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_file_offset(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        data = b"\xef\xbb\xbfid,x,y,v\na,0,0,1\nb,\xff,0,1\n"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_sites(path)
+        offset = data.index(b"\xff")  # counted in the file's bytes, the mark's included
+        assert str(err.value) == f"{path}:3: not UTF-8: byte 0xff at offset {offset}"
 
     @pytest.mark.parametrize("header, message", [
         ("id,x,y,v,v", "column 5: duplicate column name 'v'"),
@@ -195,6 +223,26 @@ class TestLoadEdges:
         with pytest.raises(ParseError, match="header must be from,to,length,cost"):
             load_edges(path)
 
+    def test_a_blank_first_line_is_the_header(self, tmp_path):
+        path = tmp_path / "lead.csv"
+        path.write_text("\nfrom,to,length,cost\na,b,1,1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_edges(path)
+        assert str(err.value) == f"{path}:1: header must be from,to,length,cost, got []"
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbffrom,to,length,cost\na,b,1.5,0\n")
+        assert load_edges(path) == (Edge("a", "b", 1.5, 0.0),)
+
+    def test_a_fault_after_an_id_over_several_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text('from,to,length,cost\n"a\n\nb",c,1,1\nc,d,1,1\nd,e,0,1\n',
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_edges(path)
+        assert str(err.value) == f"{path}:6: length must be positive, got 0.0"
+
     def test_undecodable_bytes_name_their_line(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_bytes(b"from,to,length,cost\nA,B,1,1\nA,C,1,1\nB,\xfe,1,1\n")
@@ -228,54 +276,70 @@ def _reference_float(path, line_no, column, raw):
     return value
 
 
-def reference_load_sites(path):
-    """load_sites converting one field at a time (valid UTF-8 and header)."""
+def _reference_rows(path):
+    """A CSV file's stripped header, then its rows as (line, row), for a file
+    whose only line breaks are newlines: each row starts one line after the
+    line breaks of the row before it."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
-        sites, seen = [], set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
-            site_id = row[0].strip()
-            if not site_id:
-                raise ParseError(path, line_no, "empty site id")
-            if site_id in seen:
-                raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
-            seen.add(site_id)
-            x = _reference_float(path, line_no, "x", row[1])
-            y = _reference_float(path, line_no, "y", row[2])
-            attributes = {
-                name: _reference_float(path, line_no, name, raw)
-                for name, raw in zip(header[3:], row[3:])
-            }
-            sites.append(PointSite(id=site_id, x=x, y=y, attributes=attributes))
+        yield [h.strip() for h in next(reader)]
+        line_no = 2
+        for row in reader:
+            yield line_no, row
+            line_no += 1 + sum(field.count("\n") for field in row)
+
+
+def reference_load_sites(path):
+    """load_sites converting one field at a time (valid UTF-8, newline line
+    breaks, and column names neither empty nor repeated)."""
+    rows = _reference_rows(path)
+    header = next(rows)
+    if header[:3] != ["id", "x", "y"]:
+        raise ParseError(path, 1, f"header must start with id,x,y, got {header[:3]}")
+    sites, seen = [], set()
+    for line_no, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
+        site_id = row[0].strip()
+        if not site_id:
+            raise ParseError(path, line_no, "empty site id")
+        if site_id in seen:
+            raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
+        seen.add(site_id)
+        x = _reference_float(path, line_no, "x", row[1])
+        y = _reference_float(path, line_no, "y", row[2])
+        attributes = {
+            name: _reference_float(path, line_no, name, raw)
+            for name, raw in zip(header[3:], row[3:])
+        }
+        sites.append(PointSite(id=site_id, x=x, y=y, attributes=attributes))
     return tuple(sites)
 
 
 def reference_load_edges(path):
-    """load_edges converting one field at a time (valid UTF-8 and header)."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        edges = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
-            source, target = row[0].strip(), row[1].strip()
-            if not source or not target:
-                raise ParseError(path, line_no, "empty endpoint id")
-            length = _reference_float(path, line_no, "length", row[2])
-            cost = _reference_float(path, line_no, "cost", row[3])
-            if length <= 0:
-                raise ParseError(path, line_no, f"length must be positive, got {length}")
-            if cost < 0:
-                raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
-            edges.append(Edge(source=source, target=target, length=length, cost=cost))
+    """load_edges converting one field at a time (valid UTF-8, newline line breaks)."""
+    rows = _reference_rows(path)
+    header = next(rows)
+    if header != ["from", "to", "length", "cost"]:
+        raise ParseError(path, 1, f"header must be from,to,length,cost, got {header}")
+    edges = []
+    for line_no, row in rows:
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(path, line_no, f"expected 4 columns, got {len(row)}")
+        source, target = row[0].strip(), row[1].strip()
+        if not source or not target:
+            raise ParseError(path, line_no, "empty endpoint id")
+        length = _reference_float(path, line_no, "length", row[2])
+        cost = _reference_float(path, line_no, "cost", row[3])
+        if length <= 0:
+            raise ParseError(path, line_no, f"length must be positive, got {length}")
+        if cost < 0:
+            raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
+        edges.append(Edge(source=source, target=target, length=length, cost=cost))
     return tuple(edges)
 
 
@@ -298,20 +362,30 @@ numeric_fields = st.one_of(
     ]),
     st.sampled_from(["1_0", " 1_0.5", "2e1_0"]),  # float() accepts these
 )
-# ids are mostly distinct, so duplicates do not end most tables early
-row_ids = st.one_of(st.integers(0, 99).map(str), st.sampled_from(["", " ", " a ", "d_1"]))
+# ids are mostly distinct, so duplicates do not end most tables early; one
+# is quoted over three lines
+row_ids = st.one_of(st.integers(0, 99).map(str),
+                    st.sampled_from(["", " ", " a ", "d_1", "q\n\nr"]))
+# fields of a clean row: numbers every loader takes, edge lengths included
+clean_fields = st.one_of(st.floats(2.0 ** -20, 2.0 ** 40).map(repr), st.integers(1, 99).map(str))
 
 
 @st.composite
 def csv_tables(draw, id_columns, header):
-    """A CSV document: header, then rows of ids and numeric fields.
+    """A CSV document: header, then up to 40 rows of ids and numeric fields.
 
-    Most rows have the header's width; some are one field short or long,
-    and some are blank.
+    Now and then blank lines come before the header.  Most rows are clean:
+    distinct ids, some quoted over two lines, and numbers every loader
+    takes.  The others may be blank, be one field short or long, or hold
+    any id and any field, so a fault can come after many clean rows.
     """
     width = len(header)
-    rows = [header]
-    for _ in range(draw(st.integers(0, 6))):
+    rows = [[]] * draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 2])) + [header]
+    for k in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 24)):
+            ids = [draw(st.sampled_from([f"c{k}.{j}", f"c{k}\n{j}"])) for j in range(id_columns)]
+            rows.append(ids + [draw(clean_fields) for _ in range(width - id_columns)])
+            continue
         if draw(st.integers(0, 9)) == 0:
             rows.append([])
             continue
@@ -361,6 +435,76 @@ def test_finite_fields_whose_sum_overflows_are_accepted(tmp_path, load, referenc
     path.write_text(f"{header}\n{row}\n", encoding="utf-8")
     assert parsed(load, path) == parsed(reference, path)
     assert parsed(load, path)[0] == "ok"
+
+
+def _bench_size_texts():
+    """A clean sites CSV of 1,024 sites and a clean edges CSV of 2,048 edges,
+    with fields as the points benchmarks write them."""
+    rng = random.Random(1)
+    sites = [f"s{k},{rng.uniform(0, 64)!r},{rng.uniform(0, 64)!r},{rng.gauss(50, 10)!r}"
+             for k in range(1024)]
+    edges = [f"s{rng.randrange(1024)},s{rng.randrange(1024)},{rng.uniform(0.5, 3)!r},"
+             f"{rng.uniform(0, 4)!r}" for _ in range(2048)]
+    return {load_sites: ["id,x,y,v", *sites], load_edges: ["from,to,length,cost", *edges]}
+
+
+# rows with one fault each, for line 600 of a clean bench-size file
+FAULTY_ROWS = [
+    (load_sites, "t,zz,0,1", "column 'x': not a number: 'zz'"),
+    (load_sites, "t,0,1_0,1", "column 'y': not a number: '1_0'"),
+    (load_sites, "t,0,inf,1", "column 'y': non-finite value 'inf'"),
+    (load_sites, "t,0,0,nan", "column 'v': non-finite value 'nan'"),
+    (load_sites, "t,0,0,-1e999", "column 'v': non-finite value '-1e999'"),
+    (load_sites, " ,0,0,1", "empty site id"),
+    (load_sites, "s7,0,0,1", "duplicate site id 's7'"),
+    (load_sites, "t,0,0", "expected 4 columns, got 3"),
+    (load_sites, "t,0,0,1,2", "expected 4 columns, got 5"),
+    (load_sites, "t,0,0," + "9" * (csv.field_size_limit() + 1),
+     "malformed CSV: field larger than field limit"),
+    (load_edges, "a,b,0,1", "length must be positive, got 0.0"),
+    (load_edges, "a,b,-0.0,1", "length must be positive, got -0.0"),
+    (load_edges, "a,b,1,-2", "cost must be non-negative, got -2.0"),
+    (load_edges, "a,b,1,Infinity", "column 'cost': non-finite value 'Infinity'"),
+    (load_edges, "a,b,2_0,1", "column 'length': not a number: '2_0'"),
+    (load_edges, "a, ,1,1", "empty endpoint id"),
+    (load_edges, "a,b,1", "expected 4 columns, got 3"),
+]
+
+
+class TestColumnarPass:
+    """Clean files convert column by column; only a faulty one is walked row by
+    row, and every file is decoded once."""
+
+    @staticmethod
+    def _spies():
+        return (mock.patch.object(fileio_module, name, wraps=getattr(fileio_module, name))
+                for name in ("_read_text", "_csv_rows"))
+
+    @pytest.mark.parametrize("load", [load_sites, load_edges])
+    def test_a_clean_bench_size_file_is_not_walked(self, tmp_path, load):
+        lines = _bench_size_texts()[load]
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        decode, walk = self._spies()
+        with decode as decoded, walk as walked:
+            table = load(path)
+        assert (decoded.call_count, walked.call_count) == (1, 0)
+        assert len(table) == len(lines) - 1
+        reference = reference_load_sites if load is load_sites else reference_load_edges
+        assert table == reference(path)
+
+    @pytest.mark.parametrize("load, row, message", FAULTY_ROWS,
+                             ids=[f"{load.__name__}:{row[:12]}" for load, row, _ in FAULTY_ROWS])
+    def test_a_faulty_file_is_walked_once(self, tmp_path, load, row, message):
+        lines = _bench_size_texts()[load]
+        lines[599] = row
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        decode, walk = self._spies()
+        with decode as decoded, walk as walked, pytest.raises(ParseError) as err:
+            load(path)
+        assert (decoded.call_count, walked.call_count) == (1, 1)
+        assert str(err.value).startswith(f"{path}:600: {message}")
 
 
 @pytest.mark.parametrize("command", ["detect", "compare"])
@@ -525,6 +669,14 @@ class TestLoadPolygons:
         offset = data.index(b"\xff")
         with pytest.raises(ParseError, match=f":2: not UTF-8: byte 0xff at offset {offset}$"):
             load_polygons(path)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # RFC 8259 section 8.1 lets a parser ignore one
+        path = tmp_path / "bom.json"
+        record = {"id": "p", "rings": [[[0, 0], [1, 0], [0, 1]]], "attributes": {"v": 1}}
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps([record]).encode())
+        (polygon,) = load_polygons(path)
+        assert (polygon.id, polygon.attributes) == ("p", {"v": 1.0})
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_syntax_error_names_its_line_whatever_the_line_ends(self, tmp_path, newline):
