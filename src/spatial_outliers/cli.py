@@ -15,7 +15,7 @@ from .fileio import _neighbor_table, _write_text, load_edges, load_polygons, loa
 from .fileio import render_report
 from .fixtures import write_fixture_files
 from .neighborhood import _sorted_ids
-from .weights import _weigh_center
+from .weights import _weigher
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -160,16 +160,16 @@ def _cmd_neighborhoods(args) -> int:
     dataset = _checked(_load_dataset(args))
     params = _params(args)
     regime = _check_regime(dataset, args.regime)
-    weighted = args.command == "weights"
+    weigh = _weigher(dataset, params, regime) if args.command == "weights" else None
     neighborhoods = []
     for sid in sorted(dataset.site_ids(), key=site_id_key):
         found = _neighbors(dataset, sid, regime, params)
-        if weighted and found:
-            entries = list(zip(*_weigh_center(dataset, sid, found, params, regime)))
+        if weigh and found:
+            entries = list(zip(*weigh(sid, found)))
         else:
             entries = [(n,) for n in _sorted_ids(dataset, found)]
         neighborhoods.append((sid, entries))
-    header = ("center", "neighbor", "weight") if weighted else ("center", "neighbor")
+    header = ("center", "neighbor", "weight") if weigh else ("center", "neighbor")
     _emit(_neighbor_table(header, neighborhoods), args.out)
     return 0
 

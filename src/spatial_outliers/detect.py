@@ -9,6 +9,8 @@ average, taken straight from the ids and weights of each center's column pass.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple
 
 from .dataset import SiteId, SpatialDataset, WeightParams, site_id_key
@@ -24,7 +26,7 @@ from .neighborhood import (
     graph_neighbors,
     polygon_adjacent_neighbors,
 )
-from .weights import WeightedNeighborhood, _weigh_center
+from .weights import WeightedNeighborhood, _weigher
 
 REGIMES = ("buffer", "graph", "polygon", "combined")
 MODES = ("classical", "weighted")
@@ -112,13 +114,15 @@ def _expectation(weights: list[float], neighbor_values: list[float]) -> float:
     first = neighbor_values[0]
     if neighbor_values.count(first) == len(neighbor_values):
         return first + 0.0  # -0.0 becomes 0.0, as in math.fsum
-    return math.fsum([w * v for w, v in zip(weights, neighbor_values)])
+    return math.fsum(map(mul, weights, neighbor_values))
 
 
 def expected_classical(neighbor_values: list[float]) -> float:
-    """Plain neighbor mean: the weighted expectation at uniform weights."""
+    """Plain neighbor mean: _expectation at uniform weights 1/n, without a weight list."""
     n = len(neighbor_values)
-    return _expectation([1.0 / n] * n if n else [], neighbor_values)
+    if n and neighbor_values.count(neighbor_values[0]) != n:
+        return math.fsum(map(mul, repeat(1.0 / n), neighbor_values))
+    return _expectation((), neighbor_values)  # empty raises; equal values give that value
 
 
 def expected_weighted(
@@ -218,7 +222,7 @@ def neighborhood_weights(
     """
     regime = _check_regime(dataset, regime)
     found = _neighbors(dataset, center, regime, params)
-    ids, weights = _weigh_center(dataset, center, found, params, regime)
+    ids, weights = _weigher(dataset, params, regime)(center, found)
     return WeightedNeighborhood(center=center, entries=tuple(zip(ids, weights)))
 
 
@@ -256,6 +260,7 @@ def detect_outliers(
 
     values = dataset.values(attribute)
     order = _sorted_ids(dataset, dataset.site_ids())
+    weigh = _weigher(dataset, params, regime) if mode == "weighted" else None
     expecteds: dict[SiteId, float] = {}
     skipped: list[SiteId] = []
     for center in order:
@@ -271,8 +276,8 @@ def detect_outliers(
             expecteds[center] = expected_classical(neighbor_values)
         else:  # discovered again: bench/test_bench.py pins two discoveries per center
             found = _neighbors(dataset, center, regime, params)
-            ids, weights = _weigh_center(dataset, center, found, params, regime)
-            # ids passed _sorted_ids, so each is a site id, and every site has a value
+            ids, weights = weigh(center, found)
+            # ids passed the rank, so each is a site id, and every site has a value
             expecteds[center] = _expectation(weights, list(map(values.__getitem__, ids)))
 
     if not expecteds:

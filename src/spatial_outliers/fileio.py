@@ -13,7 +13,7 @@ import io
 import json
 import math
 import re
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .dataset import Edge, PointSite, PolygonSite, site_id_key
 from .dataset import _geometry, _zero_area
@@ -78,18 +78,26 @@ def _csv_rows(path, text):
         raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
+_CSV_CHUNK = 256  # rows per step of _csv_columns
+
+
 def _csv_columns(text):
     """A CSV text's stripped header (its first row, even when blank) and its
-    non-blank rows as columns, read in one pass; None when the reader rejects
-    the text, it is empty or a row is not as wide as the header."""
+    non-blank rows as columns, moved over _CSV_CHUNK rows at a time so that
+    each row list is freed soon after it is read; None when the reader
+    rejects the text, it is empty or a row is not as wide as the header."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error:
+        header = next(reader)
+        columns = [[] for _ in header]
+        while rows := [*islice(reader, _CSV_CHUNK)]:
+            if not set(map(len, rows)) <= {0, len(header)}:  # 0: a blank row
+                return None
+            for column, values in zip(columns, zip(*filter(None, rows))):
+                column += values
+    except (csv.Error, StopIteration):
         return None
-    body = [*filter(None, rows[1:])]
-    if not rows or not set(map(len, body)) <= {len(rows[0])}:
-        return None
-    return [h.strip() for h in rows[0]], [*zip(*body)] or [()] * len(rows[0])
+    return [h.strip() for h in header], columns
 
 
 def _float_columns(columns):

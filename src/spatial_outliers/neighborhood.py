@@ -23,10 +23,10 @@ one overlap kernel measures only segment pairs whose boxes meet.  A grid over
 padded polygon boxes yields the candidates; where it cannot index a dataset,
 every polygon is a candidate of every other and no box excludes a pair.
 
-Each factor is one column pass over the neighbor ids, sorted once, so a
-caller measures only the factors it reads; collect_factors measures all
-three.  The cost search looks only for neighbors in the center's own
-component of the edge graph, so an unreachable one never floods it.
+A factor view, bound once to the index, measures each factor in one column
+pass over the neighbor ids, sorted once, so a caller measures only the
+factors it reads.  The cost search returns its column in target order and
+looks only in the center's component, so an unreachable one never floods it.
 
 Polygon centroids and areas come from the geometry record that the dataset
 module remembers on each PolygonSite, so validation, buffer tables,
@@ -344,8 +344,8 @@ def _edge_table(dataset: SpatialDataset):
     counts[b][a] counts the edges joining a and b, a self-loop once per edge;
     number maps each endpoint of an edge that is not a self-loop, named site
     or not, to a node in first-seen order; adjacency[node] lists (node, cost
-    of the cheapest parallel edge); and component[node] is a disjoint-set
-    root, shared by exactly the nodes a path joins.
+    of the cheapest parallel edge); and component[node] is the first node of
+    the nodes a path joins it to, labelled by one stack traversal.
     """
     counts: dict[SiteId, dict[SiteId, int]] = {}
     cheapest: dict[SiteId, dict[SiteId, float]] = {}
@@ -360,17 +360,15 @@ def _edge_table(dataset: SpatialDataset):
                 row[b] = cheapest.setdefault(b, {})[a] = cost
     number = {sid: node for node, sid in enumerate(cheapest)}
     adjacency = [[(number[b], cost) for b, cost in row.items()] for row in cheapest.values()]
-    parent = list(range(len(adjacency)))
-
-    def root(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = node = parent[parent[node]]
-        return node
-
-    for a, row in enumerate(adjacency):
-        for b, _ in row:
-            parent[root(a)] = root(b)
-    return counts, number, adjacency, [root(node) for node in range(len(parent))]
+    component = [-1] * len(adjacency)
+    for first in range(len(adjacency)):
+        stack = [first]
+        while stack:
+            node = stack.pop()
+            if component[node] < 0:
+                component[node] = first
+                stack += [nbr for nbr, _ in adjacency[node] if component[nbr] < 0]
+    return counts, number, adjacency, component
 
 
 def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> int:
@@ -380,28 +378,27 @@ def direct_connection_count(dataset: SpatialDataset, a: SiteId, b: SiteId) -> in
     return _prepared(dataset, "edges", _edge_table)[0].get(a, {}).get(b, 0)
 
 
-def _costs_from(
-    dataset: SpatialDataset, source: SiteId, targets, cost_limit: float | None
-) -> dict[SiteId, float]:
-    """Cheapest traversal cost from source to each target within the limit.
+def _costs_from(table, source: SiteId, targets, cost_limit: float | None) -> list:
+    """Cheapest traversal cost from source to each target, in target order:
+    None for one unreachable or over cost_limit.  table is _edge_table's.
 
-    Dijkstra over the edge table's cheapest-edge adjacency, which looks
-    only for the targets in the source's component, never pushes a sum past
-    cost_limit, skips a popped entry above its node's best known cost as
-    stale, and stops when no such target is left unsettled or the frontier
-    is empty; either way every target reached has settled.  Edge costs are
-    non-negative, so every settled cost is final and equals the cost an
-    unbounded search would give; ties between equal costs pop in node order,
-    which changes no settled cost.  Only targets are returned, by their ids.
+    Dijkstra over the cheapest-edge adjacency looks only for the targets in
+    the source's component, never pushes a sum past cost_limit, skips a
+    popped entry above its node's best cost as stale, and stops once no such
+    target is unsettled or the frontier is empty.  Costs are non-negative, so
+    each settled cost is final and equals an unbounded search's; ties pop in
+    node order, which changes no settled cost.
     """
-    _, number, adjacency, component = _prepared(dataset, "edges", _edge_table)
+    _, number, adjacency, component = table
     if cost_limit is not None and 0.0 > cost_limit:
-        return {}
-    if source not in number:  # on no edge: only the source is in reach
-        return {source: 0.0} if source in targets else {}
+        return [None] * len(targets)
+    start = number.get(source)
+    if start is None:  # on no edge: only the source is in reach
+        return [0.0 if t == source else None for t in targets]
     limit = math.inf if cost_limit is None else cost_limit
-    start, label = number[source], component[number[source]]
-    wanted = {number[t]: t for t in targets if t in number and component[number[t]] == label}
+    label = component[start]
+    nodes = list(map(number.get, targets))
+    wanted = {node for node in nodes if node is not None and component[node] == label}
     remaining = len(wanted)
     dist = {start: 0.0}
     known = dist.get
@@ -420,7 +417,7 @@ def _costs_from(
             if best is None or nd < best:
                 dist[nbr] = nd
                 heappush(frontier, (nd, nbr))
-    return {sid: dist[node] for node, sid in wanted.items() if node in dist}
+    return list(map(known, nodes))  # dist holds no None key
 
 
 def min_cost(
@@ -435,7 +432,7 @@ def min_cost(
     """
     dataset.site(a)
     dataset.site(b)
-    return _costs_from(dataset, a, (b,), cost_limit).get(b)
+    return _costs_from(_prepared(dataset, "edges", _edge_table), a, (b,), cost_limit)[0]
 
 
 def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
@@ -449,28 +446,36 @@ def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
     return out
 
 
-def _factor_columns(dataset: SpatialDataset, center: SiteId, ordered, cost_limit, regime):
-    """(distances, counts, costs) to each id of ordered, one pass per column.
+def _factor_view(dataset: SpatialDataset, cost_limit: float | None, regime: str):
+    """columns(center, ids) -> (ordered, distances, counts, costs), bound once to
+    the prepared rank, locations and, for graph and combined, edge table.
 
-    Distances raise where site_distance does; counts are measured for graph
-    and combined, costs (one search) for combined alone, and None otherwise.
+    ordered is ids in site_id_key order; each factor is one pass over it.
+    Distances raise where site_distance does.  Graph and combined measure
+    counts, combined alone costs (one search); the rest are None.
     """
-    center_site = dataset.site(center)
-    here = site_location(center_site)
-    locations = _prepared(dataset, "locations", _locations)
-    # site_distance's hypot(cx - x, cy - y) in bits; no location reads as the center's
-    distances = list(map(math.dist, repeat(here), map(locations.get, ordered, repeat(here))))
-    if not all(map((0.0).__lt__, distances)):  # 0.0 or nan
-        for neighbor in ordered:
-            site_distance(center_site, dataset._index[neighbor])
-    if regime not in ("graph", "combined"):
-        return distances, None, None
-    row = _prepared(dataset, "edges", _edge_table)[0].get(center, {})
-    counts = list(map(row.get, ordered, repeat(0)))
-    if regime == "graph":
-        return distances, counts, None
-    costs = _costs_from(dataset, center, ordered, cost_limit)
-    return distances, counts, list(map(costs.get, ordered))
+    by_rank = _prepared(dataset, "rank", _id_rank).__getitem__
+    locate = _prepared(dataset, "locations", _locations).get
+    table = _prepared(dataset, "edges", _edge_table) if regime in ("graph", "combined") else None
+
+    def columns(center: SiteId, ids):
+        try:
+            ordered = sorted(ids, key=by_rank)
+        except KeyError as exc:
+            raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
+        here = locate(center) or site_location(dataset.site(center))  # the latter raises
+        # site_distance's hypot(cx - x, cy - y) in bits; no location reads as the center's
+        distances = list(map(math.dist, repeat(here), map(locate, ordered, repeat(here))))
+        if not all(map((0.0).__lt__, distances)):  # 0.0 or nan
+            for neighbor in ordered:
+                site_distance(dataset._index[center], dataset._index[neighbor])
+        if table is None:
+            return ordered, distances, None, None
+        counts = list(map(table[0].get(center, {}).get, ordered, repeat(0)))
+        costs = _costs_from(table, center, ordered, cost_limit) if regime == "combined" else None
+        return ordered, distances, counts, costs
+
+    return columns
 
 
 def collect_factors(
@@ -486,10 +491,9 @@ def collect_factors(
     Each factor is one column pass over that order.
     """
     dataset.site(center)
-    ordered = _sorted_ids(dataset, neighbors)  # also checks every id
-    if not ordered:  # nothing to measure: not even the center's location
+    ids = list(neighbors)
+    if not ids:  # nothing to measure: not even the center's location
         return []
-    columns = _factor_columns(dataset, center, ordered, params.cost_limit, "combined")
+    columns = _factor_view(dataset, params.cost_limit, "combined")(center, ids)
     # tuple.__new__ is what NeighborFactors._make calls, without a frame per record
-    return list(map(tuple.__new__, repeat(NeighborFactors),
-                    zip(repeat(center), ordered, *columns)))
+    return list(map(tuple.__new__, repeat(NeighborFactors), zip(repeat(center), *columns)))

@@ -8,8 +8,8 @@ One rule decides degeneracy: a factor whose exact total overflows or is not
 in (0, inf) gives no shares and the rest of the blend is rescaled; with
 nothing usable left, DegenerateFactorsError is raised.  Usable coefficients
 below 0.5 are lifted by one exact power of two, so a tiny one cannot
-underflow every product of its factor to zero.  Zero weights drop.  Detection
-weighs a center in one column pass over only the factors its regime reads.
+underflow every product of its factor to zero.  Zero weights drop.  One weigher,
+bound once per dataset, weighs each center from the factors its regime reads.
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .dataset import PolygonSite, SiteId, WeightParams, polygon_area, site_distance
 from .errors import DegenerateFactorsError, NoNeighborsError
-from .neighborhood import NeighborFactors, _factor_columns, _sorted_ids
+from .neighborhood import NeighborFactors, _factor_view
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,19 @@ def _terms(regime: str, params: WeightParams, distances, column=None, costs=None
     ]
 
 
-def _weigh_center(dataset, center: SiteId, found, params: WeightParams, regime: str):
-    """(ids, weights) of a center's found neighbors, sorted once, under a checked regime."""
-    if not found:
-        raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
-    ids = _sorted_ids(dataset, found)
-    distances, counts, costs = _factor_columns(dataset, center, ids, params.cost_limit, regime)
-    column = [polygon_area(dataset._index[n]) for n in ids] if regime == "polygon" else counts
-    return _weigh(center, ids, _terms(regime, params, distances, column, costs))
+def _weigher(dataset, params: WeightParams, regime: str):
+    """weigh(center, found) -> (ids, weights) under a checked regime: the one
+    weighted path, a column pass per center over a factor view bound once."""
+    columns = _factor_view(dataset, params.cost_limit, regime)
+
+    def weigh(center: SiteId, found):
+        if not found:
+            raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
+        ids, distances, counts, costs = columns(center, found)
+        column = [polygon_area(dataset._index[n]) for n in ids] if regime == "polygon" else counts
+        return _weigh(center, ids, _terms(regime, params, distances, column, costs))
+
+    return weigh
 
 
 def _factor_weights(factors: list[NeighborFactors], regime: str, params=None):

@@ -506,6 +506,37 @@ class TestColumnarPass:
         assert (decoded.call_count, walked.call_count) == (1, 1)
         assert str(err.value).startswith(f"{path}:600: {message}")
 
+    @pytest.mark.parametrize("load", [load_sites, load_edges])
+    @pytest.mark.parametrize("blank_chunks", [0, 1, 2])
+    @pytest.mark.parametrize("fault", [None, "too wide", "not a number"])
+    def test_rows_past_the_first_chunk(self, tmp_path, load, blank_chunks, fault):
+        # rows move into the columns _CSV_CHUNK at a time: after the header come
+        # whole chunks of blank lines, which the pass must read past, then
+        # rows over more than two chunks, one of them faulty past the first
+        chunk = fileio_module._CSV_CHUNK
+        lines = _bench_size_texts()[load][: 2 * chunk + 4]
+        lines[1:1] = [""] * (blank_chunks * chunk)
+        bad = (blank_chunks + 1) * chunk + 3  # a 0-based index past the first chunk
+        if fault == "too wide":
+            lines[bad] += ",9"
+        elif fault == "not a number":
+            fields = lines[bad].split(",")
+            fields[2] = "zz"
+            lines[bad] = ",".join(fields)
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reference = reference_load_sites if load is load_sites else reference_load_edges
+        if fault is None:
+            assert load(path) == reference(path)
+            assert len(load(path)) == 2 * chunk + 3
+            return
+        with pytest.raises(ParseError) as expected:
+            reference(path)
+        assert str(expected.value).startswith(f"{path}:{bad + 1}: ")
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value) == str(expected.value)
+
 
 @pytest.mark.parametrize("command", ["detect", "compare"])
 def test_each_ring_area_is_summed_once_per_cli_call(tmp_path, command, capsys):

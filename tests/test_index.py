@@ -13,6 +13,7 @@ same error, on the same input.  The segment-overlap kernel is checked the
 same way, against the per-pair overlap length it replaced.
 """
 
+import contextlib
 import gc
 import heapq
 import math
@@ -48,6 +49,7 @@ from spatial_outliers import (
 )
 from spatial_outliers import detect, neighborhood
 from spatial_outliers.dataset import site_id_key, site_location
+from spatial_outliers.fixtures import network_dataset
 from spatial_outliers.neighborhood import BOUNDARY_TOLERANCE, NeighborFactors
 
 from conftest import grid_point_dataset, grid_polygons, unit_square
@@ -178,6 +180,11 @@ def scan_costs(dataset, source):
 def scan_min_cost(dataset, a, b, cost_limit=None):
     dataset.site(a)
     dataset.site(b)
+    return scan_cost(dataset, a, b, cost_limit)
+
+
+def scan_cost(dataset, a, b, cost_limit=None):
+    """scan_min_cost for any two ids, named sites or not."""
     cost = scan_costs(dataset, a).get(b)
     if cost is None or (cost_limit is not None and cost > cost_limit):
         return None
@@ -217,17 +224,17 @@ def loop_collect_factors(dataset, center, neighbors, params):
     if not ordered:
         return []
     cx, cy = site_location(center_site)
-    costs = neighborhood._costs_from(dataset, center, ordered, params.cost_limit)
+    table = neighborhood._prepared(dataset, "edges", neighborhood._edge_table)
+    costs = neighborhood._costs_from(table, center, ordered, params.cost_limit)
     out = []
-    for neighbor in ordered:
+    for neighbor, cost in zip(ordered, costs):
         neighbor_site = dataset.site(neighbor)
         x, y = site_location(neighbor_site)
         distance = math.hypot(cx - x, cy - y)
         if distance == 0.0:
             site_distance(center_site, neighbor_site)
         out.append(NeighborFactors(
-            center, neighbor, distance, scan_connection_count(dataset, center, neighbor),
-            costs.get(neighbor),
+            center, neighbor, distance, scan_connection_count(dataset, center, neighbor), cost,
         ))
     return out
 
@@ -642,6 +649,105 @@ def test_min_cost_to_itself_without_edges():
     assert min_cost(dataset, 1, 1) == 0.0
     assert min_cost(dataset, 1, 1, 1.0) == 0.0
     assert min_cost(dataset, 1, 2) is None
+
+
+@st.composite
+def cost_column_cases(draw):
+    """A multigraph with a second component beside it, and a cost search on it.
+
+    The island is two sites joined only to each other; one more site is on
+    no edge.  Returns (dataset, source, targets, limit): the source is any
+    site, and the targets are distinct ids among the sites, the multigraph's
+    dangling endpoint, an id on nothing and maybe the source itself.  The
+    limit is None, below every edge cost (negative when some cost is 0) or
+    a finite float.
+    """
+    base = draw(multigraphs())
+    n = len(base.sites)  # ids 0..n-1 are sites; n may dangle
+    extra = tuple(
+        PointSite(id=sid, x=20.0 + k, y=20.0, attributes={"v": float(k)})
+        for k, sid in enumerate((n + 1, n + 2, n + 3))
+    )
+    island = tuple(
+        Edge(n + 1, n + 2, 1.0, cost)
+        for cost in draw(st.lists(st.floats(0, 10), min_size=1, max_size=2))
+    )
+    dataset = SpatialDataset(
+        sites=base.sites + extra, edges=base.edges + island, attribute_names=("v",)
+    )
+    ids = dataset.site_ids()
+    source = draw(st.sampled_from(ids))
+    others = [sid for sid in (*ids, n, "off") if sid != source]
+    targets = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+    if draw(st.booleans()):
+        targets.insert(draw(st.integers(0, len(targets))), source)
+    lowest = min(edge.cost for edge in dataset.edges)
+    limit = draw(st.one_of(
+        st.none(), st.just(math.nextafter(lowest, -math.inf)), st.floats(0, 12),
+    ))
+    return dataset, source, targets, limit
+
+
+@given(cost_column_cases())
+def test_cost_column_matches_scan_per_target(case):
+    dataset, source, targets, limit = case
+    table = neighborhood._prepared(dataset, "edges", neighborhood._edge_table)
+    column = neighborhood._costs_from(table, source, targets, limit)
+    assert column == [scan_cost(dataset, source, t, limit) for t in targets]
+    for target, cost in zip(targets, column):
+        if target in dataset:
+            assert cost == scan_min_cost(dataset, source, target, limit)
+
+
+def test_cost_column_cases_cover_each_corner():
+    # the cases of cost_column_cases the property must meet, each by construction
+    a, b, c, d, lone = (PointSite(id=k, x=float(k), y=0.0) for k in range(5))
+    dataset = SpatialDataset(
+        sites=(a, b, c, d, lone),
+        edges=(Edge(0, 1, 1.0, 2.0), Edge(1, 9, 1.0, 1.0), Edge(2, 3, 1.0, 0.5)),
+    )
+    table = neighborhood._edge_table(dataset)
+    column = neighborhood._costs_from
+    # two components, a dangling endpoint (9), an id on nothing (4) and the source
+    assert column(table, 0, [3, 9, 1, 0, 4, "off"], None) == [None, 3.0, 2.0, 0.0, None, None]
+    assert column(table, 0, [9, 1, 0], 2.5) == [None, 2.0, 0.0]
+    assert column(table, 0, [1, 0], math.nextafter(0.5, 0.0)) == [None, 0.0]
+    assert column(table, 0, [1, 0], -1.0) == [None, None]
+    # a source on no edge reaches only itself
+    assert column(table, 4, [0, 4, "off"], None) == [None, 0.0, None]
+    assert column(table, 4, [4], -1.0) == [None]
+
+
+def _bfs_partition(dataset):
+    """Components of the edge graph less self-loops, by breadth-first search over ids."""
+    near = {}
+    for edge in dataset.edges:
+        if edge.source != edge.target:
+            near.setdefault(edge.source, set()).add(edge.target)
+            near.setdefault(edge.target, set()).add(edge.source)
+    parts, seen = set(), set()
+    for start in near:
+        if start in seen:
+            continue
+        part, queue = {start}, [start]
+        for node in queue:
+            for nbr in near[node] - part:
+                part.add(nbr)
+                queue.append(nbr)
+        seen |= part
+        parts.add(frozenset(part))
+    return parts
+
+
+@given(st.one_of(multigraphs(), mixed_id_multigraphs(), cost_column_cases().map(lambda c: c[0])))
+def test_component_labels_match_a_bfs_partition(dataset):
+    _, number, _, component = neighborhood._edge_table(dataset)
+    classes = {}
+    for sid, node in number.items():
+        classes.setdefault(component[node], set()).add(sid)
+    assert {frozenset(ids) for ids in classes.values()} == _bfs_partition(dataset)
+    # each label is the first node of its class
+    assert all(label == min(number[sid] for sid in ids) for label, ids in classes.items())
 
 
 def _path_dataset(*edges):
@@ -1352,6 +1458,23 @@ def test_column_pass_raises_the_oracles_errors():
         assert _error(detect_outliers, dataset, "v", params, regime=regime) == expected
         assert _detect_expectations(dataset, params, regime) == _ref_expectations(
             dataset, params, regime)
+
+
+def test_each_prepared_structure_is_built_once_per_dataset():
+    dataset = network_dataset()
+    params = WeightParams(alpha=0.5, beta=0.25, delta=0.25, radius=2.0, cost_limit=4.0)
+    names = ("_id_rank", "_locations", "_edge_table")
+    with contextlib.ExitStack() as stack:
+        builds = [
+            stack.enter_context(mock.patch.object(
+                neighborhood, name, wraps=getattr(neighborhood, name)))
+            for name in names
+        ]
+        result = detect_outliers(dataset, "v", params, mode="weighted", regime="combined")
+        assert len(result.scores) > 1
+        assert [spy.call_count for spy in builds] == [1, 1, 1]
+        detect_outliers(dataset, "v", params, mode="weighted", regime="combined")
+        assert [spy.call_count for spy in builds] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("regime, searches", [("buffer", 0), ("graph", 0), ("combined", 1)])
