@@ -8,7 +8,7 @@ usage errors.  Reports go to --out or stdout; diagnostics go to stderr.
 import argparse
 import sys
 
-from .dataset import SpatialDataset, WeightParams, site_id_key, validate_dataset
+from .dataset import SpatialDataset, WeightParams, _key_sorted, validate_dataset
 from .detect import REGIMES, _check_regime, _neighbors, compare_models, detect_outliers
 from .errors import SpatialOutlierError
 from .fileio import _neighbor_table, _write_text, load_edges, load_polygons, load_sites
@@ -162,7 +162,7 @@ def _cmd_neighborhoods(args) -> int:
     regime = _check_regime(dataset, args.regime)
     weigh = _weigher(dataset, params, regime) if args.command == "weights" else None
     neighborhoods = []
-    for sid in sorted(dataset.site_ids(), key=site_id_key):
+    for sid in _key_sorted(dataset.site_ids()):
         found = _neighbors(dataset, sid, regime, params)
         if weigh and found:
             entries = list(zip(*weigh(sid, found)))

@@ -31,6 +31,17 @@ def site_id_key(site_id: SiteId):
     return (1, 0, str(site_id))
 
 
+def _key_sorted(ids) -> list[SiteId]:
+    """ids in site_id_key order.  Among ids all exactly str or all exactly
+    int, plain order is that order, and sorting needs no key call per id."""
+    ordered = list(ids)
+    if set(map(type, ordered)) in ({str}, {int}):
+        ordered.sort()
+    else:  # a mix, a bool or a subclass
+        ordered.sort(key=site_id_key)
+    return ordered
+
+
 def _normalize_ring(vertices) -> tuple[tuple[float, float], ...]:
     """Coerce to float pairs and drop an explicit closing vertex."""
     ring = tuple([(float(x), float(y)) for x, y in vertices])

@@ -13,7 +13,7 @@ from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
-from .dataset import SiteId, SpatialDataset, WeightParams, site_id_key
+from .dataset import SiteId, SpatialDataset, WeightParams, _key_sorted
 from .errors import (
     DegenerateDistributionError,
     NoNeighborsError,
@@ -156,7 +156,7 @@ def significance_scores(diffs: dict[SiteId, float], theta: float) -> Significanc
     """
     if not diffs:
         raise DegenerateDistributionError("no differences to standardize")
-    ordered = sorted(diffs, key=site_id_key)
+    ordered = _key_sorted(diffs)
     n = len(ordered)
     try:
         mu = math.fsum(diffs[sid] for sid in ordered) / n
@@ -294,13 +294,12 @@ def detect_outliers(
         {sid: values[sid] for sid in expecteds}, expecteds
     )
     significance = significance_scores(diffs, params.theta)
-    scores = tuple(
-        SiteScore(
-            sid, values[sid], expecteds[sid], diffs[sid], significance.z[sid],
-            sid in significance.outliers,
-        )
-        for sid in expecteds  # inserted in key order
-    )
+    # tuple.__new__ is what SiteScore._make calls, without a frame per score
+    scores = tuple(map(tuple.__new__, repeat(SiteScore), zip(
+        expecteds, map(values.__getitem__, expecteds), expecteds.values(),
+        map(diffs.__getitem__, expecteds), map(significance.z.__getitem__, expecteds),
+        map(significance.outliers.__contains__, expecteds),
+    )))  # expecteds is inserted in key order
     return DetectionResult(
         attribute=attribute,
         scores=scores,
@@ -329,7 +328,7 @@ def compare_models(
     if set(c_by_site) != set(w_by_site):
         raise SiteLookupError("results cover different site sets")
 
-    ordered = sorted(c_by_site, key=site_id_key)
+    ordered = _key_sorted(c_by_site)
     try:
         squares_c = [c_by_site[sid].diff ** 2 for sid in ordered]
         squares_w = [w_by_site[sid].diff ** 2 for sid in ordered]

@@ -4,8 +4,11 @@ Sites and edges travel as headered CSV, polygons as JSON records with rings
 and attributes, reports as sorted CSV (6-decimal numbers) or JSON.  Input is
 decoded as UTF-8 once, less a leading BOM (_read_text); a CSV table converts
 column by column (_csv_columns), and only a faulty one is walked row by row
-(_csv_rows).  Every CSV field written is quoted by one rule (_csv_ids), output
-is UTF-8 with newline line endings, and identical inputs give identical bytes.
+(_csv_rows).  A table with no quote and no NUL is split into lines and fields
+by str methods; any other goes through the CSV reader (_reader_columns), and
+both give the same columns.  Every CSV field written is quoted by one rule
+(_csv_ids), output is UTF-8 with newline line endings, and identical inputs
+give identical bytes.
 """
 
 import csv
@@ -78,14 +81,12 @@ def _csv_rows(path, text):
         raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
-_CSV_CHUNK = 256  # rows per step of _csv_columns
+_CSV_CHUNK = 256  # rows per step of _reader_columns
 
 
-def _csv_columns(text):
-    """A CSV text's stripped header (its first row, even when blank) and its
-    non-blank rows as columns, moved over _CSV_CHUNK rows at a time so that
-    each row list is freed soon after it is read; None when the reader
-    rejects the text, it is empty or a row is not as wide as the header."""
+def _reader_columns(text):
+    """_csv_columns by the CSV reader, whose rows move into the columns
+    _CSV_CHUNK at a time so that each row list is freed soon after it is read."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -98,6 +99,29 @@ def _csv_columns(text):
     except (csv.Error, StopIteration):
         return None
     return [h.strip() for h in header], columns
+
+
+def _csv_columns(text):
+    """A CSV text's stripped header (its first row, even when blank) and its
+    non-blank rows as columns; None when the reader rejects the text, it is
+    empty or a row is not as wide as the header.
+
+    Text with no quote and no NUL, whose first line is not blank, has no
+    field that spans a line or holds a comma, so str methods split it into
+    lines and fields; a field past csv.field_size_limit gives None, as the
+    reader's error does.  Other text takes the reader (_reader_columns).
+    """
+    if '"' in text or "\0" in text or text[:1] in ("", "\r", "\n"):
+        return _reader_columns(text)
+    rows = [*filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))]
+    commas = rows[0].count(",")
+    if set(map(str.count, rows, repeat(","))) != {commas}:
+        return None
+    fields = ",".join(rows).split(",")
+    if max(map(len, fields)) > csv.field_size_limit():
+        return None
+    width = commas + 1
+    return [h.strip() for h in fields[:width]], [fields[k::width] for k in range(width, 2 * width)]
 
 
 def _float_columns(columns):

@@ -47,8 +47,8 @@ from .dataset import (
     SiteId,
     SpatialDataset,
     WeightParams,
+    _key_sorted,
     site_distance,
-    site_id_key,
     site_location,
 )
 from .errors import GeometryError, SiteLookupError
@@ -101,8 +101,10 @@ def _buffer_table(dataset: SpatialDataset, radius: float):
     rows[id] lists the ids within radius (>= 0) of the first site with that
     id, the one dataset.site gives; suspects holds each id with a site on
     the spot of a site under another id, or every id if a site has no
-    location.  One sweep over each grid cell and its four forward cells
-    measures each candidate pair once, bit for bit as site_distance does.
+    location.  Each grid cell pools its members and then its four forward
+    cells' members, and each member measures the pool past itself, so each
+    candidate pair is measured once.  math.dist of two locations is
+    site_distance's hypot of their differences, bit for bit.
     Where the grid cannot index the sites (a radius not a positive normal
     float, a non-finite location, cells too small) they share one cell: even
     one query then costs O(n²), not a scan's O(n), but callers query every center.
@@ -116,32 +118,31 @@ def _buffer_table(dataset: SpatialDataset, radius: float):
         row: list[SiteId] = []
         rows.setdefault(site.id, row)  # the first site with the id
         try:
-            located.append([site.id, *site_location(site), row])
+            located.append([site.id, site_location(site), row])
         except GeometryError:
             pass
     cell = radius * _CELL_PAD if sys.float_info.min <= radius else math.nan
     grid: dict[tuple[int, int], list] = {}
     for entry in located:
-        gx, gy = entry[1] / cell, entry[2] / cell
+        x, y = entry[1]
+        gx, gy = x / cell, y / cell
         if not (abs(gx) < _MAX_CELL_INDEX and abs(gy) < _MAX_CELL_INDEX):
             grid = {(0, 0): located}
             break
         grid.setdefault((math.floor(gx), math.floor(gy)), []).append(entry)
     suspects = set(rows) if len(located) < len(dataset.sites) else set()
     for (gx, gy), members in grid.items():
-        ahead = [
-            grid.get(key, ())
-            for key in ((gx, gy + 1), (gx + 1, gy - 1), (gx + 1, gy), (gx + 1, gy + 1))
-        ]
-        for k, (a, ax, ay, row_a) in enumerate(members):
-            for candidates in (members[k + 1:], *ahead):
-                for b, bx, by, row_b in candidates:
-                    d = math.hypot(ax - bx, ay - by)
-                    if d <= radius and a != b:
-                        row_a.append(b)
-                        row_b.append(a)
-                        if d == 0.0:
-                            suspects.update((a, b))
+        pool = members.copy()
+        for key in ((gx, gy + 1), (gx + 1, gy - 1), (gx + 1, gy), (gx + 1, gy + 1)):
+            pool += grid.get(key, ())
+        for k, (a, pa, row_a) in enumerate(members, 1):
+            for b, pb, row_b in pool[k:]:
+                d = math.dist(pa, pb)
+                if d <= radius and a != b:
+                    row_a.append(b)
+                    row_b.append(a)
+                    if d == 0.0:
+                        suspects.update((a, b))
     return rows, suspects
 
 
@@ -324,8 +325,7 @@ def _id_rank(dataset: SpatialDataset) -> dict[SiteId, int]:
     site_id_key gives distinct str and int ids distinct keys, so sorting ids
     by rank gives exactly the site_id_key order.
     """
-    ordered = sorted(dataset.site_ids(), key=site_id_key)
-    return {sid: i for i, sid in enumerate(ordered)}
+    return {sid: i for i, sid in enumerate(_key_sorted(dataset.site_ids()))}
 
 
 def _sorted_ids(dataset: SpatialDataset, ids) -> list[SiteId]:

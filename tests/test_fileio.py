@@ -509,10 +509,13 @@ class TestColumnarPass:
     @pytest.mark.parametrize("load", [load_sites, load_edges])
     @pytest.mark.parametrize("blank_chunks", [0, 1, 2])
     @pytest.mark.parametrize("fault", [None, "too wide", "not a number"])
-    def test_rows_past_the_first_chunk(self, tmp_path, load, blank_chunks, fault):
-        # rows move into the columns _CSV_CHUNK at a time: after the header come
-        # whole chunks of blank lines, which the pass must read past, then
-        # rows over more than two chunks, one of them faulty past the first
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_rows_past_the_first_chunk(self, tmp_path, load, blank_chunks, fault, quoted):
+        # the reader moves rows into the columns _CSV_CHUNK at a time: after
+        # the header come whole chunks of blank lines, which the pass must read
+        # past, then rows over more than two chunks, one of them faulty past
+        # the first.  Quoted ids ("p,00001") send the text to the reader;
+        # plain text is split by str methods
         chunk = fileio_module._CSV_CHUNK
         lines = _bench_size_texts()[load][: 2 * chunk + 4]
         lines[1:1] = [""] * (blank_chunks * chunk)
@@ -523,19 +526,69 @@ class TestColumnarPass:
             fields = lines[bad].split(",")
             fields[2] = "zz"
             lines[bad] = ",".join(fields)
+        if quoted:
+            lines[1:] = [f'"p,{k:05d}",{line.split(",", 1)[1]}' if line else line
+                         for k, line in enumerate(lines[1:])]
         path = tmp_path / "table.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         reference = reference_load_sites if load is load_sites else reference_load_edges
+        spy = mock.patch.object(fileio_module, "_reader_columns",
+                                wraps=fileio_module._reader_columns)
         if fault is None:
-            assert load(path) == reference(path)
+            with spy as read:
+                assert load(path) == reference(path)
+            assert read.call_count == quoted
             assert len(load(path)) == 2 * chunk + 3
             return
         with pytest.raises(ParseError) as expected:
             reference(path)
         assert str(expected.value).startswith(f"{path}:{bad + 1}: ")
-        with pytest.raises(ParseError) as err:
+        with spy as read, pytest.raises(ParseError) as err:
             load(path)
+        assert read.call_count == quoted
         assert str(err.value) == str(expected.value)
+
+    # the characters the reader treats as special, or that str.splitlines
+    # would take for a line end
+    _ALPHABET = ["a", "1", ".", " ", ",", '"', "\r", "\n", "\r\n", "\0", "\x85", "\x0c",
+                 "\u2028"]
+
+    @given(st.lists(st.sampled_from(_ALPHABET), max_size=40).map("".join))
+    @example("")
+    def test_split_columns_equal_the_reader_pass(self, text):
+        assert fileio_module._csv_columns(text) == fileio_module._reader_columns(text)
+
+    @pytest.mark.parametrize("text, table", [
+        ("\na,b\n1,2\n", None),  # a blank first line is an empty header
+        ("id,x,y,v\n", (["id", "x", "y", "v"], [[], [], [], []])),
+        ("a , b\r1,2\r\r3,4\r", (["a", "b"], [["1", "3"], ["2", "4"]])),
+        ("a,b\n\n1, 2\r\n3,4", (["a", "b"], [["1", "3"], [" 2", "4"]])),
+        ("a,b\n1,2\n3\n", None),
+        ("a,b\n1,2,3\n", None),
+        ("a,b\n1,2,3\n4\n", None),  # as many fields as two rows of two
+    ], ids=["blank first line", "header only", "CR line ends", "no final newline",
+            "too narrow", "too wide", "too wide then too narrow"])
+    def test_split_columns_pinned_cases(self, text, table):
+        assert fileio_module._csv_columns(text) == table
+        assert fileio_module._reader_columns(text) == table
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["split", "reader"])
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_a_field_past_the_size_limit_gives_none_on_both_paths(self, quote, where):
+        limit = 8
+        texts = {
+            size: (f"id,{'h' * size}\n{quote}a{quote},1\n" if where == "header"
+                   else f"id,x\n{quote}a{quote},{'1' * size}\n")
+            for size in (limit, limit + 1)
+        }
+        saved = csv.field_size_limit(limit)
+        try:
+            assert fileio_module._csv_columns(texts[limit]) is not None
+            assert fileio_module._csv_columns(texts[limit + 1]) is None
+            assert fileio_module._reader_columns(texts[limit]) is not None
+            assert fileio_module._reader_columns(texts[limit + 1]) is None
+        finally:
+            csv.field_size_limit(saved)
 
 
 @pytest.mark.parametrize("command", ["detect", "compare"])

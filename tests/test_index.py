@@ -17,12 +17,13 @@ import contextlib
 import gc
 import heapq
 import math
+import struct
 import weakref
 from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from spatial_outliers import (
     DegenerateDistanceError,
@@ -47,7 +48,7 @@ from spatial_outliers import (
     polygon_area,
     site_distance,
 )
-from spatial_outliers import detect, neighborhood
+from spatial_outliers import dataset as dataset_module, detect, neighborhood
 from spatial_outliers.dataset import site_id_key, site_location
 from spatial_outliers.fixtures import network_dataset
 from spatial_outliers.neighborhood import BOUNDARY_TOLERANCE, NeighborFactors
@@ -510,6 +511,27 @@ def test_buffer_sets_match_scan(case):
         )
 
 
+_BIT_FLOATS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310,
+    1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+])
+
+
+@given(*[st.one_of(_BIT_FLOATS, _EDGE_FLOATS, st.floats())] * 4)
+@example(1.7976931348623157e308, 0.0, -1.7976931348623157e308, 0.0)
+@example(5e-324, 1.5e-310, -5e-324, -1.5e-310)
+@example(math.inf, 1.0, math.inf, 1.0)
+@example(math.inf, math.nan, 0.0, 0.0)
+def test_dist_is_hypot_of_the_differences_bit_for_bit(px, py, qx, qy):
+    # the buffer sweep measures pairs with math.dist, the factor view too,
+    # and site_distance with math.hypot: all three must give the same bits
+    got, want = math.dist((px, py), (qx, qy)), math.hypot(px - qx, py - qy)
+    assert (math.isnan(got) and math.isnan(want)) or (
+        struct.pack("<d", got) == struct.pack("<d", want))
+
+
 @given(coincident_cases())
 def test_coincident_sites_raise_like_scan(case):
     dataset, radius = case
@@ -912,6 +934,33 @@ def test_collect_factors_matches_scan(dataset, limit, data):
         assert outcome(collect_factors, dataset, center, neighbors, params) == outcome(
             scan_collect_factors, dataset, center, neighbors, params
         )
+
+
+class _Backwards(str):
+    """A str id whose text, as str() gives it, sorts apart from its value."""
+
+    def __str__(self):
+        return self[::-1]
+
+
+@given(st.one_of(
+    st.lists(st.text()),
+    st.lists(st.integers()),
+    st.lists(st.one_of(st.text(), st.integers())),
+    st.lists(st.one_of(st.booleans(), st.integers())),
+    st.lists(st.one_of(st.text(), st.text().map(_Backwards))),
+))
+@example([])
+@example([True, 0, 1, False])
+@example(["ab", _Backwards("ba"), "b"])
+@example(["b", 2, "a", 1])
+def test_key_sorted_is_site_id_key_order(ids):
+    with mock.patch.object(dataset_module, "site_id_key", wraps=site_id_key) as key:
+        got = dataset_module._key_sorted(ids)
+    want = sorted(ids, key=site_id_key)
+    assert [(type(i), i) for i in got] == [(type(i), i) for i in want]
+    plain = set(map(type, ids)) in ({str}, {int})  # exactly str, or exactly int
+    assert key.call_count == (0 if plain else len(ids))
 
 
 @given(mixed_id_multigraphs(), st.one_of(st.none(), st.floats(0.5, 12)), st.data())
