@@ -7,6 +7,7 @@ usage errors.  Reports go to --out or stdout; diagnostics go to stderr.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .dataset import SpatialDataset, WeightParams, _key_sorted, validate_dataset
 from .detect import REGIMES, _check_regime, _neighbors, compare_models, detect_outliers
@@ -37,23 +38,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--edges", help="edges CSV (from,to,length,cost)")
         p.add_argument("--polygons", help="polygon sites JSON")
 
-    def add_params(p):
-        p.add_argument("--attribute", help="attribute to analyze")
+    def add_params(p, blend=True, scoring=True):
         p.add_argument("--radius", type=float, help="buffer radius")
-        p.add_argument("--alpha", type=float, default=1.0,
-                       help="distance coefficient (default 1)")
-        p.add_argument("--beta", type=float, default=0.0,
-                       help="connection coefficient (default 0)")
-        p.add_argument("--delta", type=float, default=0.0,
-                       help="cost coefficient (default 0)")
-        p.add_argument("--gamma", type=float, default=0.5,
-                       help="polygon distance/area mix (default 0.5)")
-        p.add_argument("--cost-limit", type=float, default=None,
-                       help="ignore traversal costs above this limit")
-        p.add_argument("--theta", type=float, default=2.0,
-                       help="|z| flag threshold (default 2)")
         p.add_argument("--regime", choices=REGIMES,
                        help="neighbor regime (default: by dataset kind)")
+        if blend:
+            p.add_argument("--alpha", type=float, default=1.0,
+                           help="distance coefficient (default 1)")
+            p.add_argument("--beta", type=float, default=0.0,
+                           help="connection coefficient (default 0)")
+            p.add_argument("--delta", type=float, default=0.0,
+                           help="cost coefficient (default 0)")
+            p.add_argument("--gamma", type=float, default=0.5,
+                           help="polygon distance/area mix (default 0.5)")
+            p.add_argument("--cost-limit", type=float, default=None,
+                           help="ignore traversal costs above this limit")
+        if scoring:
+            p.add_argument("--attribute", help="attribute to analyze")
+            p.add_argument("--theta", type=float, default=2.0,
+                           help="|z| flag threshold (default 2)")
 
     def add_out(p):
         p.add_argument("--out", help="output path (default: stdout)")
@@ -64,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("neighbors", help="print center,neighbor pairs as CSV")
     add_io(p)
-    add_params(p)
+    add_params(p, blend=False, scoring=False)
     p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("weights", help="print weighted neighborhoods per site")
     add_io(p)
-    add_params(p)
+    add_params(p, scoring=False)
     p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("detect", help="score sites and flag outliers")
@@ -103,16 +106,11 @@ def _load_dataset(args) -> SpatialDataset:
 
 
 def _params(args) -> WeightParams:
+    """WeightParams from the options the command declares; the rest keep their defaults."""
     try:
-        return WeightParams(
-            alpha=args.alpha,
-            beta=args.beta,
-            delta=args.delta,
-            gamma=args.gamma,
-            radius=args.radius,
-            cost_limit=args.cost_limit,
-            theta=args.theta,
-        )
+        return WeightParams(**{
+            f.name: getattr(args, f.name) for f in fields(WeightParams) if hasattr(args, f.name)
+        })
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -306,29 +306,26 @@ def site_distance(a: Site, b: Site) -> float:
     return d
 
 
-def _orient(p, q, r) -> float:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """Strict interior crossing; shared endpoints and touches do not count."""
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0)
-
-
 def _ring_self_intersects(ring) -> bool:
-    n = len(ring)
-    segments = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent through closure
-            if _segments_cross(*segments[i], *segments[j]):
-                return True
+    """True when two edges of the closed ring that share no vertex cross strictly:
+    each orientation (one edge's difference vector crossed with the vector from
+    its start to an end of the other) is non-zero, and each edge's ends lie on
+    opposite sides of the other's line.  A touch, a shared endpoint or a
+    collinear overlap is no crossing.  The first and last edges, which meet
+    through closure, are not compared.
+    """
+    edges = [(px, py, qx, qy, qx - px, qy - py)
+             for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1])]
+    last = len(edges) - 1
+    for i, (px, py, qx, qy, ux, uy) in enumerate(edges):
+        for rx, ry, sx, sy, vx, vy in edges[i + 2:last if i == 0 else last + 1]:
+            d1 = vx * (py - ry) - vy * (px - rx)
+            d2 = vx * (qy - ry) - vy * (qx - rx)
+            if (d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0:
+                d3 = ux * (ry - py) - uy * (rx - px)
+                d4 = ux * (sy - py) - uy * (sx - px)
+                if (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0:
+                    return True
     return False
 
 

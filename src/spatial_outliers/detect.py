@@ -1,13 +1,14 @@
 """Expectation models, standardized difference scoring, and model comparison.
 
 A site is flagged when its attribute value differs from its neighborhood
-expectation by more than theta population standard deviations.  Classical
-mode expects the plain neighbor mean; weighted mode the weight-of-effect
-average, taken straight from the ids and weights of each center's column pass.
+expectation by more than theta population standard deviations.  Both modes
+take one weighted expectation: classical at uniform weights (the plain
+neighbor mean), weighted at the weights of each center's column pass.
 ``compare_models`` quantifies how much that shrinks the squared difference error.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
@@ -102,7 +103,7 @@ class ComparisonReport:
     mean_sq_error_reduction_pct: float | None
 
 
-def _expectation(weights: list[float], neighbor_values: list[float]) -> float:
+def _expectation(weights: Iterable[float], neighbor_values: list[float]) -> float:
     """The exact sum of weight * value; an empty neighborhood raises.
 
     Weights sum to one, so equal neighbor values give exactly that value;
@@ -118,11 +119,9 @@ def _expectation(weights: list[float], neighbor_values: list[float]) -> float:
 
 
 def expected_classical(neighbor_values: list[float]) -> float:
-    """Plain neighbor mean: _expectation at uniform weights 1/n, without a weight list."""
+    """Plain neighbor mean: _expectation at the uniform weight 1/n, repeated, not listed."""
     n = len(neighbor_values)
-    if n and neighbor_values.count(neighbor_values[0]) != n:
-        return math.fsum(map(mul, repeat(1.0 / n), neighbor_values))
-    return _expectation((), neighbor_values)  # empty raises; equal values give that value
+    return _expectation(repeat(1.0 / n) if n else (), neighbor_values)
 
 
 def expected_weighted(

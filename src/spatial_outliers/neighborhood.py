@@ -48,6 +48,7 @@ from .dataset import (
     SpatialDataset,
     WeightParams,
     _key_sorted,
+    polygon_area,
     site_distance,
     site_location,
 )
@@ -447,12 +448,13 @@ def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
 
 
 def _factor_view(dataset: SpatialDataset, cost_limit: float | None, regime: str):
-    """columns(center, ids) -> (ordered, distances, counts, costs), bound once to
+    """columns(center, ids) -> (ordered, distances, second, costs), bound once to
     the prepared rank, locations and, for graph and combined, edge table.
 
     ordered is ids in site_id_key order; each factor is one pass over it.
-    Distances raise where site_distance does.  Graph and combined measure
-    counts, combined alone costs (one search); the rest are None.
+    Distances raise where site_distance does.  second is connection counts for
+    graph and combined, polygon_area per neighbor for polygon (raising where it
+    does), else None; combined alone measures costs (one search), else None.
     """
     by_rank = _prepared(dataset, "rank", _id_rank).__getitem__
     locate = _prepared(dataset, "locations", _locations).get
@@ -469,6 +471,8 @@ def _factor_view(dataset: SpatialDataset, cost_limit: float | None, regime: str)
         if not all(map((0.0).__lt__, distances)):  # 0.0 or nan
             for neighbor in ordered:
                 site_distance(dataset._index[center], dataset._index[neighbor])
+        if regime == "polygon":
+            return ordered, distances, [polygon_area(dataset._index[n]) for n in ordered], None
         if table is None:
             return ordered, distances, None, None
         counts = list(map(table[0].get(center, {}).get, ordered, repeat(0)))

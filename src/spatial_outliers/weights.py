@@ -117,15 +117,14 @@ def _terms(regime: str, params: WeightParams, distances, column=None, costs=None
 
 
 def _weigher(dataset, params: WeightParams, regime: str):
-    """weigh(center, found) -> (ids, weights) under a checked regime: the one
-    weighted path, a column pass per center over a factor view bound once."""
+    """weigh(center, found) -> (ids, weights) under a checked regime: the one weighted
+    path, a column pass per center over a factor view giving the columns _terms reads."""
     columns = _factor_view(dataset, params.cost_limit, regime)
 
     def weigh(center: SiteId, found):
         if not found:
             raise NoNeighborsError(f"site {center!r} has no {regime} neighbors")
-        ids, distances, counts, costs = columns(center, found)
-        column = [polygon_area(dataset._index[n]) for n in ids] if regime == "polygon" else counts
+        ids, distances, column, costs = columns(center, found)
         return _weigh(center, ids, _terms(regime, params, distances, column, costs))
 
     return weigh

@@ -179,6 +179,22 @@ class TestNeighbors:
         assert "graph regime requires a point dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("neighbors", ["--alpha", "0.3"]), ("neighbors", ["--theta", "0"]),
+    ("neighbors", ["--attribute", "v"]), ("neighbors", ["--cost-limit", "4"]),
+    ("weights", ["--attribute", "nope"]), ("weights", ["--theta", "3"]),
+])
+def test_options_a_command_does_not_read_are_unrecognized(command, option, fixture_dir, capsys):
+    code = main([
+        command, "--sites", _p(fixture_dir / "network_sites.csv"),
+        "--regime", "buffer", "--radius", "2", *option,
+    ])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
 class TestWeights:
     def test_weight_rows(self, fixture_dir, capsys):
         code = main([

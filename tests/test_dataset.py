@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spatial_outliers import (
     DegenerateDistanceError,
@@ -559,6 +559,46 @@ def test_one_ring_rule_for_loader_validation_and_geometry(ring, as_hole):
     except GeometryError:
         area_raises = True
     assert loader_rejects == bool(problems) == area_raises
+
+
+def _orient(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _segments_cross(p1, p2, q1, q2):
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
+            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0)
+
+
+def reference_ring_self_intersects(ring):
+    """Oracle: every pair of non-adjacent segments, one orientation call at a time."""
+    n = len(ring)
+    segments = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # adjacent through closure
+            if _segments_cross(*segments[i], *segments[j]):
+                return True
+    return False
+
+
+# a small lattice makes touches, collinear overlaps and repeated vertices common
+_LATTICE = st.tuples(st.integers(0, 3).map(float), st.integers(0, 3).map(float))
+
+
+@given(st.lists(st.one_of(_LATTICE, st.tuples(st.floats(), st.floats())),
+                min_size=3, max_size=12).map(tuple))
+# vertex differences overflow, so the closure pair's shared-vertex orientation is nan
+@example(((1.7e308, -1e154), (-1.7e308, -1e154), (1e154, -1.7e308)))
+# the start of edge 1 touches the interior of edge 3: no crossing
+@example(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 2.0)))
+def test_ring_crossing_matches_the_orientation_oracle(ring):
+    assert dataset_module._ring_self_intersects(ring) == reference_ring_self_intersects(ring)
 
 
 class TestRingNormalization:

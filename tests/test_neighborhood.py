@@ -8,15 +8,18 @@ from hypothesis import given, strategies as st
 
 from spatial_outliers import (
     Edge,
+    NeighborFactors,
     PointSite,
     SiteLookupError,
     SpatialDataset,
     WeightParams,
     buffer_neighbors,
     collect_factors,
+    combined_weights,
     direct_connection_count,
     graph_neighbors,
     min_cost,
+    neighborhood_weights,
     polygon_adjacent_neighbors,
 )
 from spatial_outliers.fixtures import NETWORK_RADIUS, NETWORK_SITES
@@ -285,6 +288,32 @@ class TestMinCost:
             rows = [(u, v, c) for u, v, c in rows if u != v]
             ds = _graph_dataset(n, rows)
             assert min_cost(ds, 0, n - 1) == min_cost(ds, n - 1, 0)
+
+
+def test_each_cost_column_comes_from_its_own_search():
+    # float sums depend on the direction they run: a reused reverse search
+    # would hand one end of the path the other end's cost
+    ds = SpatialDataset(
+        sites=tuple(PointSite(id=s, x=float(i), y=0.0) for i, s in enumerate("abcd")),
+        edges=(Edge("a", "b", 1.0, 0.1), Edge("b", "c", 1.0, 0.2), Edge("c", "d", 1.0, 0.3)),
+    )
+    assert min_cost(ds, "a", "d") == 0.6000000000000001
+    assert min_cost(ds, "d", "a") == 0.6
+    params = WeightParams(alpha=0.0, delta=1.0, radius=10.0)
+
+    def expected(center, costs):
+        steps = {n: abs(ord(n) - ord(center)) for n in costs}
+        factors = [NeighborFactors(center, n, float(steps[n]), int(steps[n] == 1), c)
+                   for n, c in sorted(costs.items())]
+        return combined_weights(factors, params).entries
+
+    own = {"a": {"b": 0.1, "c": 0.30000000000000004, "d": 0.6000000000000001},
+           "d": {"a": 0.6, "b": 0.5, "c": 0.3}}
+    swapped = {"a": {**own["a"], "d": 0.6}, "d": {**own["d"], "a": 0.6000000000000001}}
+    for center in "ad":
+        got = neighborhood_weights(ds, center, params, "combined").entries
+        assert got == expected(center, own[center])
+        assert got != expected(center, swapped[center])
 
 
 class TestCollectFactors:
