@@ -1,6 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: the subcommands and their options are the rows of _COMMANDS.
 
-Subcommands: validate, neighbors, weights, detect, compare, fixtures.
 Exit status: 0 on success, 1 on validation/parse/processing errors, 2 on
 usage errors.  Reports go to --out or stdout; diagnostics go to stderr.
 """
@@ -32,63 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect spatial outliers with weighted neighborhoods.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p):
-        p.add_argument("--sites", help="point sites CSV (id,x,y,<attrs>)")
-        p.add_argument("--edges", help="edges CSV (from,to,length,cost)")
-        p.add_argument("--polygons", help="polygon sites JSON")
-
-    def add_params(p, blend=True, scoring=True):
-        p.add_argument("--radius", type=float, help="buffer radius")
-        p.add_argument("--regime", choices=REGIMES,
-                       help="neighbor regime (default: by dataset kind)")
-        if blend:
-            p.add_argument("--alpha", type=float, default=1.0,
-                           help="distance coefficient (default 1)")
-            p.add_argument("--beta", type=float, default=0.0,
-                           help="connection coefficient (default 0)")
-            p.add_argument("--delta", type=float, default=0.0,
-                           help="cost coefficient (default 0)")
-            p.add_argument("--gamma", type=float, default=0.5,
-                           help="polygon distance/area mix (default 0.5)")
-            p.add_argument("--cost-limit", type=float, default=None,
-                           help="ignore traversal costs above this limit")
-        if scoring:
-            p.add_argument("--attribute", help="attribute to analyze")
-            p.add_argument("--theta", type=float, default=2.0,
-                           help="|z| flag threshold (default 2)")
-
-    def add_out(p):
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("validate", help="check dataset invariants")
-    add_io(p)
-
-    p = sub.add_parser("neighbors", help="print center,neighbor pairs as CSV")
-    add_io(p)
-    add_params(p, blend=False, scoring=False)
-    p.add_argument("--out", help="output path (default: stdout)")
-
-    p = sub.add_parser("weights", help="print weighted neighborhoods per site")
-    add_io(p)
-    add_params(p, scoring=False)
-    p.add_argument("--out", help="output path (default: stdout)")
-
-    p = sub.add_parser("detect", help="score sites and flag outliers")
-    add_io(p)
-    add_params(p)
-    p.add_argument("--mode", choices=("classical", "weighted"), default="weighted")
-    add_out(p)
-
-    p = sub.add_parser("compare", help="run both modes and compare errors")
-    add_io(p)
-    add_params(p)
-    add_out(p)
-
-    p = sub.add_parser("fixtures", help="write the bundled example datasets")
-    p.add_argument("--out", default=".", help="target directory (default: .)")
-
+    for name, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -204,13 +150,46 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+# add_argument keywords by option flag, in groups that several commands share
+_INPUTS = {
+    "--sites": {"help": "point sites CSV (id,x,y,<attrs>)"},
+    "--edges": {"help": "edges CSV (from,to,length,cost)"},
+    "--polygons": {"help": "polygon sites JSON"},
+}
+_SEARCH = {
+    "--radius": {"type": float, "help": "buffer radius"},
+    "--regime": {"choices": REGIMES, "help": "neighbor regime (default: by dataset kind)"},
+}
+_BLEND = {
+    "--alpha": {"type": float, "default": 1.0, "help": "distance coefficient (default 1)"},
+    "--beta": {"type": float, "default": 0.0, "help": "connection coefficient (default 0)"},
+    "--delta": {"type": float, "default": 0.0, "help": "cost coefficient (default 0)"},
+    "--gamma": {"type": float, "default": 0.5, "help": "polygon distance/area mix (default 0.5)"},
+    "--cost-limit": {"type": float, "help": "ignore traversal costs above this limit"},
+}
+_SCORING = {
+    "--attribute": {"help": "attribute to analyze"},
+    "--theta": {"type": float, "default": 2.0, "help": "|z| flag threshold (default 2)"},
+}
+_MODE = {"--mode": {"choices": ("classical", "weighted"), "default": "weighted"}}
+_OUT = {"--out": {"help": "output path (default: stdout)"}}
+_FORMAT = {"--format": {"choices": ("csv", "json"), "default": "csv"}}
+
+# name -> (help, options in help order, handler), for every subcommand in help
+# order: build_parser declares the subcommands from it and main dispatches from it
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "neighbors": _cmd_neighborhoods,
-    "weights": _cmd_neighborhoods,
-    "detect": _cmd_detect,
-    "compare": _cmd_compare,
-    "fixtures": _cmd_fixtures,
+    "validate": ("check dataset invariants", _INPUTS, _cmd_validate),
+    "neighbors": ("print center,neighbor pairs as CSV",
+                  _INPUTS | _SEARCH | _OUT, _cmd_neighborhoods),
+    "weights": ("print weighted neighborhoods per site",
+                _INPUTS | _SEARCH | _BLEND | _OUT, _cmd_neighborhoods),
+    "detect": ("score sites and flag outliers",
+               _INPUTS | _SEARCH | _BLEND | _SCORING | _MODE | _OUT | _FORMAT, _cmd_detect),
+    "compare": ("run both modes and compare errors",
+                _INPUTS | _SEARCH | _BLEND | _SCORING | _OUT | _FORMAT, _cmd_compare),
+    "fixtures": ("write the bundled example datasets",
+                 {"--out": {"default": ".", "help": "target directory (default: .)"}},
+                 _cmd_fixtures),
 }
 
 
@@ -221,7 +200,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        _, _, run = _COMMANDS[args.command]
+        return run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -118,7 +118,8 @@ def _csv_columns(text):
     if set(map(str.count, rows, repeat(","))) != {commas}:
         return None
     fields = ",".join(rows).split(",")
-    if max(map(len, fields)) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, fields)) > limit:  # no field outgrows its text
         return None
     width = commas + 1
     return [h.strip() for h in fields[:width]], [fields[k::width] for k in range(width, 2 * width)]
@@ -403,19 +404,24 @@ def render_comparison_csv(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# RFC 8259 has no NaN or Infinity: a non-finite float is null in a JSON report
 def _json_safe(value):
     if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return None
     return value
 
 
+def _json_record(columns, row) -> dict:
+    return dict(zip(columns, map(_json_safe, row)))
+
+
 def render_detection_json(result: DetectionResult) -> str:
     payload = {
         "attribute": result.attribute,
-        "theta": result.theta,
+        "theta": _json_safe(result.theta),
         "mu": _json_safe(result.mu),
         "sigma": _json_safe(result.sigma),
-        "scores": [dict(zip(_DETECTION_COLUMNS, score)) for score in _score_rows(result)],
+        "scores": [_json_record(_DETECTION_COLUMNS, score) for score in _score_rows(result)],
         "skipped": list(result.skipped),
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -424,11 +430,7 @@ def render_detection_json(result: DetectionResult) -> str:
 def render_comparison_json(report: ComparisonReport) -> str:
     payload = {
         "attribute": report.attribute,
-        "per_site": [
-            {**dict(zip(_COMPARISON_COLUMNS, row)),
-             "improvement_pct": _json_safe(row.improvement_pct)}
-            for row in report.per_site
-        ],
+        "per_site": [_json_record(_COMPARISON_COLUMNS, row) for row in report.per_site],
         **{name: _json_safe(getattr(report, name)) for name in _COMPARISON_SUMMARY},
     }
     return json.dumps(payload, indent=2) + "\n"

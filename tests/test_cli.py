@@ -3,13 +3,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import spatial_outliers
-from spatial_outliers.cli import main
+from spatial_outliers.cli import build_parser, main
 from spatial_outliers.fixtures import write_fixture_files
 
 from conftest import (
@@ -193,6 +194,55 @@ def test_options_a_command_does_not_read_are_unrecognized(command, option, fixtu
     out, err = capsys.readouterr()
     assert out == ""
     assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+# every subcommand's options in help order; DEFAULTS gives those not None
+HELP_ORDER = {
+    "validate": "--sites --edges --polygons",
+    "neighbors": "--sites --edges --polygons --radius --regime --out",
+    "weights": "--sites --edges --polygons --radius --regime"
+               " --alpha --beta --delta --gamma --cost-limit --out",
+    "detect": "--sites --edges --polygons --radius --regime --alpha --beta --delta --gamma"
+              " --cost-limit --attribute --theta --mode --out --format",
+    "compare": "--sites --edges --polygons --radius --regime --alpha --beta --delta --gamma"
+               " --cost-limit --attribute --theta --out --format",
+    "fixtures": "--out",
+}
+DEFAULTS = {"--alpha": 1.0, "--beta": 0.0, "--delta": 0.0, "--gamma": 0.5, "--theta": 2.0,
+            "--mode": "weighted", "--format": "csv"}
+VALUES = {"--regime": "buffer", "--mode": "classical", "--format": "json"}
+
+
+def test_top_level_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split())  # lines wrap with the terminal width
+    assert usage.startswith("usage: spatial-outliers [-h] {" + ",".join(HELP_ORDER) + "} ... ")
+
+
+@pytest.mark.parametrize("command", HELP_ORDER)
+def test_help_lists_each_option_once_in_order(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert " ".join(out.split()).startswith(f"usage: spatial-outliers {command} [-h] ")
+    assert re.findall(r"^  (--[\w-]+)", out, re.M) == HELP_ORDER[command].split()
+
+
+@pytest.mark.parametrize("command", HELP_ORDER)
+def test_options_default_as_before(command):
+    defaults = {flag[2:].replace("-", "_"): DEFAULTS.get(flag)
+                for flag in HELP_ORDER[command].split()}
+    if command == "fixtures":
+        defaults["out"] = "."
+    assert vars(build_parser().parse_args([command])) == {"command": command, **defaults}
+
+
+@pytest.mark.parametrize("command", HELP_ORDER)
+def test_options_of_other_commands_are_unrecognized(command, capsys):
+    others = set(" ".join(HELP_ORDER.values()).split()) - set(HELP_ORDER[command].split())
+    for flag in sorted(others):
+        option = [flag, VALUES.get(flag, "1")]
+        assert main([command, *option]) == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 class TestWeights:

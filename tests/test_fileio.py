@@ -7,6 +7,7 @@ import os
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from spatial_outliers import (
+    ComparisonReport,
     DetectionResult,
     Edge,
     ParseError,
     PointSite,
     PolygonSite,
+    SiteComparison,
     SiteScore,
     SpatialDataset,
     WeightParams,
@@ -1005,6 +1008,36 @@ def test_non_finite_report_values_are_json_null():
     payload = strict_json(render_report(report, "json"))
     assert payload["per_site"][0]["improvement_pct"] is None
     assert payload["mean_improvement_pct"] is None
+
+
+_DETECTION = DetectionResult("v", (SiteScore("a", 1.0, 0.5, 0.5, 0.25, False),), 0.0, 1.0, 2.0)
+_COMPARISON = ComparisonReport(
+    "v", (SiteComparison("a", 1.0, 0.5, 0.75, 0.25, 0.0625, 0.1875, 75.0),), 75.0, 75.0,
+)
+
+
+def _report_records(field, value):
+    """The JSON records holding field, from each one-site report with field set to value."""
+    records = []
+    for report, rows in ((_DETECTION, "scores"), (_COMPARISON, "per_site")):
+        row = getattr(report, rows)[0]
+        if field in row._fields:
+            report = replace(report, **{rows: (row._replace(**{field: value}),)})
+            records.append(strict_json(render_report(report, "json"))[rows][0])
+        elif hasattr(report, field):
+            records.append(strict_json(render_report(replace(report, **{field: value}), "json")))
+    return records
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", [
+    "actual", "expected", "diff", "z", "mu", "sigma", "theta",
+    "expected_classical", "expected_weighted", "sq_error_classical", "sq_error_weighted",
+    "sq_error_delta", "improvement_pct", "mean_improvement_pct", "mean_sq_error_reduction_pct",
+])
+def test_every_non_finite_report_float_is_json_null(field, value):
+    records = _report_records(field, value)
+    assert records and records == [{**r, field: None} for r in _report_records(field, 1.5)]
 
 
 @given(st.lists(st.one_of(st.text(alphabet=',"\r\n ab7', min_size=1), st.integers())))
