@@ -14,7 +14,6 @@ from .errors import SpatialOutlierError
 from .fileio import _neighbor_table, _write_text, load_edges, load_polygons, load_sites
 from .fileio import render_report
 from .fixtures import write_fixture_files
-from .neighborhood import _sorted_ids
 from .weights import _weigher
 
 USAGE_ERROR = 2
@@ -111,7 +110,7 @@ def _cmd_neighborhoods(args) -> int:
         if weigh and found:
             entries = list(zip(*weigh(sid, found)))
         else:
-            entries = [(n,) for n in _sorted_ids(dataset, found)]
+            entries = [(n,) for n in _key_sorted(found)]
         neighborhoods.append((sid, entries))
     header = ("center", "neighbor", "weight") if weigh else ("center", "neighbor")
     _emit(_neighbor_table(header, neighborhoods), args.out)

@@ -142,11 +142,12 @@ class SpatialDataset:
         return tuple(site.id for site in self.sites)
 
     def values(self, attribute: str) -> dict[SiteId, float]:
-        """Attribute value per site id; raises on missing values."""
+        """Attribute value per site id, of the first site with that id, as
+        site() gives it; raises on any site that lacks the attribute."""
         out = {}
         for site in self.sites:
             try:
-                out[site.id] = float(site.attributes[attribute])
+                out.setdefault(site.id, float(site.attributes[attribute]))
             except KeyError:
                 raise SiteLookupError(
                     f"site {site.id!r} has no attribute {attribute!r}"

@@ -21,12 +21,7 @@ from .errors import (
     SiteLookupError,
     UnknownAttributeError,
 )
-from .neighborhood import (
-    _sorted_ids,
-    buffer_neighbors,
-    graph_neighbors,
-    polygon_adjacent_neighbors,
-)
+from .neighborhood import buffer_neighbors, graph_neighbors, polygon_adjacent_neighbors
 from .weights import WeightedNeighborhood, _weigher
 
 REGIMES = ("buffer", "graph", "polygon", "combined")
@@ -258,7 +253,7 @@ def detect_outliers(
     regime = _check_regime(dataset, regime)
 
     values = dataset.values(attribute)
-    order = _sorted_ids(dataset, dataset.site_ids())
+    order = _key_sorted(dataset.site_ids())
     weigh = _weigher(dataset, params, regime) if mode == "weighted" else None
     expecteds: dict[SiteId, float] = {}
     skipped: list[SiteId] = []
@@ -270,13 +265,14 @@ def detect_outliers(
         if mode == "classical":
             try:  # set order: an exact sum of equal-weight products has no order
                 neighbor_values = [values[n] for n in found]
-            except KeyError as exc:  # the error _sorted_ids gives
-                raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
+            except KeyError:  # a neighbor that is no site: name the first in key order
+                for neighbor in _key_sorted(found):
+                    dataset.site(neighbor)
             expecteds[center] = expected_classical(neighbor_values)
         else:  # discovered again: bench/test_bench.py pins two discoveries per center
             found = _neighbors(dataset, center, regime, params)
             ids, weights = weigh(center, found)
-            # ids passed the rank, so each is a site id, and every site has a value
+            # ids passed the factor view, so each is a site id, and every site has a value
             expecteds[center] = _expectation(weights, list(map(values.__getitem__, ids)))
 
     if not expecteds:

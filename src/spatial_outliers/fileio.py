@@ -384,7 +384,7 @@ def render_detection_csv(result: DetectionResult) -> str:
     ids = _csv_ids([row.site for row in rows])
     for site, (_, actual, expected, diff, z, is_outlier) in zip(ids, rows):
         lines.append(
-            f"{site},{actual:.6f},{expected:.6f},{diff:.6f},{z:.6f},"
+            f"{site},{_fmt(actual)},{_fmt(expected)},{_fmt(diff)},{_fmt(z)},"
             f"{'true' if is_outlier else 'false'}"
         )
     lines.append(

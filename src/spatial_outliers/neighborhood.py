@@ -8,15 +8,15 @@ traversal cost (None when unreachable or over the cost limit).
 
 Every lookup goes through a prepared index kept on the dataset.  Each of its
 structures is built the first time a regime needs it: a buffer table of each
-site id's neighbor row for the last buffer radius, the rank of every site id
-in sort order, the location of every site id, an edge table from one pass
-over the edges (count rows per endpoint, counts[a][b] == counts[b][a], which
-also give graph neighbors, and the cheapest-edge adjacency over nodes in
-first-seen order with a component label per node), and polygon rook
-adjacency.  The buffer table comes from one sweep over a uniform grid of
-site locations (one cell where the grid cannot index them) that measures
-each nearby pair once; a query reads the center's row, and walks the sites
-only for a suspect: an id on another id's spot, or any id if one has no location.
+site id's neighbor row for the last buffer radius, the location of every
+site id, an edge table from one pass over the edges (count rows per
+endpoint, counts[a][b] == counts[b][a], which also give graph neighbors,
+and the cheapest-edge adjacency over nodes in first-seen order with a
+component label per node), and polygon rook adjacency.  The buffer table
+comes from one sweep over a uniform grid of site locations (one cell where
+the grid cannot index them) that measures each nearby pair once; a query
+reads the center's row, and walks the sites only for a suspect: an id on
+another id's spot, or any id if one has no location.
 Rook adjacency reads one table of segment records (endpoints, length, unit
 direction, padded box) in one loop over the candidates of each polygon, and
 one overlap kernel measures only segment pairs whose boxes meet.  A grid over
@@ -24,9 +24,11 @@ padded polygon boxes yields the candidates; where it cannot index a dataset,
 every polygon is a candidate of every other and no box excludes a pair.
 
 A factor view, bound once to the index, measures each factor in one column
-pass over the neighbor ids, sorted once, so a caller measures only the
-factors it reads.  The cost search returns its column in target order and
-looks only in the center's component, so an unreachable one never floods it.
+pass over the neighbor ids, sorted once in key order, so a caller measures
+only the factors it reads; the first id in that order naming no site raises
+through SpatialDataset.site.  The cost search returns its column in target
+order and looks only in the center's component, so an unreachable one never
+floods it.
 
 Polygon centroids and areas come from the geometry record that the dataset
 module remembers on each PolygonSite, so validation, buffer tables,
@@ -52,7 +54,7 @@ from .dataset import (
     site_distance,
     site_location,
 )
-from .errors import GeometryError, SiteLookupError
+from .errors import GeometryError
 
 # minimum shared-boundary length for polygon adjacency
 BOUNDARY_TOLERANCE = 1e-9
@@ -320,24 +322,6 @@ def polygon_adjacent_neighbors(dataset: SpatialDataset, center: SiteId) -> set[S
     return set(_prepared(dataset, "rook", _rook)[center])
 
 
-def _id_rank(dataset: SpatialDataset) -> dict[SiteId, int]:
-    """Position of each site id in site_id_key order.
-
-    site_id_key gives distinct str and int ids distinct keys, so sorting ids
-    by rank gives exactly the site_id_key order.
-    """
-    return {sid: i for i, sid in enumerate(_key_sorted(dataset.site_ids()))}
-
-
-def _sorted_ids(dataset: SpatialDataset, ids) -> list[SiteId]:
-    """Site ids in site_id_key order; raises SiteLookupError on a non-site."""
-    rank = _prepared(dataset, "rank", _id_rank)
-    try:
-        return sorted(ids, key=rank.__getitem__)
-    except KeyError as exc:
-        raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
-
-
 def _edge_table(dataset: SpatialDataset):
     """Connection counts, cheapest costs and components from one pass over the edges.
 
@@ -449,28 +433,27 @@ def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
 
 def _factor_view(dataset: SpatialDataset, cost_limit: float | None, regime: str):
     """columns(center, ids) -> (ordered, distances, second, costs), bound once to
-    the prepared rank, locations and, for graph and combined, edge table.
+    the prepared locations and, for graph and combined, edge table.
 
     ordered is ids in site_id_key order; each factor is one pass over it.
-    Distances raise where site_distance does.  second is connection counts for
-    graph and combined, polygon_area per neighbor for polygon (raising where it
-    does), else None; combined alone measures costs (one search), else None.
+    The first id in that order that names no site, has no location or sits
+    on the center raises, through SpatialDataset.site or site_distance.
+    second is connection counts for graph and combined, polygon_area per
+    neighbor for polygon (raising where it does), else None; combined alone
+    measures costs (one search), else None.
     """
-    by_rank = _prepared(dataset, "rank", _id_rank).__getitem__
     locate = _prepared(dataset, "locations", _locations).get
     table = _prepared(dataset, "edges", _edge_table) if regime in ("graph", "combined") else None
 
     def columns(center: SiteId, ids):
-        try:
-            ordered = sorted(ids, key=by_rank)
-        except KeyError as exc:
-            raise SiteLookupError(f"unknown site id {exc.args[0]!r}") from None
-        here = locate(center) or site_location(dataset.site(center))  # the latter raises
-        # site_distance's hypot(cx - x, cy - y) in bits; no location reads as the center's
+        ordered = _key_sorted(ids)
+        here = locate(center) or (math.nan, math.nan)  # none: every distance is nan
+        # site_distance's hypot(cx - x, cy - y) in bits; an id with no location,
+        # a site or not, reads as the center's spot
         distances = list(map(math.dist, repeat(here), map(locate, ordered, repeat(here))))
         if not all(map((0.0).__lt__, distances)):  # 0.0 or nan
             for neighbor in ordered:
-                site_distance(dataset._index[center], dataset._index[neighbor])
+                site_distance(dataset.site(center), dataset.site(neighbor))
         if regime == "polygon":
             return ordered, distances, [polygon_area(dataset._index[n]) for n in ordered], None
         if table is None:

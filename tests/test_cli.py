@@ -11,6 +11,7 @@ import pytest
 
 import spatial_outliers
 from spatial_outliers.cli import build_parser, main
+from spatial_outliers.dataset import site_id_key
 from spatial_outliers.fixtures import write_fixture_files
 
 from conftest import (
@@ -531,6 +532,45 @@ def test_ids_that_need_quotes_read_back_from_every_csv_report(
         assert [(row[0], row[1]) for row in rows] == [
             (a, b) for a in sorted(ids) for b in sorted(ids) if a != b
         ]
+
+
+# a 3x3 tiling and two isolated squares, their ids ints and strs in no order
+MIXED_TILE_IDS = [10, "b", 2, 7, "a", "c", 1, "z", 30]
+MIXED_LONE_IDS = ["k", 5]
+
+
+def _id_cell(cell):
+    return int(cell) if cell.isdigit() else cell
+
+
+@pytest.mark.parametrize("command", ["neighbors", "weights", "detect"])
+def test_mixed_int_and_str_ids_list_in_key_order(command, tmp_path, capsys):
+    records = [
+        {"id": sid, "rings": [[[j, i], [j + 1, i], [j + 1, i + 1], [j, i + 1]]],
+         "attributes": {"v": float(k * k % 7)}}
+        for k, (sid, (i, j)) in enumerate(zip(
+            MIXED_TILE_IDS + MIXED_LONE_IDS,
+            [(i, j) for i in range(3) for j in range(3)] + [(20, 20), (-20, -20)]))
+    ]
+    polygons = tmp_path / "tiles.json"
+    polygons.write_text(json.dumps(records), encoding="utf-8")
+    lone = sorted(MIXED_LONE_IDS, key=site_id_key)  # [5, "k"]
+    argv = [command, "--polygons", _p(polygons), "--regime", "polygon"]
+    if command == "detect":
+        assert main([*argv, "--format", "json"]) == 0
+        assert strict_json(capsys.readouterr().out)["skipped"] == lone
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("\n# skipped: 5,k\n")
+        return
+    assert main(argv) == 0
+    rows, footnoted = _report_ids(capsys.readouterr().out, "# no neighbors: ")
+    assert list(map(_id_cell, footnoted)) == lone
+    pairs = [(_id_cell(row[0]), _id_cell(row[1])) for row in rows]
+    centers = list(dict.fromkeys(center for center, _ in pairs))
+    assert centers == sorted(MIXED_TILE_IDS, key=site_id_key)
+    lists = [[neighbor for c, neighbor in pairs if c == center] for center in centers]
+    assert all(found == sorted(found, key=site_id_key) for found in lists)
+    assert lists[centers.index("a")] == [7, "b", "c", "z"]
 
 
 def test_duplicate_sites_column_exits_one(tmp_path, capsys):

@@ -17,9 +17,11 @@ from spatial_outliers import (
     PointSite,
     PolygonSite,
     SiteComparison,
+    SiteLookupError,
     SiteScore,
     SpatialDataset,
     WeightParams,
+    detect_outliers,
     load_edges,
     load_polygons,
     polygon_area,
@@ -446,6 +448,26 @@ class TestValidateDataset:
             edges=(Edge("A", "B", 1.0, 1.0),),
         )
         assert any("only valid for point datasets" in v for v in validate_dataset(ds))
+
+
+def test_a_repeated_id_answers_for_its_first_site_everywhere():
+    # site(), the locations and the buffer table answer for the first d at
+    # (0, 0), so its value is the first d's too
+    sites = (
+        PointSite("d", 0.0, 0.0, {"v": 1.0}), PointSite("a", 1.0, 0.0, {"v": 2.0}),
+        PointSite("b", 10.0, 0.0, {"v": 3.0}), PointSite("d", 11.0, 0.0, {"v": 100.0}),
+        PointSite("e", 10.5, 0.5, {"v": 4.0}),
+    )
+    dataset = SpatialDataset(sites=sites)
+    assert dataset.site("d") is sites[0]
+    assert dataset.values("v") == {"d": 1.0, "a": 2.0, "b": 3.0, "e": 4.0}
+    params = WeightParams(radius=1.5)
+    score = detect_outliers(dataset, "v", params, mode="classical", regime="buffer").score_for("d")
+    assert (score.actual, score.expected) == (1.0, 2.0)
+    # every site still needs the attribute, a repeated one too
+    lacking = SpatialDataset(sites=(*sites, PointSite("d", 20.0, 0.0, {})), attribute_names=("v",))
+    with pytest.raises(SiteLookupError, match="site 'd' has no attribute 'v'"):
+        lacking.values("v")
 
 
 def reference_validate_points(dataset):

@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -29,6 +32,7 @@ from spatial_outliers import (
     significance_scores,
     validate_dataset,
 )
+import spatial_outliers
 from spatial_outliers import detect
 from spatial_outliers.detect import MODES
 from spatial_outliers.fixtures import (
@@ -541,7 +545,7 @@ def test_classical_detection_is_the_same_in_any_neighbor_order(values, regime, r
 
 def test_unknown_graph_neighbor_raises_in_both_modes():
     # validation rejects an edge to a missing site; detection on such a
-    # dataset names the id as the neighbor sort does
+    # dataset names the id through SpatialDataset.site
     dataset = SpatialDataset(
         sites=(PointSite("a", 0.0, 0.0, {"v": 1.0}), PointSite("b", 1.0, 0.0, {"v": 2.0})),
         edges=(Edge("a", "b", 1.0, 1.0), Edge("a", "ghost", 1.0, 1.0)),
@@ -550,6 +554,43 @@ def test_unknown_graph_neighbor_raises_in_both_modes():
     for mode in MODES:
         with pytest.raises(SiteLookupError, match="unknown site id 'ghost'"):
             detect_outliers(dataset, "v", params, mode=mode, regime="graph")
+
+
+# two sites joined to each other and to the dangling endpoints x and y; each
+# call prints the message of the error it raises
+_UNKNOWN_IDS_SCRIPT = """
+from spatial_outliers import (
+    Edge, PointSite, SpatialDataset, SpatialOutlierError, WeightParams,
+    collect_factors, detect_outliers, neighborhood_weights,
+)
+dataset = SpatialDataset(
+    sites=(PointSite("a", 0.0, 0.0, {"v": 1.0}), PointSite("b", 1.0, 0.0, {"v": 2.0})),
+    edges=tuple(Edge(s, t, 1.0, 1.0) for s, t in
+                (("a", "b"), ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))),
+)
+params = WeightParams(alpha=0.0, beta=1.0)
+for call in (
+    lambda: collect_factors(dataset, "a", {"x", "y"}, params),
+    lambda: neighborhood_weights(dataset, "a", params, "graph"),
+    lambda: detect_outliers(dataset, "v", params, mode="weighted", regime="graph"),
+    lambda: detect_outliers(dataset, "v", params, mode="classical", regime="graph"),
+):
+    try:
+        call()
+    except SpatialOutlierError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_unknown_neighbors_are_named_in_key_order_under_any_hash_seed(seed):
+    package_root = os.path.dirname(os.path.dirname(spatial_outliers.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )}
+    run = subprocess.run([sys.executable, "-c", _UNKNOWN_IDS_SCRIPT],
+                         capture_output=True, encoding="utf-8", env=env, check=True)
+    assert run.stdout.splitlines() == ["unknown site id 'x'"] * 4
 
 
 class TestOracleEquivalence:

@@ -1040,6 +1040,18 @@ def test_every_non_finite_report_float_is_json_null(field, value):
     assert records and records == [{**r, field: None} for r in _report_records(field, 1.5)]
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["actual", "expected", "diff", "z"])
+def test_every_non_finite_detection_float_is_an_empty_csv_field(field, value):
+    row = _DETECTION.scores[0]
+    finite = render_report(_DETECTION, "csv").splitlines()[1]
+    assert finite == "a,1.000000,0.500000,0.500000,0.250000,false"
+    report = replace(_DETECTION, scores=(row._replace(**{field: value}),))
+    cells = finite.split(",")
+    cells[row._fields.index(field)] = ""
+    assert render_report(report, "csv").splitlines()[1] == ",".join(cells)
+
+
 @given(st.lists(st.one_of(st.text(alphabet=',"\r\n ab7', min_size=1), st.integers())))
 def test_ids_are_quoted_where_csv_writer_quotes_them(ids):
     buffer = io.StringIO()

@@ -217,19 +217,20 @@ def loop_collect_factors(dataset, center, neighbors, params):
     """collect_factors as one loop over the neighbors, a record per pass.
 
     This is the form the column passes replaced: same sort, same cost
-    search, and the first neighbor in rank order that has no location or
-    sits on the center raises through site_distance.
+    search, and the first neighbor in key order that is no site, has no
+    location or sits on the center raises, through dataset.site or
+    site_distance; a center with no location raises at the first neighbor.
     """
     center_site = dataset.site(center)
-    ordered = neighborhood._sorted_ids(dataset, neighbors)
+    ordered = dataset_module._key_sorted(neighbors)
     if not ordered:
         return []
-    cx, cy = site_location(center_site)
     table = neighborhood._prepared(dataset, "edges", neighborhood._edge_table)
     costs = neighborhood._costs_from(table, center, ordered, params.cost_limit)
     out = []
     for neighbor, cost in zip(ordered, costs):
         neighbor_site = dataset.site(neighbor)
+        cx, cy = site_location(center_site)
         x, y = site_location(neighbor_site)
         distance = math.hypot(cx - x, cy - y)
         if distance == 0.0:
@@ -971,7 +972,7 @@ def test_mixed_ids_come_back_in_key_order(dataset, limit, data):
         for regime, scanned in (("buffer", scan_buffer(dataset, center, 3.0)),
                                 ("graph", scan_graph(dataset, center))):
             found = detect._neighbors(dataset, center, regime, params)
-            assert neighborhood._sorted_ids(dataset, found) == sorted(scanned, key=site_id_key)
+            assert dataset_module._key_sorted(found) == sorted(scanned, key=site_id_key)
         neighbors = data.draw(st.sets(st.sampled_from(ids))) - {center}
         got = collect_factors(dataset, center, neighbors, params)
         assert [f.neighbor for f in got] == sorted(neighbors, key=site_id_key)
@@ -1011,21 +1012,29 @@ def test_collect_factors_columns_match_the_per_neighbor_loop(dataset, limit, dat
         )
 
 
-def test_collect_factors_raises_at_the_first_bad_neighbor_in_rank_order():
+def test_collect_factors_raises_at_the_first_bad_neighbor_in_key_order():
+    # whatever its fault: a flat polygon, a copy of the center, the center
+    # itself or an id that names no site (z); a center with no location
+    # raises only once a neighbor is looked up, as the scan does
     flat = PolygonSite(id="b", exterior=((5.0, 0.0), (6.0, 0.0), (7.0, 0.0)))
     squares = [unit_square(sid, ox=ox) for sid, ox in (("a", 2.0), ("c", 0.0), ("d", 4.0))]
     dataset = SpatialDataset(sites=(*squares, flat, unit_square("e", ox=0.0)))
     params = WeightParams()
-    for neighbors, error, message in (
-        ({"a", "b", "e"}, GeometryError, "polygon 'b': degenerate ring"),
-        ({"a", "d", "e"}, DegenerateDistanceError, "sites 'c' and 'e' coincide"),
-        ({"e", "b"}, GeometryError, "polygon 'b'"),
+    for center, neighbors, error, message in (
+        ("c", {"a", "b", "e"}, GeometryError, "polygon 'b': degenerate ring"),
+        ("c", {"a", "d", "e"}, DegenerateDistanceError, "sites 'c' and 'e' coincide"),
+        ("c", {"e", "b"}, GeometryError, "polygon 'b'"),
+        ("c", {"b", "z"}, GeometryError, "polygon 'b'"),
+        ("c", {"d", "z"}, SiteLookupError, "unknown site id 'z'"),
+        ("c", {"c", "z"}, DegenerateDistanceError, "sites 'c' and 'c' coincide"),
+        ("b", {"z"}, SiteLookupError, "unknown site id 'z'"),
+        ("b", {"d", "z"}, GeometryError, "polygon 'b'"),
     ):
         with pytest.raises(error, match=message):
-            collect_factors(dataset, "c", neighbors, params)
-        assert detail(collect_factors, dataset, "c", neighbors, params) == detail(
-            loop_collect_factors, dataset, "c", neighbors, params
-        )
+            collect_factors(dataset, center, neighbors, params)
+        expected = detail(scan_collect_factors, dataset, center, neighbors, params)
+        assert detail(collect_factors, dataset, center, neighbors, params) == expected
+        assert detail(loop_collect_factors, dataset, center, neighbors, params) == expected
     assert collect_factors(dataset, "c", {"a", "d"}, params) == loop_collect_factors(
         dataset, "c", {"a", "d"}, params
     )
@@ -1512,7 +1521,7 @@ def test_column_pass_raises_the_oracles_errors():
 def test_each_prepared_structure_is_built_once_per_dataset():
     dataset = network_dataset()
     params = WeightParams(alpha=0.5, beta=0.25, delta=0.25, radius=2.0, cost_limit=4.0)
-    names = ("_id_rank", "_locations", "_edge_table")
+    names = ("_locations", "_edge_table")
     with contextlib.ExitStack() as stack:
         builds = [
             stack.enter_context(mock.patch.object(
@@ -1521,9 +1530,11 @@ def test_each_prepared_structure_is_built_once_per_dataset():
         ]
         result = detect_outliers(dataset, "v", params, mode="weighted", regime="combined")
         assert len(result.scores) > 1
-        assert [spy.call_count for spy in builds] == [1, 1, 1]
+        assert [spy.call_count for spy in builds] == [1, 1]
         detect_outliers(dataset, "v", params, mode="weighted", regime="combined")
-        assert [spy.call_count for spy in builds] == [1, 1, 1]
+        assert [spy.call_count for spy in builds] == [1, 1]
+    # the buffer table for the last radius is the third and last structure
+    assert sorted(dataset._prepared) == ["edges", "grid", "locations"]
 
 
 @pytest.mark.parametrize("regime, searches", [("buffer", 0), ("graph", 0), ("combined", 1)])
