@@ -22,6 +22,8 @@ SiteId = str | int
 
 # rings with |shoelace area| below this are treated as degenerate
 MIN_RING_AREA = 1e-12
+# the type sets of ids whose plain order is site_id_key order
+_PLAIN_ID_TYPES = (frozenset((str,)), frozenset((int,)))
 
 
 def site_id_key(site_id: SiteId):
@@ -35,7 +37,7 @@ def _key_sorted(ids) -> list[SiteId]:
     """ids in site_id_key order.  Among ids all exactly str or all exactly
     int, plain order is that order, and sorting needs no key call per id."""
     ordered = list(ids)
-    if set(map(type, ordered)) in ({str}, {int}):
+    if set(map(type, ordered)) in _PLAIN_ID_TYPES:
         ordered.sort()
     else:  # a mix, a bool or a subclass
         ordered.sort(key=site_id_key)
@@ -101,7 +103,8 @@ class SpatialDataset:
     """Immutable site collection with optional edges and declared attributes.
 
     ``attribute_names`` defaults to the first site's attribute keys.  The
-    dataset kind ("point" or "polygon") follows the first site.
+    dataset kind ("point" or "polygon") follows the first site.  Each id
+    names its first site: every lookup and index reads that site alone.
     """
 
     sites: tuple[Site, ...]
@@ -139,7 +142,8 @@ class SpatialDataset:
         return site_id in self._index
 
     def site_ids(self) -> tuple[SiteId, ...]:
-        return tuple(site.id for site in self.sites)
+        """Each site id once, in first-seen order; an id names its first site."""
+        return tuple(self._index)
 
     def values(self, attribute: str) -> dict[SiteId, float]:
         """Attribute value per site id, of the first site with that id, as

@@ -12,11 +12,12 @@ site id's neighbor row for the last buffer radius, the location of every
 site id, an edge table from one pass over the edges (count rows per
 endpoint, counts[a][b] == counts[b][a], which also give graph neighbors,
 and the cheapest-edge adjacency over nodes in first-seen order with a
-component label per node), and polygon rook adjacency.  The buffer table
-comes from one sweep over a uniform grid of site locations (one cell where
-the grid cannot index them) that measures each nearby pair once; a query
-reads the center's row, and walks the sites only for a suspect: an id on
-another id's spot, or any id if one has no location.
+component label per node), and polygon rook adjacency, each over the one
+site per id, its first, that the dataset's id index holds.  The buffer table
+comes from one sweep over a uniform grid of the prepared locations (one cell
+where the grid cannot index them) that measures each nearby pair once; a
+query reads the center's row, and walks the sites only for a suspect: an id
+on another id's spot, or any id if one has no location.
 Rook adjacency reads one table of segment records (endpoints, length, unit
 direction, padded box) in one loop over the candidates of each polygon, and
 one overlap kernel measures only segment pairs whose boxes meet.  A grid over
@@ -98,32 +99,37 @@ def _prepared(dataset: SpatialDataset, key, build, *args):
     return cache[key]
 
 
+def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
+    """The location of each site id's first site, if it has one."""
+    out = {}
+    for sid, site in dataset._index.items():
+        try:
+            out[sid] = site_location(site)
+        except GeometryError:
+            pass
+    return out
+
+
 def _buffer_table(dataset: SpatialDataset, radius: float):
     """(rows, suspects): buffer neighbors of every site id, and the ids to check.
 
-    rows[id] lists the ids within radius (>= 0) of the first site with that
-    id, the one dataset.site gives; suspects holds each id with a site on
-    the spot of a site under another id, or every id if a site has no
-    location.  Each grid cell pools its members and then its four forward
-    cells' members, and each member measures the pool past itself, so each
-    candidate pair is measured once.  math.dist of two locations is
-    site_distance's hypot of their differences, bit for bit.
+    rows[id] lists the ids within radius (>= 0) of the site the id names,
+    located by the prepared locations; suspects holds each id on the spot
+    of another, or every id if one has no location.  Each grid cell pools
+    its members and then its four forward cells' members, and each member
+    measures the pool past itself, so each candidate pair is measured once.
+    math.dist of two locations is site_distance's hypot of their
+    differences, bit for bit.
     Where the grid cannot index the sites (a radius not a positive normal
     float, a non-finite location, cells too small) they share one cell: even
     one query then costs O(n²), not a scan's O(n), but callers query every center.
     """
-    rows: dict[SiteId, list[SiteId]] = {}
+    rows: dict[SiteId, list[SiteId]] = {sid: [] for sid in dataset._index}
     # entries are lists, not tuples: CPython keeps freed small tuples for
     # reuse by tuples of the same size, so a tuple per site would go on
     # holding its memory once the table is built
-    located: list[list] = []
-    for site in dataset.sites:
-        row: list[SiteId] = []
-        rows.setdefault(site.id, row)  # the first site with the id
-        try:
-            located.append([site.id, site_location(site), row])
-        except GeometryError:
-            pass
+    locations = _prepared(dataset, "locations", _locations)
+    located = [[sid, loc, rows[sid]] for sid, loc in locations.items()]
     cell = radius * _CELL_PAD if sys.float_info.min <= radius else math.nan
     grid: dict[tuple[int, int], list] = {}
     for entry in located:
@@ -133,7 +139,7 @@ def _buffer_table(dataset: SpatialDataset, radius: float):
             grid = {(0, 0): located}
             break
         grid.setdefault((math.floor(gx), math.floor(gy)), []).append(entry)
-    suspects = set(rows) if len(located) < len(dataset.sites) else set()
+    suspects = set(rows) if len(located) < len(rows) else set()
     for (gx, gy), members in grid.items():
         pool = members.copy()
         for key in ((gx, gy + 1), (gx + 1, gy - 1), (gx + 1, gy), (gx + 1, gy + 1)):
@@ -165,7 +171,7 @@ def buffer_neighbors(
     center_site = dataset.site(center)
     rows, suspects = _radius_table(dataset, radius)
     if center in suspects:  # raises where a scan of the sites would
-        for site in dataset.sites:
+        for site in dataset._index.values():
             if site.id != center:
                 site_distance(center_site, site)
     return set(rows[center])
@@ -240,17 +246,18 @@ def _cells(box, cell: float):
 def _box_grid(dataset: SpatialDataset):
     """Segment records, polygon boxes and box candidates of every polygon.
 
-    Returns (boxes, segments, candidates) by position in dataset.sites: the
-    polygon box spans its segment boxes (None without vertices), segments are
-    its _segment_records, and candidates holds the positions whose boxes share
-    a grid cell with its box.  The cell side is at least the mean box extent
-    and the root of the mean box area, which bounds the cells all boxes cover
-    to a small multiple of the polygon count.  When the grid cannot index the
-    dataset (a non-finite vertex, box areas that sum past the float range, or
-    cells too small for the coordinates), the records are unpadded, every box
-    is unbounded and every polygon with vertices is a candidate of every other.
+    Returns (boxes, segments, candidates) by position among the sites the
+    ids name, in first-seen order: the polygon box spans its segment boxes
+    (None without vertices), segments are its _segment_records, and
+    candidates holds the positions whose boxes share a grid cell with its
+    box.  The cell side is at least the mean box extent and the root of the
+    mean box area, which bounds the cells all boxes cover to a small
+    multiple of the polygon count.  When the grid cannot index the dataset
+    (a non-finite vertex, box areas that sum past the float range, or cells
+    too small for the coordinates), the records are unpadded, every box is
+    unbounded and every polygon with vertices is a candidate of every other.
     """
-    sites = dataset.sites
+    sites = dataset._index.values()
     values = [v for site in sites for ring in (site.exterior, *site.holes)
               for point in ring for v in point]
     if all(map(math.isfinite, values)):
@@ -291,13 +298,10 @@ def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
     BOUNDARY_TOLERANCE have points within that tolerance of each other, so
     their padded boxes, like the padded boxes of their polygons, always meet.
     """
-    sites = dataset.sites
+    ids = list(dataset._index)
     boxes, segments, candidates = _box_grid(dataset)
     rook: dict[SiteId, frozenset[SiteId]] = {}
-    for i, center_site in enumerate(sites):
-        center = center_site.id
-        if center in rook:  # dataset.site(center) is the first site with the id
-            continue
+    for i, center in enumerate(ids):
         box = boxes[i]
         if box is None:
             rook[center] = frozenset()
@@ -308,10 +312,10 @@ def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:
             bx0, by0, bx1, by1 = boxes[j]
             if (
                 bx0 <= x1 and x0 <= bx1 and by0 <= y1 and y0 <= by1
-                and sites[j].id != center
+                and j != i
                 and _segments_share_boundary(segments[i], segments[j])
             ):
-                found.add(sites[j].id)
+                found.add(ids[j])
         rook[center] = frozenset(found)
     return rook
 
@@ -418,17 +422,6 @@ def min_cost(
     dataset.site(a)
     dataset.site(b)
     return _costs_from(_prepared(dataset, "edges", _edge_table), a, (b,), cost_limit)[0]
-
-
-def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
-    """The location of each site id's first site, if it has one."""
-    out = {}
-    for sid, site in dataset._index.items():
-        try:
-            out[sid] = site_location(site)
-        except GeometryError:
-            pass
-    return out
 
 
 def _factor_view(dataset: SpatialDataset, cost_limit: float | None, regime: str):

@@ -21,9 +21,11 @@ from spatial_outliers import (
     SiteScore,
     SpatialDataset,
     WeightParams,
+    buffer_neighbors,
     detect_outliers,
     load_edges,
     load_polygons,
+    polygon_adjacent_neighbors,
     polygon_area,
     polygon_centroid,
     site_distance,
@@ -451,19 +453,40 @@ class TestValidateDataset:
 
 
 def test_a_repeated_id_answers_for_its_first_site_everywhere():
-    # site(), the locations and the buffer table answer for the first d at
-    # (0, 0), so its value is the first d's too
-    sites = (
-        PointSite("d", 0.0, 0.0, {"v": 1.0}), PointSite("a", 1.0, 0.0, {"v": 2.0}),
-        PointSite("b", 10.0, 0.0, {"v": 3.0}), PointSite("d", 11.0, 0.0, {"v": 100.0}),
-        PointSite("e", 10.5, 0.5, {"v": 4.0}),
-    )
+    # site(), the locations, the buffer table and rook adjacency answer for
+    # the first d at (0, 0), so its value is the first d's too; the second d
+    # is nobody's neighbor, and each id is one center
+    layout = (("d", 0.0, 0.0, 1.0), ("a", 1.0, 0.0, 2.0), ("b", 10.0, 0.0, 3.0),
+              ("d", 11.0, 0.0, 100.0), ("e", 10.5, 0.5, 4.0))
+    sites = tuple(PointSite(sid, x, y, {"v": v}) for sid, x, y, v in layout)
     dataset = SpatialDataset(sites=sites)
     assert dataset.site("d") is sites[0]
+    assert dataset.site_ids() == ("d", "a", "b", "e")
     assert dataset.values("v") == {"d": 1.0, "a": 2.0, "b": 3.0, "e": 4.0}
     params = WeightParams(radius=1.5)
-    score = detect_outliers(dataset, "v", params, mode="classical", regime="buffer").score_for("d")
-    assert (score.actual, score.expected) == (1.0, 2.0)
+    assert {sid: buffer_neighbors(dataset, sid, 1.5) for sid in dataset.site_ids()} == {
+        "d": {"a"}, "a": {"d"}, "b": {"e"}, "e": {"b"},
+    }
+    result = detect_outliers(dataset, "v", params, mode="classical", regime="buffer")
+    assert [(s.site, s.actual, s.expected) for s in result.scores] == [
+        ("a", 2.0, 1.0), ("b", 3.0, 4.0), ("d", 1.0, 2.0), ("e", 4.0, 3.0),
+    ]
+    # the same layout as unit squares: the second d touches b, the first does not
+    squares = SpatialDataset(sites=tuple(
+        unit_square(sid, ox=x, oy=y, attributes={"v": v}) for sid, x, y, v in layout
+    ))
+    assert {sid: polygon_adjacent_neighbors(squares, sid) for sid in squares.site_ids()} == {
+        "d": {"a"}, "a": {"d"}, "b": set(), "e": set(),
+    }
+    result = detect_outliers(squares, "v", params, mode="classical", regime="polygon")
+    assert [(s.site, s.expected) for s in result.scores] == [("a", 1.0), ("d", 2.0)]
+    assert result.skipped == ("b", "e")
+    # an isolated repeated id is skipped once
+    isolated = SpatialDataset(sites=(*sites, PointSite("q", 50.0, 0.0, {"v": 5.0}),
+                                     PointSite("q", 60.0, 0.0, {"v": 6.0})))
+    assert isolated.site_ids() == ("d", "a", "b", "e", "q")
+    result = detect_outliers(isolated, "v", params, mode="classical", regime="buffer")
+    assert result.skipped == ("q",)
     # every site still needs the attribute, a repeated one too
     lacking = SpatialDataset(sites=(*sites, PointSite("d", 20.0, 0.0, {})), attribute_names=("v",))
     with pytest.raises(SiteLookupError, match="site 'd' has no attribute 'v'"):

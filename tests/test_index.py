@@ -3,14 +3,15 @@
 Every neighbor and factor lookup in the library goes through a per-dataset
 index (a buffer table swept once per radius from a grid over cached
 coordinates, or from one cell where the grid cannot index the sites, with
-the ids whose queries walk the sites to raise where a scan raises; id rank,
-an edge table of counts per endpoint and cheapest-edge adjacency over
-numbered nodes with a Dijkstra pruned at the cost limit, polygon rook
-adjacency over bounding-box and segment-box candidates).  The scans below
-are the straightforward implementations the index replaced, kept only
-here; each property requires both to give the same result, or to raise the
-same error, on the same input.  The segment-overlap kernel is checked the
-same way, against the per-pair overlap length it replaced.
+the ids whose queries walk the sites to raise where a scan raises; an edge
+table of counts per endpoint and cheapest-edge adjacency over numbered
+nodes with a Dijkstra pruned at the cost limit, polygon rook adjacency over
+bounding-box and segment-box candidates).  The scans below are the
+straightforward implementations the index replaced, kept only here; like
+the index, they walk one site per id, the one SpatialDataset.site gives.
+Each property requires both to give the same result, or to raise the same
+error, on the same input.  The segment-overlap kernel is checked the same
+way, against the per-pair overlap length it replaced.
 """
 
 import contextlib
@@ -71,7 +72,7 @@ def scan_buffer(dataset, center, radius):
     center_site = dataset.site(center)
     return {
         site.id
-        for site in dataset.sites
+        for site in dataset._index.values()
         if site.id != center and site_distance(center_site, site) <= radius
     }
 
@@ -103,7 +104,7 @@ def scan_polygon(dataset, center):
     center_site = dataset.site(center)
     return {
         site.id
-        for site in dataset.sites
+        for site in dataset._index.values()
         if site.id != center and polygons_share_boundary(center_site, site)
     }
 
@@ -611,14 +612,14 @@ def test_unindexable_points_locate_each_site_once_and_never_measure_a_query():
         for radius in (1e-300, 1e-300, math.nan, math.nan):
             for center in dataset.site_ids():
                 assert buffer_neighbors(dataset, center, radius) == set()
-        assert located.call_count == 50  # one table for 1e-300, one for nan
+        assert located.call_count == 25  # once per site, for the 1e-300 and the nan table
         assert measured.call_count == 0
     assert buffer_neighbors(dataset, sites[0].id, 1.5) == scan_buffer(dataset, sites[0].id, 1.5)
 
 
 def test_duplicate_id_centers_on_its_first_site():
-    # "d" names two sites far apart: as a center it is the first one, as a
-    # neighbor either copy counts
+    # "d" names two sites far apart: as a center and as a neighbor it is the
+    # first one
     dataset = SpatialDataset(sites=(
         PointSite(id="d", x=0.0, y=0.0),
         PointSite(id="a", x=1.0, y=0.0),
@@ -627,7 +628,7 @@ def test_duplicate_id_centers_on_its_first_site():
     ))
     assert buffer_neighbors(dataset, "d", 1.5) == {"a"}
     assert buffer_neighbors(dataset, "a", 1.5) == {"d"}
-    assert buffer_neighbors(dataset, "b", 1.5) == {"d"}
+    assert buffer_neighbors(dataset, "b", 1.5) == set()
 
 
 @given(multigraphs())
@@ -1081,6 +1082,23 @@ def test_rook_adjacency_matches_scan_on_jittered_tilings(case):
                 for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
                 if 0 <= a < cols and 0 <= b < rows
             }
+
+
+@given(tilings(), st.data())
+def test_rook_adjacency_with_repeated_ids_matches_scan_and_is_symmetric(case, data):
+    # fewer labels than cells: some ids name several cells, and each names its
+    # first one, as center and as neighbor alike
+    dataset, _, _ = case
+    n = len(dataset.sites)
+    assume(n > 1)
+    labels = data.draw(st.lists(st.integers(0, n - 2), min_size=n, max_size=n))
+    dataset = SpatialDataset(sites=tuple(
+        replace(site, id=label) for site, label in zip(dataset.sites, labels)
+    ))
+    rook = {center: polygon_adjacent_neighbors(dataset, center) for center in dataset.site_ids()}
+    for center, found in rook.items():
+        assert found == scan_polygon(dataset, center)
+        assert all(center in rook[neighbor] for neighbor in found)
 
 
 @given(
