@@ -10,7 +10,7 @@ from dataclasses import fields
 
 from .dataset import SpatialDataset, WeightParams, _key_sorted, validate_dataset
 from .detect import REGIMES, _check_regime, _neighbors, compare_models, detect_outliers
-from .errors import SpatialOutlierError
+from .errors import SpatialOutlierError, UnknownAttributeError
 from .fileio import _neighbor_table, _write_text, load_edges, load_polygons, load_sites
 from .fileio import render_report
 from .fixtures import write_fixture_files
@@ -77,14 +77,14 @@ def _emit(text: str, out_path) -> None:
 
 
 def _attribute(args, dataset) -> str:
+    names = dataset.attribute_names
     if args.attribute:
         return args.attribute
-    if len(dataset.attribute_names) == 1:
-        return dataset.attribute_names[0]
-    raise UsageError(
-        "--attribute is required; dataset declares "
-        + ",".join(dataset.attribute_names)
-    )
+    if len(names) == 1:
+        return names[0]
+    if not names:
+        raise UnknownAttributeError("dataset declares no attribute")
+    raise UsageError("--attribute is required; dataset declares " + ",".join(names))
 
 
 def _cmd_validate(args) -> int:

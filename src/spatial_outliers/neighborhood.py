@@ -86,7 +86,7 @@ class NeighborFactors(NamedTuple):
     min_cost: float | None
 
 
-def _prepared(dataset: SpatialDataset, key, build, *args):
+def _prepared(dataset: SpatialDataset, key, build):
     """Structure ``key`` of the dataset's prepared index, built on first use.
 
     Structures hold sites and ids but never the dataset itself, so a dataset
@@ -95,7 +95,7 @@ def _prepared(dataset: SpatialDataset, key, build, *args):
     """
     cache = dataset._prepared
     if key not in cache:
-        cache[key] = build(dataset, *args)
+        cache[key] = build(dataset)
     return cache[key]
 
 

@@ -12,12 +12,14 @@ import pytest
 import spatial_outliers
 from spatial_outliers.cli import build_parser, main
 from spatial_outliers.dataset import site_id_key
+from spatial_outliers.fileio import write_polygons_json
 from spatial_outliers.fixtures import write_fixture_files
 
 from conftest import (
     EXTREME_FACTOR_CASES,
     OVERFLOWING_DIFFERENCE_CASES,
     OVERFLOWING_SQUARE_CASES,
+    grid_polygons,
     overflowing_improvements_dataset,
     row_dataset,
     strict_json,
@@ -81,6 +83,33 @@ class TestUsageErrors:
         ])
         assert code == 2
         capsys.readouterr()
+
+    def test_edges_with_polygons(self, fixture_dir, tmp_path, capsys):
+        polys = tmp_path / "p.json"
+        polys.write_text("[]", encoding="utf-8")
+        code = main([
+            "validate", "--polygons", _p(polys),
+            "--edges", _p(fixture_dir / "network_edges.csv"),
+        ])
+        assert code == 2
+        assert "error: --edges applies to point datasets only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "compare"])
+    def test_two_attributes_need_attribute(self, command, tmp_path, capsys):
+        sites = tmp_path / "sites.csv"
+        sites.write_text("id,x,y,u,v\na,0,0,1,2\nb,1,0,3,4\n", encoding="utf-8")
+        assert main([command, "--sites", _p(sites), "--regime", "buffer", "--radius", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --attribute is required; dataset declares u,v\nusage: " in err
+
+
+@pytest.mark.parametrize("command", ["detect", "compare"])
+def test_sites_without_an_attribute_exit_one(command, tmp_path, capsys):
+    # no option can supply an attribute the file does not have: a data error
+    sites = tmp_path / "sites.csv"
+    sites.write_text("id,x,y\na,0,0\nb,1,0\n", encoding="utf-8")
+    assert main([command, "--sites", _p(sites), "--regime", "buffer", "--radius", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: dataset declares no attribute\n")
 
 
 class TestValidate:
@@ -171,9 +200,6 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("command", ["neighbors", "weights"])
     def test_graph_regime_on_polygons_is_a_usage_error(self, command, tmp_path, capsys):
-        from spatial_outliers.fileio import write_polygons_json
-        from conftest import grid_polygons
-
         polys = tmp_path / "grid.json"
         write_polygons_json(grid_polygons(3).sites, polys)
         code = main([command, "--polygons", _p(polys), "--regime", "graph"])
@@ -302,6 +328,20 @@ class TestDetect:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1] != ""
 
+    def test_crlf_line_ends_give_the_lf_report(self, fixture_dir, tmp_path):
+        lf = fixture_dir / "survey_sites.csv"
+        crlf = tmp_path / "survey_crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        reports = []
+        for sites in (lf, crlf):
+            out = tmp_path / f"{sites.stem}_report.csv"
+            assert main([
+                "detect", "--sites", _p(sites), "--regime", "buffer", "--radius", "6",
+                "--out", _p(out),
+            ]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] != b""
+
     def test_stdout_json(self, fixture_dir, capsys):
         code = main([
             "detect",
@@ -326,9 +366,6 @@ class TestDetect:
         assert flagged == {"17", "216", "238", "26", "317", "28", "29", "30"}
 
     def test_polygon_detect(self, tmp_path, capsys):
-        from spatial_outliers.fileio import write_polygons_json
-        from conftest import grid_polygons
-
         grid = grid_polygons(3)
         polys = tmp_path / "grid.json"
         write_polygons_json(grid.sites, polys)
@@ -451,7 +488,6 @@ def test_improvements_summing_past_the_float_range_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "detect", "compare"])
 @pytest.mark.parametrize("side", [1e154, 1e120])
 def test_polygons_too_large_for_floats_exit_one(command, side, tmp_path, capsys):
-    from spatial_outliers.fileio import write_polygons_json
     from conftest import huge_squares_dataset
 
     polys = tmp_path / "huge.json"
@@ -623,31 +659,73 @@ class TestFixturesCommand:
             assert capsys.readouterr().out.strip() == "ok"
 
 
-def test_calls_in_one_process_match_fresh_processes(fixture_dir, capsys):
-    # in-process callers such as the benchmark make many calls in a row: no
-    # state may carry from one call, usage errors included, to the next
-    survey = _p(fixture_dir / "survey_sites.csv")
-    calls = [
-        ["detect", "--sites", survey, "--regime", "buffer", "--radius", "6",
-         "--mode", "classical"],
-        ["detect", "--sites", survey, "--regime", "buffer", "--radius", "6",
-         "--mode", "bogus"],
-        ["detect", "--sites", survey, "--regime", "buffer", "--radius", "6"],
-        ["validate", "--sites", _p(fixture_dir / "network_sites.csv"),
-         "--edges", _p(fixture_dir / "network_edges.csv")],
-    ]
+def _without_site_packages(*args):
+    """Run python -S with the package root as its only PYTHONPATH entry.
+
+    The process can import the standard library and the package, nothing installed.
+    """
     package_root = os.path.dirname(os.path.dirname(spatial_outliers.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-    )}
-    codes = []
-    for argv in calls:
-        code = main(argv)
-        got = capsys.readouterr()
-        fresh = subprocess.run(
-            [sys.executable, "-m", "spatial_outliers.cli", *argv],
-            capture_output=True, encoding="utf-8", env=env, check=False,
-        )
-        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
-        codes.append(code)
-    assert codes == [0, 2, 0, 0]
+    return subprocess.run(
+        [sys.executable, "-S", *args], capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": package_root}, check=False,
+    )
+
+
+def test_importing_the_package_loads_only_the_standard_library():
+    listed = _without_site_packages(
+        "-c", "import sys, spatial_outliers, spatial_outliers.cli; print(*sys.modules)")
+    assert listed.returncode == 0, listed.stderr
+    loaded = {name.partition(".")[0] for name in listed.stdout.split()}
+    assert loaded - set(sys.stdlib_module_names) == {"spatial_outliers", "__main__"}
+
+
+def test_calls_in_one_process_match_fresh_processes(fixture_dir, tmp_path, monkeypatch,
+                                                     capsys):
+    # in-process callers such as the benchmark make many calls in a row: no
+    # state may carry from one call, usage errors included, to the next.  Each
+    # fresh process runs without site-packages, so each call also shows that
+    # the command line runs on the standard library alone
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    survey = ["--sites", _p(fixture_dir / "survey_sites.csv"), "--regime", "buffer"]
+    network = ["--sites", _p(fixture_dir / "network_sites.csv"),
+               "--edges", _p(fixture_dir / "network_edges.csv")]
+    blend = ["--radius", "2", "--alpha", "0.5", "--beta", "0.25", "--delta", "0.25"]
+    bad = tmp_path / "bad_sites.csv"
+    bad.write_text("id,x,y,v\na,0,0,1\nb,zz,0,2\nc,1,1,3\n", encoding="utf-8")
+    tiles = tmp_path / "tiles.json"
+    write_polygons_json(grid_polygons(3).sites, tiles)
+    calls = [
+        (0, ["detect", *survey, "--radius", "6", "--mode", "classical"]),
+        (2, ["detect", *survey, "--radius", "6", "--mode", "bogus"]),
+        (0, ["detect", *survey, "--radius", "6"]),
+        (0, ["validate", *network]),
+        # buffer tables on one cell: cells too small for the coordinates, and
+        # an infinite radius
+        (0, ["detect", *survey, "--radius", "1e-300"]),
+        (0, ["neighbors", "--sites", _p(fixture_dir / "village_sites.csv"),
+             "--regime", "buffer", "--radius", "inf"]),
+        (0, ["weights", *network, "--regime", "combined", *blend]),
+        # weighted buffer and graph scoring: the two regimes that skip the cost search
+        (0, ["detect", *network, "--mode", "weighted", "--regime", "buffer", "--radius", "2"]),
+        (0, ["detect", *network, "--mode", "weighted", "--regime", "graph", "--radius", "2"]),
+        # weighted combined scoring with the cost search; 0.01 is below every
+        # edge cost, so the cost factor drops and the blend rescales
+        (0, ["detect", *network, "--mode", "weighted", "--regime", "combined", *blend,
+             "--cost-limit", "4"]),
+        (0, ["detect", *network, "--mode", "weighted", "--regime", "combined", *blend,
+             "--cost-limit", "0.01"]),
+        (2, ["detect", *survey, "--radius", "6", "--theta", "0"]),
+        # a malformed input is a data error naming its line: a bad number on
+        # line 3, after a clean row
+        (1, ["detect", "--sites", _p(bad), "--regime", "buffer", "--radius", "6"]),
+        (0, ["validate", "--polygons", _p(tiles)]),
+        (0, ["compare", "--polygons", _p(tiles), "--regime", "polygon"]),
+        *((0, [command, "--help"]) for command in HELP_ORDER),
+    ]
+    for code, argv in calls:
+        got = main(argv), *capsys.readouterr()
+        fresh = _without_site_packages("-m", "spatial_outliers.cli", *argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert got[0] == code, (argv, got[2])
+        if _p(bad) in argv:
+            assert got[2].startswith(f"error: {bad}:3: ")

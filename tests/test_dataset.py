@@ -368,6 +368,12 @@ class TestValidateDataset:
         ds = SpatialDataset(sites=(bad, unit_square("Q", ox=5.0)))
         assert any("degenerate exterior ring" in v for v in validate_dataset(ds))
 
+    def test_non_finite_vertex(self):
+        # the loaders reject one; a polygon built in code reaches validation
+        bad = PolygonSite(id="P", exterior=((0.0, 0.0), (1.0, 0.0), (math.nan, 1.0)))
+        ds = SpatialDataset(sites=(bad, unit_square("Q", ox=5.0)))
+        assert validate_dataset(ds) == ["site 'P': exterior ring has non-finite vertex"]
+
     def test_self_intersecting_ring(self):
         # two boundary segments dip below y=0 and cross the base edge
         crossed = PolygonSite(
@@ -679,6 +685,10 @@ class TestWeightParams:
     def test_bad_theta(self):
         with pytest.raises(ValueError):
             WeightParams(theta=-1.0)
+
+    def test_bad_cost_limit(self):
+        with pytest.raises(ValueError, match="cost_limit must be positive, got 0"):
+            WeightParams(cost_limit=0)
 
     def test_simplex_interior_accepted(self):
         params = WeightParams(alpha=1 / 3, beta=1 / 3, delta=1 / 3, radius=2.0)

@@ -45,6 +45,7 @@ from conftest import (
     OVERFLOWING_DIFFERENCE_CASES,
     OVERFLOWING_SQUARE_CASES,
     grid_point_dataset,
+    grid_polygons,
     huge_squares_dataset,
     overflowing_costs_dataset,
     overflowing_improvements_dataset,
@@ -294,6 +295,15 @@ class TestDetectOutliers:
         with pytest.raises(UnknownAttributeError):
             detect_outliers(village, "nope", WeightParams(radius=5.0))
 
+    def test_unknown_mode_rejected(self, village):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            detect_outliers(village, VILLAGE_ATTRIBUTE, WeightParams(radius=5.0), mode="bogus")
+
+    def test_score_for_an_unknown_site(self, village):
+        result = detect_outliers(village, VILLAGE_ATTRIBUTE, WeightParams(radius=5.0))
+        with pytest.raises(SiteLookupError, match="no score for site 'nope'"):
+            result.score_for("nope")
+
     def test_isolated_sites_are_skipped(self):
         sites = (
             PointSite(id="a", x=0.0, y=0.0, attributes={"v": 1.0}),
@@ -447,6 +457,11 @@ class TestDetectOutliers:
         ds = SpatialDataset(sites=sites)
         result = detect_outliers(ds, "v", WeightParams(radius=5.0))
         assert len(result.scores) == 3
+
+    def test_default_regime_for_polygons_is_polygon(self):
+        grid = grid_polygons(3)
+        assert detect_outliers(grid, "v", WeightParams()) == detect_outliers(
+            grid, "v", WeightParams(), regime="polygon")
 
 
 def _oracle_pipeline(rows, edge_rows, radius, coeffs, theta, mode):

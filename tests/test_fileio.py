@@ -708,6 +708,8 @@ class TestLoadPolygons:
             ({"attributes": {"v": "2_5"}}, "attribute values must be numbers"),
             ({"attributes": {"v": False}}, "attribute values must be numbers"),
             ({"id": True}, "bad site id True"),
+            ({"rings": []}, "rings must be a non-empty list"),
+            ({"rings": [[1, 2]]}, "ring must be a list of [x, y] pairs"),
         ],
     )
     def test_bad_value_names_its_record(self, tmp_path, fields, message):
@@ -716,6 +718,22 @@ class TestLoadPolygons:
         path.write_text(json.dumps([good, {**good, "id": "b", **fields}]), encoding="utf-8")
         with pytest.raises(ParseError, match=re.escape(f":record 1: {message}")):
             load_polygons(path)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({}, ":1: document must be a list of polygon records"),
+            ([1], ":record 0: polygon record must be an object"),
+            ([{"id": "b"}], ":record 0: missing key 'rings'"),
+            ([{"rings": [[[0, 0], [1, 0], [0, 1]]]}], ":record 0: missing key 'id'"),
+        ],
+    )
+    def test_bad_document_shape_names_its_place(self, tmp_path, document, message):
+        path = tmp_path / "polys.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_polygons(path)
+        assert str(err.value) == f"{path}{message}"
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     @pytest.mark.parametrize(
@@ -937,6 +955,10 @@ class TestDetectionReport:
         _, weighted = survey_results
         with pytest.raises(ValueError):
             render_report(weighted, "xml")
+
+    def test_unknown_result_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot render object"):
+            render_report(object())
 
 
 class TestComparisonReport:

@@ -10,12 +10,14 @@ from spatial_outliers import (
     Edge,
     NeighborFactors,
     PointSite,
+    PolygonSite,
     SiteLookupError,
     SpatialDataset,
     WeightParams,
     buffer_neighbors,
     collect_factors,
     combined_weights,
+    detect_outliers,
     direct_connection_count,
     graph_neighbors,
     min_cost,
@@ -164,6 +166,14 @@ class TestPolygonAdjacency:
         assert [polygon_adjacent_neighbors(ds, c) for c in ("p0", "p1", "p2")] == [
             {"p1"}, {"p0", "p2"}, {"p1"}
         ]
+
+    def test_polygon_without_vertices_has_no_neighbors(self):
+        # validation rejects it; the API still scores the rest and skips it
+        empty = PolygonSite(id="e", exterior=(), attributes={"v": 5.0})
+        ds = SpatialDataset(sites=(*grid_polygons(3).sites, empty))
+        assert polygon_adjacent_neighbors(ds, "e") == set()
+        assert all("e" not in polygon_adjacent_neighbors(ds, sid) for sid in ds.site_ids())
+        assert detect_outliers(ds, "v", WeightParams()).skipped == ("e",)
 
     def test_partial_edge_overlap_counts(self):
         # R only covers half of L's right edge but they share a line
