@@ -9,10 +9,10 @@ import sys
 from dataclasses import fields
 
 from .dataset import SpatialDataset, WeightParams, _key_sorted, validate_dataset
-from .detect import REGIMES, _check_regime, _neighbors, compare_models, detect_outliers
+from .detect import MODES, REGIMES, _check_regime, _neighbors, compare_models, detect_outliers
 from .errors import SpatialOutlierError, UnknownAttributeError
-from .fileio import _neighbor_table, _write_text, load_edges, load_polygons, load_sites
-from .fileio import render_report
+from .fileio import _EDGE_HEADER, _SITE_HEADER, REPORT_FORMATS, _neighbor_table, _site_attributes
+from .fileio import _write_text, load_edges, load_polygons, load_sites, render_report
 from .fixtures import write_fixture_files
 from .weights import _weigher
 
@@ -47,7 +47,9 @@ def _load_dataset(args) -> SpatialDataset:
     if not args.sites:
         raise UsageError("an input is required: --sites or --polygons")
     edges = load_edges(args.edges) if args.edges else ()
-    return SpatialDataset(sites=load_sites(args.sites), edges=edges)
+    sites = load_sites(args.sites)
+    names = None if sites else _site_attributes(args.sites)
+    return SpatialDataset(sites=sites, edges=edges, attribute_names=names)
 
 
 def _params(args) -> WeightParams:
@@ -151,8 +153,8 @@ def _cmd_fixtures(args) -> int:
 
 # add_argument keywords by option flag, in groups that several commands share
 _INPUTS = {
-    "--sites": {"help": "point sites CSV (id,x,y,<attrs>)"},
-    "--edges": {"help": "edges CSV (from,to,length,cost)"},
+    "--sites": {"help": f"point sites CSV ({','.join(_SITE_HEADER)},<attrs>)"},
+    "--edges": {"help": f"edges CSV ({','.join(_EDGE_HEADER)})"},
     "--polygons": {"help": "polygon sites JSON"},
 }
 _SEARCH = {
@@ -170,9 +172,9 @@ _SCORING = {
     "--attribute": {"help": "attribute to analyze"},
     "--theta": {"type": float, "default": 2.0, "help": "|z| flag threshold (default 2)"},
 }
-_MODE = {"--mode": {"choices": ("classical", "weighted"), "default": "weighted"}}
+_MODE = {"--mode": {"choices": MODES, "default": "weighted"}}
 _OUT = {"--out": {"help": "output path (default: stdout)"}}
-_FORMAT = {"--format": {"choices": ("csv", "json"), "default": "csv"}}
+_FORMAT = {"--format": {"choices": REPORT_FORMATS, "default": "csv"}}
 
 # name -> (help, options in help order, handler), for every subcommand in help
 # order: build_parser declares the subcommands from it and main dispatches from it

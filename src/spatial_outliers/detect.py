@@ -324,14 +324,17 @@ def compare_models(
         raise SiteLookupError("results cover different site sets")
 
     ordered = _key_sorted(c_by_site)
+    # d * d is rounded once, and (2d)(2d) is 4dd; d ** 2 is the C library's pow, which may miss
+    squares_c = [c_by_site[sid].diff * c_by_site[sid].diff for sid in ordered]
+    squares_w = [w_by_site[sid].diff * w_by_site[sid].diff for sid in ordered]
     try:
-        squares_c = [c_by_site[sid].diff ** 2 for sid in ordered]
-        squares_w = [w_by_site[sid].diff ** 2 for sid in ordered]
         total_c, total_w = math.fsum(squares_c), math.fsum(squares_w)
-    except OverflowError:
+    except OverflowError:  # finite squares whose sum overflows
+        total_c = total_w = math.inf
+    if math.inf in (total_c, total_w):  # or a square that overflows
         raise DegenerateDistributionError(
             "squared errors outside the float range: "
-            "a squared difference or their sum overflows") from None
+            "a squared difference or their sum overflows")
     rows = []
     improvements = []
     for sid, sq_c, sq_w in zip(ordered, squares_c, squares_w):

@@ -2,13 +2,13 @@
 
 Sites and edges travel as headered CSV, polygons as JSON records with rings
 and attributes, reports as sorted CSV (6-decimal numbers) or JSON.  Input is
-decoded as UTF-8 once, less a leading BOM (_read_text); a CSV table converts
-column by column (_csv_columns), and only a faulty one is walked row by row
-(_csv_rows).  A table with no quote and no NUL is split into lines and fields
-by str methods; any other goes through the CSV reader (_reader_columns), and
-both give the same columns.  Every CSV field written is quoted by one rule
-(_csv_ids), output is UTF-8 with newline line endings, and identical inputs
-give identical bytes.
+decoded as UTF-8 once, less a leading BOM (_read_text).  Plain CSV text (no
+quote, no NUL, a first line that is not blank) is split by str methods into
+columns (_csv_columns) and converted column by column; any other text, and a
+table whose columns fail a check, is walked row by row by the CSV reader
+(_csv_rows), which names the first fault and its line or builds the table.
+Every CSV field written is quoted by one rule (_csv_ids), output is UTF-8
+with newline line endings, and identical inputs give identical bytes.
 """
 
 import csv
@@ -16,7 +16,7 @@ import io
 import json
 import math
 import re
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from .dataset import Edge, PointSite, PolygonSite, site_id_key
 from .dataset import _geometry, _zero_area
@@ -59,7 +59,7 @@ def _csv_rows(path, text):
     line is the physical line a row starts on.  A missing header, a row not
     as wide as the header and a row the CSV reader rejects (a field past
     csv.field_size_limit, or a NUL byte before Python 3.11) raise ParseError
-    naming their line; the loaders walk only a text _csv_columns refused.
+    naming their line; the loaders walk each text whose columns they cannot use.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -76,43 +76,18 @@ def _csv_rows(path, text):
                     continue
                 raise ParseError(path, line_no, f"expected {width} columns, got {len(row)}")
             yield line_no, row
-        raise AssertionError(f"{path}: no fault found in a table the columnar pass refused")
     except csv.Error as exc:
         raise ParseError(path, reader.line_num, f"malformed CSV: {exc}") from None
 
 
-_CSV_CHUNK = 256  # rows per step of _reader_columns
-
-
-def _reader_columns(text):
-    """_csv_columns by the CSV reader, whose rows move into the columns
-    _CSV_CHUNK at a time so that each row list is freed soon after it is read."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-        columns = [[] for _ in header]
-        while rows := [*islice(reader, _CSV_CHUNK)]:
-            if not set(map(len, rows)) <= {0, len(header)}:  # 0: a blank row
-                return None
-            for column, values in zip(columns, zip(*filter(None, rows))):
-                column += values
-    except (csv.Error, StopIteration):
-        return None
-    return [h.strip() for h in header], columns
-
-
 def _csv_columns(text):
-    """A CSV text's stripped header (its first row, even when blank) and its
-    non-blank rows as columns; None when the reader rejects the text, it is
-    empty or a row is not as wide as the header.
-
-    Text with no quote and no NUL, whose first line is not blank, has no
-    field that spans a line or holds a comma, so str methods split it into
-    lines and fields; a field past csv.field_size_limit gives None, as the
-    reader's error does.  Other text takes the reader (_reader_columns).
+    """A plain CSV text's stripped header and non-blank rows as columns, split by
+    str methods; None for other text, a row not as wide as the header or a field
+    past csv.field_size_limit.  Plain text has no quote, no NUL and no blank first
+    line, so no field spans a line or holds a comma: the split gives the reader's fields.
     """
     if '"' in text or "\0" in text or text[:1] in ("", "\r", "\n"):
-        return _reader_columns(text)
+        return None
     rows = [*filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))]
     commas = rows[0].count(",")
     if set(map(str.count, rows, repeat(","))) != {commas}:
@@ -136,10 +111,16 @@ def _float_columns(columns):
     return floats if all(map(math.isfinite, chain(*floats))) else None
 
 
+# the leading columns of every sites file, and the columns of every edges file
+_SITE_HEADER = ["id", "x", "y"]
+_EDGE_HEADER = ["from", "to", "length", "cost"]
+
+
 def _site_columns(path, header) -> list[str]:
     """A sites header's column names after id; a header load_sites refuses raises."""
-    if header[:3] != ["id", "x", "y"]:
-        raise ParseError(path, 1, f"header must start with id,x,y, got {header[:3]}")
+    if header[:3] != _SITE_HEADER:
+        raise ParseError(path, 1, f"header must start with {','.join(_SITE_HEADER)}, "
+                                  f"got {header[:3]}")
     for k, name in enumerate(header):
         if not name:
             raise ParseError(path, 1, f"column {k + 1}: empty column name")
@@ -162,7 +143,7 @@ def load_sites(path) -> tuple[PointSite, ...]:
             return tuple(map(PointSite, ids, numbers[0], numbers[1], attributes))
     rows = _csv_rows(path, text)
     columns = _site_columns(path, next(rows))
-    seen = set()
+    sites, seen = [], set()
     for line_no, row in rows:
         site_id = row[0].strip()
         if not site_id:
@@ -170,11 +151,15 @@ def load_sites(path) -> tuple[PointSite, ...]:
         if site_id in seen:
             raise ParseError(path, line_no, f"duplicate site id {site_id!r}")
         seen.add(site_id)
-        for column, raw in zip(columns, row[1:]):
-            _parse_float(path, line_no, column, raw)
+        x, y, *values = [_parse_float(path, line_no, column, raw)
+                         for column, raw in zip(columns, row[1:])]
+        sites.append(PointSite(site_id, x, y, dict(zip(columns[2:], values))))
+    return tuple(sites)
 
 
-_EDGE_HEADER = ["from", "to", "length", "cost"]
+def _site_attributes(path) -> list[str]:
+    """The attribute names a sites file's header declares, for a file with no row to carry them."""
+    return _site_columns(path, next(_csv_rows(path, _read_text(path))))[2:]
 
 
 def load_edges(path) -> tuple[Edge, ...]:
@@ -194,9 +179,11 @@ def load_edges(path) -> tuple[Edge, ...]:
     rows = _csv_rows(path, text)
     header = next(rows)
     if header != _EDGE_HEADER:
-        raise ParseError(path, 1, f"header must be from,to,length,cost, got {header}")
+        raise ParseError(path, 1, f"header must be {','.join(_EDGE_HEADER)}, got {header}")
+    edges = []
     for line_no, (source, target, raw_length, raw_cost) in rows:
-        if not source.strip() or not target.strip():
+        source, target = source.strip(), target.strip()
+        if not source or not target:
             raise ParseError(path, line_no, "empty endpoint id")
         length = _parse_float(path, line_no, "length", raw_length)
         cost = _parse_float(path, line_no, "cost", raw_cost)
@@ -204,6 +191,8 @@ def load_edges(path) -> tuple[Edge, ...]:
             raise ParseError(path, line_no, f"length must be positive, got {length}")
         if cost < 0:
             raise ParseError(path, line_no, f"cost must be non-negative, got {cost}")
+        edges.append(Edge(source, target, length, cost))
+    return tuple(edges)
 
 
 # the types json.loads gives numbers; float() also takes strings and booleans
@@ -292,7 +281,7 @@ def write_sites_csv(sites, path, attribute_names=None) -> None:
     name or an id text that load_sites would change or reject raises ValueError."""
     if attribute_names is None:
         attribute_names = tuple(sites[0].attributes) if sites else ()
-    header = ["id", "x", "y", *map(str, attribute_names)]
+    header = [*_SITE_HEADER, *map(str, attribute_names)]
     for k, name in enumerate(header[3:], 3):
         if not name or name != name.strip() or name in header[:k]:
             raise ValueError(
@@ -309,7 +298,7 @@ def write_sites_csv(sites, path, attribute_names=None) -> None:
 def write_edges_csv(edges, path) -> None:
     rows = ([_id_field(edge.source), _id_field(edge.target), repr(edge.length), repr(edge.cost)]
             for edge in edges)
-    _write_text(_csv_text([["from", "to", "length", "cost"], *rows]), path)
+    _write_text(_csv_text([_EDGE_HEADER, *rows]), path)
 
 
 def write_polygons_json(polygons, path) -> None:
@@ -324,8 +313,9 @@ def write_polygons_json(polygons, path) -> None:
     _write_text(json.dumps(records, indent=2) + "\n", path)
 
 
-# each report's columns, in the field order of SiteScore and SiteComparison,
-# and the ComparisonReport fields its summary gives
+# the report formats; each report's columns, in the field order of SiteScore
+# and SiteComparison, and the ComparisonReport fields its summary gives
+REPORT_FORMATS = ("csv", "json")
 _DETECTION_COLUMNS = ("site_id", "actual", "expected", "diff", "z", "outlier")
 _COMPARISON_COLUMNS = (
     "site_id", "actual", "expected_classical", "expected_weighted",
@@ -438,8 +428,8 @@ def render_comparison_json(report: ComparisonReport) -> str:
 
 def render_report(result, fmt: str = "csv") -> str:
     """Render a detection or comparison result in the requested format."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"format must be {' or '.join(REPORT_FORMATS)}, got {fmt!r}")
     if isinstance(result, DetectionResult):
         return render_detection_csv(result) if fmt == "csv" else render_detection_json(result)
     if isinstance(result, ComparisonReport):

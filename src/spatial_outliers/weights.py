@@ -100,8 +100,8 @@ def _cost_shares(costs: Sequence[float | None]) -> list[float] | None:
 
 
 def _terms(regime: str, params: WeightParams, distances, column=None, costs=None) -> list:
-    """The (coef, shares) terms of a regime: buffer reads distances, graph counts
-    (column), polygon distances and areas (column), combined all three factors."""
+    """The (coef, shares) terms of a regime: buffer reads distances, graph counts (column),
+    polygon distances and areas (column), combined all three factors (costs None: no cost)."""
     if regime == "graph":
         return [(1.0, _shares(column))]
     inverse = _shares([1.0 / d for d in distances])
@@ -112,14 +112,16 @@ def _terms(regime: str, params: WeightParams, distances, column=None, costs=None
     return [
         (params.alpha, inverse),
         (params.beta, _shares(column)),
-        (params.delta, _cost_shares(costs)),
+        (params.delta, None if costs is None else _cost_shares(costs)),
     ]
 
 
 def _weigher(dataset, params: WeightParams, regime: str):
     """weigh(center, found) -> (ids, weights) under a checked regime: the one weighted
     path, a column pass per center over a factor view giving the columns _terms reads."""
-    columns = _factor_view(dataset, params.cost_limit, regime)
+    # at delta 0 a cost term adds 0.0 or nothing: combined reads graph's columns, no costs
+    view = "graph" if regime == "combined" and params.delta == 0 else regime
+    columns = _factor_view(dataset, params.cost_limit, view)
 
     def weigh(center: SiteId, found):
         if not found:

@@ -10,6 +10,9 @@ import sys
 import pytest
 
 import spatial_outliers
+from spatial_outliers import (
+    SpatialDataset, WeightParams, compare_models, detect_outliers, render_report,
+)
 from spatial_outliers.cli import build_parser, main
 from spatial_outliers.dataset import site_id_key
 from spatial_outliers.fileio import write_polygons_json
@@ -110,6 +113,29 @@ def test_sites_without_an_attribute_exit_one(command, tmp_path, capsys):
     sites.write_text("id,x,y\na,0,0\nb,1,0\n", encoding="utf-8")
     assert main([command, "--sites", _p(sites), "--regime", "buffer", "--radius", "2"]) == 1
     assert capsys.readouterr() == ("", "error: dataset declares no attribute\n")
+
+
+@pytest.mark.parametrize("command, attribute", [
+    ("detect", ["--attribute", "v"]), ("detect", []), ("compare", []),
+], ids=["detect --attribute v", "detect", "compare"])
+def test_a_header_only_sites_file_gives_the_empty_report(command, attribute, tmp_path, capsys):
+    # the header declares v, though no row carries it
+    sites = tmp_path / "sites.csv"
+    sites.write_text("id,x,y,v\n", encoding="utf-8")
+    argv = [command, "--sites", _p(sites), *attribute, "--regime", "buffer", "--radius", "2"]
+    assert main(argv) == 0
+    empty, params = SpatialDataset((), attribute_names=("v",)), WeightParams(radius=2.0)
+    result = detect_outliers(empty, "v", params, "weighted", "buffer")
+    if command == "compare":
+        result = compare_models(detect_outliers(empty, "v", params, "classical", "buffer"), result)
+    assert capsys.readouterr() == (render_report(result), "")
+
+
+def test_a_header_only_sites_file_declares_only_its_header_attributes(tmp_path, capsys):
+    sites = tmp_path / "sites.csv"
+    sites.write_text("id,x,y,v\n", encoding="utf-8")
+    assert main(["detect", "--sites", _p(sites), "--attribute", "w", "--radius", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: attribute 'w' not declared\n")
 
 
 class TestValidate:
@@ -694,6 +720,11 @@ def test_calls_in_one_process_match_fresh_processes(fixture_dir, tmp_path, monke
     bad.write_text("id,x,y,v\na,0,0,1\nb,zz,0,2\nc,1,1,3\n", encoding="utf-8")
     tiles = tmp_path / "tiles.json"
     write_polygons_json(grid_polygons(3).sites, tiles)
+    quoted = tmp_path / "quoted_sites.csv"  # quoted ids send the file to the row walk
+    quoted.write_text('id,x,y,v\n"a,1",0,0,1\n"b",1,0,2\n"c",0,1,4\n"d",1,1,3\n',
+                      encoding="utf-8")
+    header_only = tmp_path / "header_only_sites.csv"
+    header_only.write_text("id,x,y,v\n", encoding="utf-8")
     calls = [
         (0, ["detect", *survey, "--radius", "6", "--mode", "classical"]),
         (2, ["detect", *survey, "--radius", "6", "--mode", "bogus"]),
@@ -718,6 +749,10 @@ def test_calls_in_one_process_match_fresh_processes(fixture_dir, tmp_path, monke
         # a malformed input is a data error naming its line: a bad number on
         # line 3, after a clean row
         (1, ["detect", "--sites", _p(bad), "--regime", "buffer", "--radius", "6"]),
+        (0, ["detect", "--sites", _p(quoted), "--regime", "buffer", "--radius", "2"]),
+        (0, ["detect", "--sites", _p(header_only), "--attribute", "v", "--radius", "2"]),
+        # the default blend: combined at delta 0, which runs no cost search
+        (0, ["detect", *network, "--radius", "2"]),
         (0, ["validate", "--polygons", _p(tiles)]),
         (0, ["compare", "--polygons", _p(tiles), "--regime", "polygon"]),
         *((0, [command, "--help"]) for command in HELP_ORDER),

@@ -399,11 +399,10 @@ def csv_tables(draw, id_columns, header):
     return rows
 
 
-def _written(rows):
-    directory = tempfile.mkdtemp()
-    path = Path(directory) / "table.csv"
+def _written(rows, path=None, quoting=csv.QUOTE_MINIMAL):
+    path = path or Path(tempfile.mkdtemp()) / "table.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+        csv.writer(handle, lineterminator="\n", quoting=quoting).writerows(rows)
     return path
 
 
@@ -424,6 +423,26 @@ def test_load_edges_matches_field_by_field_reference(rows):
     path = _written(rows)
     try:
         assert parsed(load_edges, path) == parsed(reference_load_edges, path)
+    finally:
+        path.unlink()
+        path.parent.rmdir()
+
+
+@pytest.mark.parametrize("load, id_columns, header", [
+    (load_sites, 1, ["id", "x", "y", "a0"]),
+    (load_edges, 2, ["from", "to", "length", "cost"]),
+])
+@given(data=st.data())
+def test_quoting_every_field_changes_no_table_and_no_error(load, id_columns, header, data):
+    # the quoted copy is always walked; the plain one is split unless it holds a
+    # quote or starts with a blank line
+    rows = data.draw(csv_tables(id_columns, header))
+    path = _written(rows)
+    try:
+        plain = parsed(load, path)
+        _written(rows, path, quoting=csv.QUOTE_ALL)
+        assert '"' in path.read_text(encoding="utf-8")
+        assert parsed(load, path) == plain
     finally:
         path.unlink()
         path.parent.rmdir()
@@ -514,12 +533,11 @@ class TestColumnarPass:
     @pytest.mark.parametrize("fault", [None, "too wide", "not a number"])
     @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
     def test_rows_past_the_first_chunk(self, tmp_path, load, blank_chunks, fault, quoted):
-        # the reader moves rows into the columns _CSV_CHUNK at a time: after
-        # the header come whole chunks of blank lines, which the pass must read
-        # past, then rows over more than two chunks, one of them faulty past
-        # the first.  Quoted ids ("p,00001") send the text to the reader;
-        # plain text is split by str methods
-        chunk = fileio_module._CSV_CHUNK
+        # after the header come chunks of 256 blank lines, which both paths
+        # must read past, then rows over more than two chunks, one of them
+        # faulty past the first.  Quoted ids ("p,00001") send the text to the
+        # row walk; plain text is split by str methods, and walked only when faulty
+        chunk = 256
         lines = _bench_size_texts()[load][: 2 * chunk + 4]
         lines[1:1] = [""] * (blank_chunks * chunk)
         bad = (blank_chunks + 1) * chunk + 3  # a 0-based index past the first chunk
@@ -535,20 +553,19 @@ class TestColumnarPass:
         path = tmp_path / "table.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         reference = reference_load_sites if load is load_sites else reference_load_edges
-        spy = mock.patch.object(fileio_module, "_reader_columns",
-                                wraps=fileio_module._reader_columns)
+        spy = mock.patch.object(fileio_module, "_csv_rows", wraps=fileio_module._csv_rows)
         if fault is None:
-            with spy as read:
+            with spy as walk:
                 assert load(path) == reference(path)
-            assert read.call_count == quoted
+            assert walk.call_count == quoted
             assert len(load(path)) == 2 * chunk + 3
             return
         with pytest.raises(ParseError) as expected:
             reference(path)
         assert str(expected.value).startswith(f"{path}:{bad + 1}: ")
-        with spy as read, pytest.raises(ParseError) as err:
+        with spy as walk, pytest.raises(ParseError) as err:
             load(path)
-        assert read.call_count == quoted
+        assert walk.call_count == 1
         assert str(err.value) == str(expected.value)
 
     # the characters the reader treats as special, or that str.splitlines
@@ -559,10 +576,22 @@ class TestColumnarPass:
     @given(st.lists(st.sampled_from(_ALPHABET), max_size=40).map("".join))
     @example("")
     def test_split_columns_equal_the_reader_pass(self, text):
-        assert fileio_module._csv_columns(text) == fileio_module._reader_columns(text)
+        # the split refuses text with a quote or a NUL, or whose first line is blank
+        if '"' in text or "\0" in text or text[:1] in ("", "\r", "\n"):
+            assert fileio_module._csv_columns(text) is None
+            return
+        # the oracle: the CSV reader's stripped header and non-blank rows as
+        # columns, or None when a row is not as wide as the header
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        rows = [row for row in rows if row]
+        table = None
+        if all(len(row) == len(header) for row in rows):
+            table = [h.strip() for h in header], [[row[k] for row in rows]
+                                                  for k in range(len(header))]
+        assert fileio_module._csv_columns(text) == table
 
     @pytest.mark.parametrize("text, table", [
-        ("\na,b\n1,2\n", None),  # a blank first line is an empty header
+        ("\na,b\n1,2\n", None),  # the split refuses a blank first line
         ("id,x,y,v\n", (["id", "x", "y", "v"], [[], [], [], []])),
         ("a , b\r1,2\r\r3,4\r", (["a", "b"], [["1", "3"], ["2", "4"]])),
         ("a,b\n\n1, 2\r\n3,4", (["a", "b"], [["1", "3"], [" 2", "4"]])),
@@ -573,11 +602,12 @@ class TestColumnarPass:
             "too narrow", "too wide", "too wide then too narrow"])
     def test_split_columns_pinned_cases(self, text, table):
         assert fileio_module._csv_columns(text) == table
-        assert fileio_module._reader_columns(text) == table
 
     @pytest.mark.parametrize("quote", ["", '"'], ids=["split", "reader"])
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_a_field_past_the_size_limit_gives_none_on_both_paths(self, quote, where):
+        # plain text gives None from the split; quoted text is walked, and the
+        # walk names the field's line
         limit = 8
         texts = {
             size: (f"id,{'h' * size}\n{quote}a{quote},1\n" if where == "header"
@@ -586,10 +616,14 @@ class TestColumnarPass:
         }
         saved = csv.field_size_limit(limit)
         try:
-            assert fileio_module._csv_columns(texts[limit]) is not None
-            assert fileio_module._csv_columns(texts[limit + 1]) is None
-            assert fileio_module._reader_columns(texts[limit]) is not None
-            assert fileio_module._reader_columns(texts[limit + 1]) is None
+            if not quote:
+                assert fileio_module._csv_columns(texts[limit]) is not None
+                assert fileio_module._csv_columns(texts[limit + 1]) is None
+                return
+            assert len([*fileio_module._csv_rows("t.csv", texts[limit])]) == 2
+            with pytest.raises(ParseError, match="field larger than field limit") as err:
+                [*fileio_module._csv_rows("t.csv", texts[limit + 1])]
+            assert err.value.line == (1 if where == "header" else 2)
         finally:
             csv.field_size_limit(saved)
 

@@ -1555,9 +1555,13 @@ def test_each_prepared_structure_is_built_once_per_dataset():
     assert sorted(dataset._prepared) == ["edges", "grid", "locations"]
 
 
-@pytest.mark.parametrize("regime, searches", [("buffer", 0), ("graph", 0), ("combined", 1)])
-def test_only_combined_runs_the_cost_search(network, regime, searches):
-    params = WeightParams(alpha=0.5, beta=0.25, delta=0.25, radius=2.0, cost_limit=4.0)
+# a combined blend at delta 0 gives cost no weight, so it searches no cost
+@pytest.mark.parametrize("regime, delta, searches", [
+    ("buffer", 0.25, 0), ("graph", 0.25, 0), ("combined", 0.25, 1), ("combined", 0.0, 0),
+], ids=["buffer-0", "graph-0", "combined-1", "combined-delta-0-0"])
+def test_only_combined_runs_the_cost_search(network, regime, delta, searches):
+    params = WeightParams(alpha=0.75 - delta, beta=0.25, delta=delta, radius=2.0,
+                          cost_limit=4.0)
     assert network.edges
     with mock.patch.object(
         neighborhood, "_costs_from", wraps=neighborhood._costs_from

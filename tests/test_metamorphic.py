@@ -3,14 +3,24 @@
 Row order is no input.  Shuffling the sites and the edges of a dataset must
 give equal detections in both modes under every regime the dataset allows,
 equal model comparisons and equal weighted neighborhoods for every center,
-or the same error, type and text.  Every float is compared by its repr,
-which round-trips it, nan included.
+or the same error, type and text.
+
+The attribute's scale is no input either.  Scaling every attribute value by
+2**k, while every value stays a normal float, scales actual, expected, diff,
+mu and sigma by exactly 2**k and the squared errors of a comparison by 4**k;
+z, the flags, the skipped sites and the percentages stay as they were, and
+an error keeps its type and text.  A rule that is not homogeneous in the
+attribute, such as a spread threshold in absolute units, breaks it.
+
+Every float is compared by its repr, which round-trips it, nan included.
 """
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spatial_outliers import (
     Edge,
@@ -123,3 +133,120 @@ def test_fixture_row_order_is_no_input(build, attribute, radius, coeffs, rng):
     alpha, beta, delta = coeffs
     params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius, cost_limit=4.0)
     _assert_row_order_is_no_input(build(), attribute, params, rng)
+
+
+# every float that scales with the attribute stays within 2**±400: its square,
+# its products with weights and its differences from its kind are then normal
+# floats too, so scaling by a power of two is exact at every step
+_MARGIN = 400
+
+
+def _scaled(dataset, k):
+    """The dataset with every attribute value times 2**k."""
+    sites = tuple(
+        replace(site, attributes={name: math.ldexp(v, k) for name, v in site.attributes.items()})
+        for site in dataset.sites
+    )
+    return SpatialDataset(sites=sites, edges=dataset.edges,
+                          attribute_names=dataset.attribute_names)
+
+
+def _detections(dataset, attribute, params):
+    """Each (regime, mode) the dataset allows, with its detection or error."""
+    regimes = POLYGON_REGIMES if dataset.kind == "polygon" else POINT_REGIMES
+    return {(regime, mode): _attempt(detect_outliers, dataset, attribute, params, mode, regime)
+            for regime in regimes for mode in MODES}
+
+
+def _scaling(result):
+    """A detection's floats that scale with the attribute: mu, sigma and each
+    score's actual, expected and diff."""
+    return [result.mu, result.sigma, *(x for score in result.scores for x in score[1:4])]
+
+
+def _fixed(result):
+    return repr((result.attribute, result.theta, result.skipped,
+                 [(score.site, score.z, score.is_outlier) for score in result.scores]))
+
+
+def _comparisons(found, regimes):
+    """The model comparison of each regime whose two detections are scores."""
+    return {regime: _attempt(compare_models, found[regime, "classical"][1],
+                             found[regime, "weighted"][1])
+            for regime in regimes
+            if found[regime, "classical"][0] == found[regime, "weighted"][0] == "ok"}
+
+
+def _times(values, k):
+    return [repr(math.ldexp(v, k)) for v in values]
+
+
+def _assert_attribute_scale_is_no_input(dataset, attribute, params, data):
+    found = _detections(dataset, attribute, params)
+    scaling = [*dataset.values(attribute).values()]
+    for outcome in found.values():
+        scaling += _scaling(outcome[1]) if outcome[0] == "ok" else []
+    exponents = [math.frexp(x)[1] for x in scaling if x and math.isfinite(x)]
+    low, high = min(exponents, default=0), max(exponents, default=0)
+    assume(-_MARGIN <= low and high <= _MARGIN)
+    k = data.draw(st.integers(-_MARGIN - low, _MARGIN - high), label="k")
+
+    scaled = _detections(_scaled(dataset, k), attribute, params)
+    for key, outcome in found.items():
+        if outcome[0] == "raised":
+            assert scaled[key] == outcome
+            continue
+        assert scaled[key][0] == "ok", (key, scaled[key])
+        assert _times(_scaling(scaled[key][1]), 0) == _times(_scaling(outcome[1]), k)
+        assert _fixed(scaled[key][1]) == _fixed(outcome[1])
+
+    regimes = {regime for regime, _ in found}
+    scaled_comparisons = _comparisons(scaled, regimes)
+    for regime, outcome in _comparisons(found, regimes).items():
+        if outcome[0] == "raised":
+            assert scaled_comparisons[regime] == outcome
+            continue
+        report, got = outcome[1], scaled_comparisons[regime][1]
+        assert repr((got.attribute, got.mean_improvement_pct, got.mean_sq_error_reduction_pct)) \
+            == repr((report.attribute, report.mean_improvement_pct,
+                     report.mean_sq_error_reduction_pct))
+        for want, row in zip(report.per_site, got.per_site, strict=True):
+            assert row.site == want.site
+            assert _times(row[1:4], 0) == _times(want[1:4], k)
+            assert _times(row[4:7], 0) == _times(want[4:7], 2 * k)
+            assert repr(row.improvement_pct) == repr(want.improvement_pct)
+
+
+@given(
+    multigraphs(dangling=False),
+    coefficients,
+    st.sampled_from([1.5, 3.0]),
+    st.one_of(st.none(), st.floats(0.5, 12)),
+    st.data(),
+)
+def test_point_attribute_scale_is_no_input(dataset, coeffs, radius, limit, data):
+    alpha, beta, delta = coeffs
+    params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius,
+                          cost_limit=limit, theta=1.0)
+    _assert_attribute_scale_is_no_input(dataset, "v", params, data)
+
+
+@given(tilings(), st.sampled_from([1.2, 2.5]), st.floats(0, 1), st.data())
+def test_polygon_attribute_scale_is_no_input(case, reach, gamma, data):
+    dataset, _, _ = case
+    radius = reach * polygon_area(dataset.sites[0]) ** 0.5
+    params = WeightParams(gamma=gamma, radius=radius, theta=1.0)
+    _assert_attribute_scale_is_no_input(dataset, "v", params, data)
+
+
+@pytest.mark.parametrize("build, attribute, radius", [
+    (network_dataset, NETWORK_ATTRIBUTE, NETWORK_RADIUS),
+    (village_dataset, VILLAGE_ATTRIBUTE, VILLAGE_RADIUS),
+    (survey_dataset, SURVEY_ATTRIBUTE, SURVEY_RADIUS),
+], ids=["network", "village", "survey"])
+@settings(max_examples=10)
+@given(coefficients, st.data())
+def test_fixture_attribute_scale_is_no_input(build, attribute, radius, coeffs, data):
+    alpha, beta, delta = coeffs
+    params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius, cost_limit=4.0)
+    _assert_attribute_scale_is_no_input(build(), attribute, params, data)
