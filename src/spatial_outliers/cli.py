@@ -120,28 +120,15 @@ def _cmd_neighborhoods(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    dataset = _checked(_load_dataset(args))
-    params = _params(args)
-    result = detect_outliers(
-        dataset,
-        _attribute(args, dataset),
-        params,
-        mode=args.mode,
-        regime=args.regime,
-    )
-    _emit(render_report(result, args.format), args.out)
-    return 0
-
-
-def _cmd_compare(args) -> int:
+    """detect in --mode, or compare: classical, then weighted, in one report."""
     dataset = _checked(_load_dataset(args))
     params = _params(args)
     attribute = _attribute(args, dataset)
-    classical = detect_outliers(dataset, attribute, params, mode="classical",
-                                regime=args.regime)
-    weighted = detect_outliers(dataset, attribute, params, mode="weighted",
-                               regime=args.regime)
-    _emit(render_report(compare_models(classical, weighted), args.format), args.out)
+    compare = args.command == "compare"
+    results = [detect_outliers(dataset, attribute, params, mode=mode, regime=args.regime)
+               for mode in (MODES if compare else (args.mode,))]
+    report = compare_models(*results) if compare else results[0]
+    _emit(render_report(report, args.format), args.out)
     return 0
 
 
@@ -162,15 +149,20 @@ _SEARCH = {
     "--regime": {"choices": REGIMES, "help": "neighbor regime (default: by dataset kind)"},
 }
 _BLEND = {
-    "--alpha": {"type": float, "default": 1.0, "help": "distance coefficient (default 1)"},
-    "--beta": {"type": float, "default": 0.0, "help": "connection coefficient (default 0)"},
-    "--delta": {"type": float, "default": 0.0, "help": "cost coefficient (default 0)"},
-    "--gamma": {"type": float, "default": 0.5, "help": "polygon distance/area mix (default 0.5)"},
+    "--alpha": {"type": float, "default": WeightParams.alpha,
+                "help": "distance coefficient (default %(default)g)"},
+    "--beta": {"type": float, "default": WeightParams.beta,
+               "help": "connection coefficient (default %(default)g)"},
+    "--delta": {"type": float, "default": WeightParams.delta,
+                "help": "cost coefficient (default %(default)g)"},
+    "--gamma": {"type": float, "default": WeightParams.gamma,
+                "help": "polygon distance/area mix (default %(default)g)"},
     "--cost-limit": {"type": float, "help": "ignore traversal costs above this limit"},
 }
 _SCORING = {
     "--attribute": {"help": "attribute to analyze"},
-    "--theta": {"type": float, "default": 2.0, "help": "|z| flag threshold (default 2)"},
+    "--theta": {"type": float, "default": WeightParams.theta,
+                "help": "|z| flag threshold (default %(default)g)"},
 }
 _MODE = {"--mode": {"choices": MODES, "default": "weighted"}}
 _OUT = {"--out": {"help": "output path (default: stdout)"}}
@@ -187,7 +179,7 @@ _COMMANDS = {
     "detect": ("score sites and flag outliers",
                _INPUTS | _SEARCH | _BLEND | _SCORING | _MODE | _OUT | _FORMAT, _cmd_detect),
     "compare": ("run both modes and compare errors",
-                _INPUTS | _SEARCH | _BLEND | _SCORING | _OUT | _FORMAT, _cmd_compare),
+                _INPUTS | _SEARCH | _BLEND | _SCORING | _OUT | _FORMAT, _cmd_detect),
     "fixtures": ("write the bundled example datasets",
                  {"--out": {"default": ".", "help": "target directory (default: .)"}},
                  _cmd_fixtures),

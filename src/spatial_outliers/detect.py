@@ -158,14 +158,11 @@ def significance_scores(diffs: dict[SiteId, float], theta: float) -> Significanc
         mu = math.inf
     largest = max(abs(diffs[sid]) for sid in ordered)
     # squares are taken in units of a power of two near max|d|: exact, and
-    # tiny differences no longer underflow
+    # tiny differences no longer underflow; d * d is rounded once, as d ** 2,
+    # the C library's pow, may not be
     _, exp = math.frexp(largest)
-    sigma = math.ldexp(
-        math.sqrt(
-            math.fsum(math.ldexp(diffs[sid] - mu, -exp) ** 2 for sid in ordered) / n
-        ),
-        exp,
-    )
+    scaled = [math.ldexp(diffs[sid] - mu, -exp) for sid in ordered]
+    sigma = math.ldexp(math.sqrt(math.fsum(d * d for d in scaled) / n), exp)
     if not sigma < math.inf:  # inf or nan: a difference, sum or deviation overflowed
         raise DegenerateDistributionError(
             "differences outside the float range: "

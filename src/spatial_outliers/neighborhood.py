@@ -22,7 +22,8 @@ Rook adjacency reads one table of segment records (endpoints, length, unit
 direction, padded box) in one loop over the candidates of each polygon, and
 one overlap kernel measures only segment pairs whose boxes meet.  A grid over
 padded polygon boxes yields the candidates; where it cannot index a dataset,
-every polygon is a candidate of every other and no box excludes a pair.
+every polygon falls in its one cell, and only a non-finite vertex leaves the
+boxes unpadded and unbounded.
 
 A factor view, bound once to the index, measures each factor in one column
 pass over the neighbor ids, sorted once in key order, so a caller measures
@@ -247,46 +248,45 @@ def _box_grid(dataset: SpatialDataset):
     """Segment records, polygon boxes and box candidates of every polygon.
 
     Returns (boxes, segments, candidates) by position among the sites the
-    ids name, in first-seen order: the polygon box spans its segment boxes
-    (None without vertices), segments are its _segment_records, and
-    candidates holds the positions whose boxes share a grid cell with its
-    box.  The cell side is at least the mean box extent and the root of the
-    mean box area, which bounds the cells all boxes cover to a small
-    multiple of the polygon count.  When the grid cannot index the dataset
-    (a non-finite vertex, box areas that sum past the float range, or cells
-    too small for the coordinates), the records are unpadded, every box is
-    unbounded and every polygon with vertices is a candidate of every other.
+    ids name, in first-seen order: segments are each polygon's
+    _segment_records, built once, the polygon box spans its segment boxes
+    (None without vertices), and candidates holds the positions whose boxes
+    share a grid cell with its box.  The cell side is at least the mean box
+    extent and the root of the mean box area, which bounds the cells all
+    boxes cover to a small multiple of the polygon count.  Records are padded
+    when every vertex is finite and unbounded otherwise.  When the grid
+    cannot index the dataset (a non-finite vertex, box areas that sum past
+    the float range, or cells too small for the coordinates), every polygon
+    with vertices falls in one cell, so each is a candidate of every other.
     """
     sites = dataset._index.values()
     values = [v for site in sites for ring in (site.exterior, *site.holes)
               for point in ring for v in point]
+    pad = None
     if all(map(math.isfinite, values)):
         scale = max(map(abs, values), default=0.0)
         pad = _BOX_PAD + _BOX_PAD_RELATIVE * scale
-        segments = [_segment_records(site, pad) for site in sites]
-        boxes = [  # columns 7 to 10 of the records are the segment boxes
-            (min(c[7]), min(c[8]), max(c[9]), max(c[10])) if c else None
-            for c in (tuple(zip(*records)) for records in segments)
-        ]
-        present = [box for box in boxes if box is not None]
-        try:
-            extent = math.fsum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in present)
-            area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in present)
-            cell = max(extent / len(present), math.sqrt(area / len(present)))
-        except (OverflowError, ZeroDivisionError):  # areas summing past the float range; no box
-            cell = math.nan
-        if math.isfinite((scale + pad) / cell):
-            cells = [() if box is None else _cells(box, cell) for box in boxes]
-            grid: dict[tuple[int, int], list[int]] = {}
-            for i, keys in enumerate(cells):
-                for key in keys:
-                    grid.setdefault(key, []).append(i)
-            return boxes, segments, [{j for key in keys for j in grid[key]} for keys in cells]
-    segments = [_segment_records(site, None) for site in sites]
-    unbounded = (-math.inf, -math.inf, math.inf, math.inf)
-    boxes = [unbounded if records else None for records in segments]
-    everyone = [j for j, box in enumerate(boxes) if box is not None]
-    return boxes, segments, [everyone] * len(sites)
+    segments = [_segment_records(site, pad) for site in sites]
+    boxes = [  # columns 7 to 10 of the records are the segment boxes
+        (min(c[7]), min(c[8]), max(c[9]), max(c[10])) if c else None
+        for c in (tuple(zip(*records)) for records in segments)
+    ]
+    present = [box for box in boxes if box is not None]
+    try:
+        extent = math.fsum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in present)
+        area = math.fsum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in present)
+        cell = max(extent / len(present), math.sqrt(area / len(present)))
+    except (OverflowError, ZeroDivisionError):  # areas summing past the float range; no box
+        cell = math.nan
+    indexed = pad is not None and math.isfinite((scale + pad) / cell)
+    cells = [() if box is None else _cells(box, cell) if indexed else [(0, 0)] for box in boxes]
+    grid: dict[tuple[int, int], list[int]] = {}
+    for i, keys in enumerate(cells):
+        for key in keys:
+            grid.setdefault(key, []).append(i)
+    # a box in one cell shares that cell's list, as every box does in the one cell
+    return boxes, segments, [grid[keys[0]] if len(keys) == 1 else
+                             {j for key in keys for j in grid[key]} for keys in cells]
 
 
 def _rook(dataset: SpatialDataset) -> dict[SiteId, frozenset[SiteId]]:

@@ -223,6 +223,16 @@ class TestSignificanceScores:
         assert sig.z[0] == pytest.approx(-1.0, abs=1e-6)
         assert sig.z[1] == pytest.approx(1.0, abs=1e-6)
 
+    def test_sigma_squares_are_rounded_once(self):
+        # one scaled deviation here is -0x1.f886b43533eeap-2; its square x * x
+        # is ...846p-3, correctly rounded, where a C library's pow may give ...847p-3
+        diffs = {i: float.fromhex(h) for i, h in enumerate([
+            "0x1.1dd56c524efd8p-3", "-0x1.dbb06a55f1412p-1", "0x1.68592e13ae054p-2",
+            "-0x1.996d7ef3bac28p-2", "0x1.21882b922c4c6p-1", "0x1.a888abe3a3186p-1",
+        ])}
+        sig = significance_scores(diffs, theta=2.0)
+        assert sig.sigma.hex() == "0x1.307aed8fc93b3p-1"
+
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             significance_scores({}, theta=2.0)

@@ -54,7 +54,7 @@ from spatial_outliers.dataset import site_id_key, site_location
 from spatial_outliers.fixtures import network_dataset
 from spatial_outliers.neighborhood import BOUNDARY_TOLERANCE, NeighborFactors
 
-from conftest import grid_point_dataset, grid_polygons, unit_square
+from conftest import grid_point_dataset, grid_polygons, huge_squares_dataset, unit_square
 from test_weights import (
     _SIMPLEX_CORNERS,
     _coeffs,
@@ -1161,6 +1161,19 @@ def test_unindexable_dataset_builds_each_polygons_segment_records_once():
         polygon_adjacent_neighbors(dataset, "0-0")
     assert spy.call_count == 25
     assert all(call.args[1] is None for call in spy.call_args_list)
+    _assert_rook_matches_scan(dataset)
+
+
+def test_finite_dataset_the_grid_cannot_index_builds_padded_records_once():
+    # the box areas overflow, so the grid leaves these squares in one cell,
+    # and their vertices are finite, so the records keep their padded boxes
+    dataset = huge_squares_dataset(1e154)
+    with mock.patch.object(
+        neighborhood, "_segment_records", wraps=neighborhood._segment_records
+    ) as spy:
+        polygon_adjacent_neighbors(dataset, "p0")
+    assert spy.call_count == 3
+    assert all(math.isfinite(call.args[1]) for call in spy.call_args_list)
     _assert_rook_matches_scan(dataset)
 
 

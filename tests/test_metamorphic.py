@@ -12,17 +12,33 @@ z, the flags, the skipped sites and the percentages stay as they were, and
 an error keeps its type and text.  A rule that is not homogeneous in the
 attribute, such as a spread threshold in absolute units, breaks it.
 
+Geometry's scale is no input for point datasets.  Scaling x, y, edge
+lengths, edge costs, the radius and the cost limit by 2**k, while every one
+of them stays a normal float, scales each distance and cost by exactly 2**k,
+so every share, weight, detection, comparison and error is bit-identical.  A
+tolerance in absolute units, such as a slack added to the buffer radius,
+breaks it.  Polygons stay out: their ring and boundary tolerances are
+absolute.
+
+Ids that keep their key order are no input.  Shifting every int id by one
+c >= 0 and giving every str id one prefix relabels every result, row and
+error, and changes nothing else.  It changes the hash order of the ids, so
+it sees a sum over neighbors in set order that is not exact.
+
 Every float is compared by its repr, which round-trips it, nan included.
 """
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from spatial_outliers import (
+    ComparisonReport,
+    DetectionResult,
     Edge,
     PointSite,
     SpatialDataset,
@@ -35,6 +51,7 @@ from spatial_outliers import (
 )
 from spatial_outliers.dataset import _key_sorted
 from spatial_outliers.detect import MODES
+from spatial_outliers.fileio import _score_rows
 from spatial_outliers.fixtures import (
     NETWORK_ATTRIBUTE,
     NETWORK_RADIUS,
@@ -47,7 +64,7 @@ from spatial_outliers.fixtures import (
     village_dataset,
 )
 
-from test_index import multigraphs, tilings
+from test_index import mixed_id_multigraphs, multigraphs, tilings
 
 POINT_REGIMES = ("buffer", "graph", "combined")
 POLYGON_REGIMES = ("polygon", "buffer")
@@ -64,8 +81,13 @@ def _attempt(fn, *args):
 
 
 def _runs(dataset, attribute, params):
-    """repr of every detection, comparison and weighted neighborhood, or of
-    the error each raises, centers in key order."""
+    """repr of _outcomes."""
+    return repr(_outcomes(dataset, attribute, params))
+
+
+def _outcomes(dataset, attribute, params):
+    """Every detection, comparison and weighted neighborhood, or the error
+    each raises, centers in key order."""
     regimes = POLYGON_REGIMES if dataset.kind == "polygon" else POINT_REGIMES
     runs = []
     for regime in regimes:
@@ -76,7 +98,7 @@ def _runs(dataset, attribute, params):
             runs.append(_attempt(compare_models, *(outcome[1] for outcome in found)))
         for center in _key_sorted(dataset.site_ids()):
             runs.append(_attempt(neighborhood_weights, dataset, center, params, regime))
-    return repr(runs)
+    return runs
 
 
 def _assert_row_order_is_no_input(dataset, attribute, params, rng):
@@ -250,3 +272,141 @@ def test_fixture_attribute_scale_is_no_input(build, attribute, radius, coeffs, d
     alpha, beta, delta = coeffs
     params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius, cost_limit=4.0)
     _assert_attribute_scale_is_no_input(build(), attribute, params, data)
+
+
+
+FIXTURES = pytest.mark.parametrize("build, attribute, radius", [
+    (network_dataset, NETWORK_ATTRIBUTE, NETWORK_RADIUS),
+    (village_dataset, VILLAGE_ATTRIBUTE, VILLAGE_RADIUS),
+    (survey_dataset, SURVEY_ATTRIBUTE, SURVEY_RADIUS),
+], ids=["network", "village", "survey"])
+
+
+def _geometry_scaled(dataset, params, k):
+    """The point dataset and params with every coordinate, edge length,
+    edge cost, radius and cost limit times 2**k."""
+    sites = tuple(replace(site, x=math.ldexp(site.x, k), y=math.ldexp(site.y, k))
+                  for site in dataset.sites)
+    edges = tuple(edge._replace(length=math.ldexp(edge.length, k), cost=math.ldexp(edge.cost, k))
+                  for edge in dataset.edges)
+    limit = None if params.cost_limit is None else math.ldexp(params.cost_limit, k)
+    return (SpatialDataset(sites=sites, edges=edges, attribute_names=dataset.attribute_names),
+            replace(params, radius=math.ldexp(params.radius, k), cost_limit=limit))
+
+
+def _assert_geometry_scale_is_no_input(dataset, attribute, params, data):
+    geometry = [params.radius, params.cost_limit or 0.0]
+    geometry += [v for site in dataset.sites for v in (site.x, site.y)]
+    geometry += [v for edge in dataset.edges for v in (edge.length, edge.cost)]
+    # within 2**±400, inverses, sums along paths and sums of shares stay
+    # normal floats too, so scaling by a power of two is exact at every step
+    exponents = [math.frexp(x)[1] for x in geometry if x and math.isfinite(x)]
+    low, high = min(exponents), max(exponents)
+    assume(-_MARGIN <= low and high <= _MARGIN)
+    k = data.draw(st.integers(-_MARGIN - low, _MARGIN - high), label="k")
+    scaled, scaled_params = _geometry_scaled(dataset, params, k)
+    assert _runs(scaled, attribute, scaled_params) == _runs(dataset, attribute, params)
+
+
+@given(
+    st.one_of(multigraphs(dangling=False), mixed_id_multigraphs()),
+    coefficients,
+    st.sampled_from([1.5, 3.0]),
+    st.one_of(st.none(), st.floats(0.5, 12)),
+    st.data(),
+)
+def test_point_geometry_scale_is_no_input(dataset, coeffs, radius, limit, data):
+    alpha, beta, delta = coeffs
+    params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius,
+                          cost_limit=limit, theta=1.0)
+    _assert_geometry_scale_is_no_input(dataset, "v", params, data)
+
+
+@FIXTURES
+@settings(max_examples=10)
+@given(coefficients, st.data())
+def test_fixture_geometry_scale_is_no_input(build, attribute, radius, coeffs, data):
+    alpha, beta, delta = coeffs
+    params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius, cost_limit=4.0)
+    _assert_geometry_scale_is_no_input(build(), attribute, params, data)
+
+
+# an int repr that is a whole token, not part of a float, name or power, or a str repr
+_ID_TOKEN = re.compile(r"'[^']*'|(?<![\w.*])-?\d+(?![\w.*])")
+
+
+def _relabeled_outcome(outcome, new, tokens):
+    """The outcome a run on relabeled ids should give, from the original's:
+    each id in a result mapped by new, each id named in an error by tokens
+    (repr to repr)."""
+    if outcome[0] == "raised":
+        _, kind, text = outcome
+        return "raised", kind, _ID_TOKEN.sub(lambda m: tokens.get(m[0], m[0]), text)
+    result = outcome[1]
+    if isinstance(result, DetectionResult):
+        return "ok", replace(result, scores=tuple(s._replace(site=new(s.site)) for s in result.scores),
+                             skipped=tuple(map(new, result.skipped)))
+    if isinstance(result, ComparisonReport):
+        return "ok", replace(result, per_site=tuple(r._replace(site=new(r.site))
+                                                    for r in result.per_site))
+    return "ok", replace(result, center=new(result.center),
+                         entries=tuple((new(n), w) for n, w in result.entries))
+
+
+def _assert_ordered_relabeling_is_no_input(dataset, attribute, params, shift, prefix):
+    def new(sid):
+        return sid + shift if isinstance(sid, int) else prefix + sid
+
+    sites = tuple(replace(site, id=new(site.id)) for site in dataset.sites)
+    edges = tuple(edge._replace(source=new(edge.source), target=new(edge.target))
+                  for edge in dataset.edges)
+    relabeled = SpatialDataset(sites=sites, edges=edges, attribute_names=dataset.attribute_names)
+    assert _key_sorted(relabeled.site_ids()) == list(map(new, _key_sorted(dataset.site_ids())))
+    tokens = {repr(sid): repr(new(sid)) for sid in dataset.site_ids()}
+    want = _outcomes(dataset, attribute, params)
+    got = _outcomes(relabeled, attribute, params)
+    assert repr(got) == repr([_relabeled_outcome(outcome, new, tokens) for outcome in want])
+    for before, after in zip(want, got):
+        if after[0] == "ok" and isinstance(after[1], DetectionResult):
+            # report rows, ordered by z and then by id
+            assert [row.site for row in _score_rows(after[1])] == \
+                [new(row.site) for row in _score_rows(before[1])]
+
+
+shifts = st.one_of(st.integers(0, 64), st.integers(0, 2 ** 70))
+# no comma, quote or line break, which a CSV or an error text would quote or escape
+prefixes = st.text(alphabet="aZ0 _-éÿ中\U0001f600", min_size=1, max_size=3)
+
+
+@given(
+    st.one_of(multigraphs(dangling=False), mixed_id_multigraphs()),
+    coefficients,
+    st.sampled_from([1.5, 3.0]),
+    st.one_of(st.none(), st.floats(0.5, 12)),
+    shifts,
+    prefixes,
+)
+# every neighbor of center 0 is over the cost limit: the error names center 0
+@example(_PARALLEL, (0.0, 0.0, 1.0), 1.5, 0.5, 7, "z")
+def test_point_ordered_relabeling_is_no_input(dataset, coeffs, radius, limit, shift, prefix):
+    alpha, beta, delta = coeffs
+    params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius,
+                          cost_limit=limit, theta=1.0)
+    _assert_ordered_relabeling_is_no_input(dataset, "v", params, shift, prefix)
+
+
+@given(tilings(), st.sampled_from([1.2, 2.5]), st.floats(0, 1), prefixes)
+def test_polygon_ordered_relabeling_is_no_input(case, reach, gamma, prefix):
+    dataset, _, _ = case
+    radius = reach * polygon_area(dataset.sites[0]) ** 0.5
+    params = WeightParams(gamma=gamma, radius=radius, theta=1.0)
+    _assert_ordered_relabeling_is_no_input(dataset, "v", params, 0, prefix)
+
+
+@FIXTURES
+@settings(max_examples=5)
+@given(coefficients, prefixes)
+def test_fixture_ordered_relabeling_is_no_input(build, attribute, radius, coeffs, prefix):
+    alpha, beta, delta = coeffs
+    params = WeightParams(alpha=alpha, beta=beta, delta=delta, radius=radius, cost_limit=4.0)
+    _assert_ordered_relabeling_is_no_input(build(), attribute, params, 0, prefix)
