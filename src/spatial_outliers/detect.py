@@ -272,34 +272,19 @@ def detect_outliers(
             # ids passed the factor view, so each is a site id, and every site has a value
             expecteds[center] = _expectation(weights, list(map(values.__getitem__, ids)))
 
-    if not expecteds:
-        return DetectionResult(
-            attribute=attribute,
-            scores=(),
-            mu=math.nan,
-            sigma=math.nan,
-            theta=params.theta,
-            skipped=tuple(skipped),
-        )
-
-    diffs = difference_scores(
-        {sid: values[sid] for sid in expecteds}, expecteds
-    )
-    significance = significance_scores(diffs, params.theta)
-    # tuple.__new__ is what SiteScore._make calls, without a frame per score
-    scores = tuple(map(tuple.__new__, repeat(SiteScore), zip(
-        expecteds, map(values.__getitem__, expecteds), expecteds.values(),
-        map(diffs.__getitem__, expecteds), map(significance.z.__getitem__, expecteds),
-        map(significance.outliers.__contains__, expecteds),
-    )))  # expecteds is inserted in key order
-    return DetectionResult(
-        attribute=attribute,
-        scores=scores,
-        mu=significance.mu,
-        sigma=significance.sigma,
-        theta=params.theta,
-        skipped=tuple(skipped),
-    )
+    scores, mu, sigma = (), math.nan, math.nan  # nothing scored: mu and sigma are nan
+    if expecteds:
+        diffs = difference_scores({sid: values[sid] for sid in expecteds}, expecteds)
+        significance = significance_scores(diffs, params.theta)
+        mu, sigma = significance.mu, significance.sigma
+        # tuple.__new__ is what SiteScore._make calls, without a frame per score
+        scores = tuple(map(tuple.__new__, repeat(SiteScore), zip(
+            expecteds, map(values.__getitem__, expecteds), expecteds.values(),
+            map(diffs.__getitem__, expecteds), map(significance.z.__getitem__, expecteds),
+            map(significance.outliers.__contains__, expecteds),
+        )))  # expecteds is inserted in key order
+    return DetectionResult(attribute=attribute, scores=scores, mu=mu, sigma=sigma,
+                           theta=params.theta, skipped=tuple(skipped))
 
 
 def compare_models(

@@ -276,9 +276,22 @@ def _id_field(sid, seen=None) -> str:
     return text
 
 
+def _site_row(site, attribute_names, seen) -> list[str]:
+    """A site's fields; a value load_sites refuses, or no value for a name, raises ValueError."""
+    text = _id_field(site.id, seen)
+    try:
+        values = [site.x, site.y, *[float(site.attributes[name]) for name in attribute_names]]
+    except KeyError as exc:
+        raise ValueError(f"site {site.id!r} has no attribute {exc.args[0]!r}") from None
+    for column, value in zip(("x", "y", *attribute_names), values):
+        if not math.isfinite(value):
+            raise ValueError(f"site {site.id!r}: column {column!r}: non-finite value {value!r}")
+    return [text, *map(repr, values)]
+
+
 def write_sites_csv(sites, path, attribute_names=None) -> None:
-    """Emit sites as CSV; float repr keeps reload byte-exact.  An attribute
-    name or an id text that load_sites would change or reject raises ValueError."""
+    """Emit sites as CSV; float repr keeps reload byte-exact.  An attribute name,
+    an id text or a row that load_sites would change or reject raises ValueError."""
     if attribute_names is None:
         attribute_names = tuple(sites[0].attributes) if sites else ()
     header = [*_SITE_HEADER, *map(str, attribute_names)]
@@ -287,30 +300,39 @@ def write_sites_csv(sites, path, attribute_names=None) -> None:
             raise ValueError(
                 f"attribute name {name!r} is empty, has whitespace at an end or repeats")
     seen = set()
-    rows = (
-        [_id_field(site.id, seen), repr(site.x), repr(site.y)]
-        + [repr(float(site.attributes[name])) for name in attribute_names]
-        for site in sites
-    )
+    rows = (_site_row(site, attribute_names, seen) for site in sites)
     _write_text(_csv_text([header, *rows]), path)
 
 
+def _edge_row(edge) -> list[str]:
+    """An edge's fields; a length or cost load_edges refuses raises ValueError naming both."""
+    source, target, length, cost = edge
+    fields = [_id_field(source), _id_field(target), repr(length), repr(cost)]
+    if not (0.0 < length < math.inf and 0.0 <= cost < math.inf):
+        raise ValueError(f"edge {source!r}-{target!r}: length must be positive and cost "
+                         f"non-negative, both finite, got {length!r} and {cost!r}")
+    return fields
+
+
 def write_edges_csv(edges, path) -> None:
-    rows = ([_id_field(edge.source), _id_field(edge.target), repr(edge.length), repr(edge.cost)]
-            for edge in edges)
-    _write_text(_csv_text([_EDGE_HEADER, *rows]), path)
+    """Emit edges as CSV; an edge that load_edges would change or reject raises ValueError."""
+    _write_text(_csv_text([_EDGE_HEADER, *map(_edge_row, edges)]), path)
 
 
 def write_polygons_json(polygons, path) -> None:
-    records = [
-        {
+    """Emit polygons as JSON; an id load_polygons refuses (a bool, an empty
+    string, a repeat) or a non-finite number raises ValueError."""
+    records, seen = [], set()
+    for polygon in polygons:
+        if type(polygon.id) not in (str, int) or polygon.id == "" or polygon.id in seen:
+            raise ValueError(f"polygon id {polygon.id!r} is not a str or int, is empty or repeats")
+        seen.add(polygon.id)
+        records.append({
             "id": polygon.id,
             "rings": [[[x, y] for x, y in ring] for ring in (polygon.exterior, *polygon.holes)],
             "attributes": dict(polygon.attributes),
-        }
-        for polygon in polygons
-    ]
-    _write_text(json.dumps(records, indent=2) + "\n", path)
+        })
+    _write_text(json.dumps(records, indent=2, allow_nan=False) + "\n", path)
 
 
 # the report formats; each report's columns, in the field order of SiteScore

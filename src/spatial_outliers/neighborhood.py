@@ -6,18 +6,19 @@ center/neighbor pair the module also measures the three weighting factors:
 separation distance, number of parallel direct connections, and cheapest
 traversal cost (None when unreachable or over the cost limit).
 
-Every lookup goes through a prepared index kept on the dataset.  Each of its
-structures is built the first time a regime needs it: a buffer table of each
-site id's neighbor row for the last buffer radius, the location of every
-site id, an edge table from one pass over the edges (count rows per
-endpoint, counts[a][b] == counts[b][a], which also give graph neighbors,
-and the cheapest-edge adjacency over nodes in first-seen order with a
-component label per node), and polygon rook adjacency, each over the one
-site per id, its first, that the dataset's id index holds.  The buffer table
-comes from one sweep over a uniform grid of the prepared locations (one cell
-where the grid cannot index them) that measures each nearby pair once; a
-query reads the center's row, and walks the sites only for a suspect: an id
-on another id's spot, or any id if one has no location.
+Every lookup goes through the prepared index, one store on the dataset whose
+slots hold (args, structure), each built when a regime first needs it and
+again only for other args: the location of every site id, a buffer table of
+each site id's neighbor row for the last buffer radius, an edge table from
+one pass over the edges (count rows per endpoint, counts[a][b] ==
+counts[b][a], which also give graph neighbors, and the cheapest-edge
+adjacency over nodes in first-seen order with a component label per node),
+and polygon rook adjacency, each over the one site per id, its first, that
+the dataset's id index holds.  The buffer table comes from one sweep over a
+uniform grid of the prepared locations (one cell where the grid cannot index
+them) that measures each nearby pair once; a query reads the center's row,
+and walks the sites only for a suspect: an id on another id's spot, or any
+id if one has no location.
 Rook adjacency reads one table of segment records (endpoints, length, unit
 direction, padded box) in one loop over the candidates of each polygon, and
 one overlap kernel measures only segment pairs whose boxes meet.  A grid over
@@ -87,17 +88,18 @@ class NeighborFactors(NamedTuple):
     min_cost: float | None
 
 
-def _prepared(dataset: SpatialDataset, key, build):
-    """Structure ``key`` of the dataset's prepared index, built on first use.
+def _prepared(dataset: SpatialDataset, key, build, *args):
+    """build(dataset, *args), kept in slot ``key`` of the dataset's one store
+    as (args, structure) and built again, in that slot, only for other args.
 
     Structures hold sites and ids but never the dataset itself, so a dataset
     is still freed by reference counting.  Each is a pure function of the
-    dataset, so threads racing to build one store equal values.
+    dataset and args, so threads racing to build one store equal values.
     """
-    cache = dataset._prepared
-    if key not in cache:
-        cache[key] = build(dataset)
-    return cache[key]
+    slot = dataset._prepared.get(key)
+    if slot is None or slot[0] != args:
+        slot = dataset._prepared[key] = (args, build(dataset, *args))
+    return slot[1]
 
 
 def _locations(dataset: SpatialDataset) -> dict[SiteId, tuple[float, float]]:
@@ -156,21 +158,11 @@ def _buffer_table(dataset: SpatialDataset, radius: float):
     return rows, suspects
 
 
-def _radius_table(dataset: SpatialDataset, radius: float):
-    """The buffer table for radius, kept in one slot that a new radius replaces."""
-    radius = max(0.0, radius)  # nan and radii below 0 find only distance-0 pairs, as 0 does
-    slot = dataset._prepared.get("grid")
-    if slot is None or slot[0] != radius:
-        slot = dataset._prepared["grid"] = (radius, _buffer_table(dataset, radius))
-    return slot[1]
-
-
-def buffer_neighbors(
-    dataset: SpatialDataset, center: SiteId, radius: float
-) -> set[SiteId]:
+def buffer_neighbors(dataset: SpatialDataset, center: SiteId, radius: float) -> set[SiteId]:
     """All other sites within `radius` of the center, edges ignored."""
     center_site = dataset.site(center)
-    rows, suspects = _radius_table(dataset, radius)
+    # nan and radii below 0 find only distance-0 pairs, as 0 does
+    rows, suspects = _prepared(dataset, "grid", _buffer_table, max(0.0, radius))
     if center in suspects:  # raises where a scan of the sites would
         for site in dataset._index.values():
             if site.id != center:

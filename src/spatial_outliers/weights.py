@@ -164,7 +164,7 @@ def combined_weights(
 
 
 def polygon_weights(
-    center: PolygonSite, neighbors: list[PolygonSite], gamma: float = 0.5
+    center: PolygonSite, neighbors: list[PolygonSite], gamma: float = WeightParams.gamma
 ) -> WeightedNeighborhood:
     """Mix inverse centroid distance with area for polygon neighbors.
 

@@ -233,6 +233,15 @@ class TestSignificanceScores:
         sig = significance_scores(diffs, theta=2.0)
         assert sig.sigma.hex() == "0x1.307aed8fc93b3p-1"
 
+    def test_the_flag_rule_is_strict(self):
+        # mu 0 and sigma 1 exactly, so z is exactly +-1: |z| > theta flags
+        # neither at theta 1 and both just below it
+        diffs = {"a": 1.0, "b": -1.0}
+        sig = significance_scores(diffs, theta=1.0)
+        assert (sig.mu, sig.sigma, sig.z) == (0.0, 1.0, {"a": 1.0, "b": -1.0})
+        assert sig.outliers == frozenset()
+        assert significance_scores(diffs, theta=math.nextafter(1.0, 0.0)).outliers == {"a", "b"}
+
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             significance_scores({}, theta=2.0)
@@ -377,6 +386,19 @@ class TestDetectOutliers:
         assert result.scores == ()
         assert set(result.skipped) == {"a", "b"}
         assert math.isnan(result.mu) and math.isnan(result.sigma)
+
+    def test_a_z_equal_to_theta_is_not_flagged(self):
+        # each site's one neighbor is the other: diffs -2 and 2, sigma 2, z -1 and 1
+        ds = SpatialDataset(sites=(
+            PointSite(id="a", x=0.0, y=0.0, attributes={"v": 0.0}),
+            PointSite(id="b", x=1.0, y=0.0, attributes={"v": 2.0}),
+        ))
+        for theta, flagged in ((1.0, set()), (math.nextafter(1.0, 0.0), {"a", "b"})):
+            result = detect_outliers(ds, "v", WeightParams(radius=1.5, theta=theta),
+                                     mode="classical", regime="buffer")
+            assert result.sigma == 2.0
+            assert [s.z for s in result.scores] == [-1.0, 1.0]
+            assert result.outlier_ids() == flagged
 
     def test_zero_spread_rejected(self):
         sites = (

@@ -925,6 +925,74 @@ class TestRoundTrips:
         write_polygons_json(grid.sites, path)
         assert load_polygons(path) == grid.sites
 
+    @pytest.mark.parametrize("site, message", [
+        (PointSite("a", math.nan, 0.0, {"v": 1.0}), "site 'a': column 'x': non-finite value nan"),
+        (PointSite(1, 0.0, -math.inf, {"v": 1.0}), "site 1: column 'y': non-finite value -inf"),
+        (PointSite("a", 0.0, 0.0, {"v": math.inf}), "site 'a': column 'v': non-finite value inf"),
+        (PointSite("a", 0.0, 0.0, {"w": 1.0}), "site 'a' has no attribute 'v'"),
+    ])
+    def test_sites_the_loader_would_refuse_are_refused(self, tmp_path, site, message):
+        sites = (PointSite("b", 0.0, 0.0, {"v": 1.0}), site)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_sites_csv(sites, tmp_path / "sites.csv", ("v",))
+        assert not (tmp_path / "sites.csv").exists()
+
+    @pytest.mark.parametrize("length, cost", [
+        (0.0, 1.0), (-0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+        (1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_edges_the_loader_would_refuse_are_refused(self, tmp_path, length, cost):
+        edges = (Edge("a", "b", 1.0, 0.0), Edge("a", 2, length, cost))
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge 'a'-2: length must be positive and cost non-negative, both finite, "
+                f"got {length!r} and {cost!r}")):
+            write_edges_csv(edges, tmp_path / "edges.csv")
+        assert not (tmp_path / "edges.csv").exists()
+
+    @pytest.mark.parametrize("polygons, message", [
+        ((unit_square(True),), "polygon id True is not a str or int"),
+        ((unit_square(1.0),), "polygon id 1.0 is not a str or int"),
+        ((unit_square(""),), "polygon id '' is not a str or int"),
+        ((unit_square("a"), unit_square("a", ox=2.0)), "polygon id 'a' is not a str or int"),
+        ((unit_square(1), unit_square(1, ox=2.0)), "polygon id 1 is not a str or int"),
+        ((unit_square("a", ox=math.nan),), "Out of range float values are not JSON compliant"),
+        ((unit_square("a", attributes={"v": -math.inf}),), "Out of range float values"),
+    ])
+    def test_polygons_the_loader_would_refuse_are_refused(self, tmp_path, polygons, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_polygons_json(polygons, tmp_path / "polys.json")
+        assert not (tmp_path / "polys.json").exists()
+
+    # every writer refuses what its loader refuses, and writes what it reads back equal
+    @given(st.data())
+    def test_each_writer_refuses_or_reads_back(self, data):
+        value = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+        ids = st.sampled_from(["a", "b", "c d", 1, 2])
+        sites = data.draw(st.lists(st.builds(
+            PointSite, ids, value, value, st.dictionaries(st.just("v"), value)),
+            max_size=4))
+        edges = data.draw(st.lists(st.builds(Edge, ids, ids, value, value), max_size=4))
+        polygons = data.draw(st.lists(st.builds(
+            unit_square, ids | st.sampled_from([True, "", 1.5]),
+            st.sampled_from([0.0, -3.5, 1e9, math.nan, math.inf]),
+            attributes=st.dictionaries(st.sampled_from(["v", "w"]), value)), max_size=4))
+        cases = [
+            (write_sites_csv, load_sites, sites, ("v",),
+             tuple(PointSite(str(s.id), s.x, s.y, dict(s.attributes)) for s in sites)),
+            (write_edges_csv, load_edges, edges, (),
+             tuple(Edge(str(e.source), str(e.target), e.length, e.cost) for e in edges)),
+            (write_polygons_json, load_polygons, polygons, (), tuple(polygons)),
+        ]
+        with tempfile.TemporaryDirectory() as directory:
+            for k, (write, load, records, extra, expected) in enumerate(cases):
+                path = os.path.join(directory, f"file{k}")
+                try:
+                    write(records, path, *extra)
+                except ValueError:
+                    assert not os.path.exists(path)
+                    continue
+                assert load(path) == expected
+
 
 @pytest.fixture(scope="module")
 def survey_results():
@@ -966,6 +1034,18 @@ class TestDetectionReport:
         assert lines[0] == "site_id,actual,expected,diff,z,outlier"
         assert lines[-1] == "# skipped: a,b"
         assert not any(line[0].isdigit() for line in lines[1:-1] if line)
+
+    def test_tied_rows_keep_id_order(self):
+        # scores out of key order, four of them tied on z: rows sort by z,
+        # then by site_id_key (ints before strs), in both formats
+        scores = tuple(SiteScore(sid, 1.0, 1.0, 0.0, z, False)
+                       for sid, z in (("b", 0.5), ("a", 0.5), (10, 0.5), ("c", -1.0), (9, 0.5)))
+        result = DetectionResult(attribute="v", scores=scores, mu=0.0, sigma=1.0, theta=2.0)
+        want = ["c", "9", "10", "a", "b"]
+        rows = render_detection_csv(result).splitlines()[1:-1]
+        assert [row.split(",")[0] for row in rows] == want
+        payload = strict_json(render_report(result, "json"))
+        assert [str(row["site_id"]) for row in payload["scores"]] == want
 
     def test_byte_deterministic(self, survey_results):
         _, weighted = survey_results

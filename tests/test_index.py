@@ -560,6 +560,21 @@ def test_radius_sweep_keeps_one_grid():
         assert grids == ["grid"]
 
 
+def test_buffer_table_is_built_once_per_radius():
+    # nan and radii below 0 share the table of 0; a new radius replaces the
+    # last one, so returning to radius 1 builds it again
+    dataset = grid_point_dataset(4, 4, [0.0] * 16)
+    with mock.patch.object(
+        neighborhood, "_buffer_table", wraps=neighborhood._buffer_table
+    ) as build:
+        for radius in (1.0, 1.0, 2.0, 2.0, 1.0, -1.0, math.nan, 0.0):
+            for center in dataset.site_ids():
+                assert buffer_neighbors(dataset, center, radius) == scan_buffer(
+                    dataset, center, radius
+                )
+    assert [call.args[1] for call in build.call_args_list] == [1.0, 2.0, 1.0, 0.0]
+
+
 @given(duplicate_id_cases())
 def test_duplicate_ids_match_scan(case):
     dataset, radius = case
@@ -864,7 +879,7 @@ def test_cost_search_settles_nothing_outside_the_center_component():
 
     def spy(frontier):
         entry = heapq.heappop(frontier)
-        popped.append(list(dataset._prepared["edges"][1])[entry[1]])  # node -> id
+        popped.append(list(dataset._prepared["edges"][1][1])[entry[1]])  # node -> id
         return entry
 
     with mock.patch.object(neighborhood, "heappop", spy):
