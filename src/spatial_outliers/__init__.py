@@ -71,13 +71,7 @@ from .neighborhood import (
     min_cost,
     polygon_adjacent_neighbors,
 )
-from .weights import (
-    WeightedNeighborhood,
-    combined_weights,
-    connection_weights,
-    distance_weights,
-    polygon_weights,
-)
+from .weights import WeightedNeighborhood
 
 __version__ = "0.1.0"
 
@@ -106,13 +100,10 @@ __all__ = [
     "WeightedNeighborhood",
     "buffer_neighbors",
     "collect_factors",
-    "combined_weights",
     "compare_models",
-    "connection_weights",
     "detect_outliers",
     "difference_scores",
     "direct_connection_count",
-    "distance_weights",
     "expected_classical",
     "expected_weighted",
     "graph_neighbors",
@@ -124,7 +115,6 @@ __all__ = [
     "polygon_adjacent_neighbors",
     "polygon_area",
     "polygon_centroid",
-    "polygon_weights",
     "render_report",
     "significance_scores",
     "site_distance",

@@ -204,12 +204,12 @@ def neighborhood_weights(
     params: WeightParams,
     regime: str,
 ) -> WeightedNeighborhood:
-    """Weighted neighborhood for one site under the given regime.
+    """The library's one weighting call: one site's weighted neighborhood.
 
     buffer weights by inverse distance, graph by connection count, combined
     blends distance, connections, and traversal cost over the buffer
     membership, polygon mixes centroid distance with area, in the column
-    pass that weighted detection makes.
+    pass (and with the weights) that weighted detection makes.
     """
     regime = _check_regime(dataset, regime)
     found = _neighbors(dataset, center, regime, params)

@@ -242,8 +242,8 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
             )
         except (TypeError, OverflowError):  # OverflowError: an integer past the float range
             raise ParseError(path, where, "ring coordinates must be numbers") from None
-        if any(len(set(ring)) < 3 for ring in (polygon.exterior, *polygon.holes)):
-            raise ParseError(path, where, "ring needs at least 3 distinct vertices")
+        if (fault := _ring_fault(polygon)) is not None:
+            raise ParseError(path, where, fault[0])
         attributes = record.get("attributes", {})
         if not isinstance(attributes, dict):
             raise ParseError(path, where, "attributes must be an object")
@@ -253,15 +253,38 @@ def load_polygons(path) -> tuple[PolygonSite, ...]:
             values.update((str(k), float(v)) for k, v in attributes.items())
         except (TypeError, OverflowError):
             raise ParseError(path, where, "attribute values must be numbers") from None
-        ring_areas, _, _, reason = _geometry(polygon)
-        if any(map(_zero_area, ring_areas)):
-            raise ParseError(path, where, "zero-area ring")
-        if reason == "non-finite vertex":  # json.loads takes NaN, Infinity and 1e999
-            raise ParseError(path, where, "ring coordinates must be finite")
         if not all(map(math.isfinite, values.values())):
             raise ParseError(path, where, "attribute values must be finite")
         polygons.append(polygon)
     return tuple(polygons)
+
+
+def _ring_fault(polygon):
+    """(reason, ring) for the first ring load_polygons and the writer refuse, else None:
+    under 3 distinct vertices, then zero area, then a non-finite vertex (json reads NaN)."""
+    rings = (polygon.exterior, *polygon.holes)
+    for ring in rings:
+        if len(set(ring)) < 3:
+            return "ring needs at least 3 distinct vertices", ring
+    ring_areas, _, _, reason = _geometry(polygon)
+    for ring, area in zip(rings, ring_areas):
+        if _zero_area(area):
+            return "zero-area ring", ring
+    if reason == "non-finite vertex":
+        return "ring coordinates must be finite", next(
+            ring for ring in rings if not all(map(math.isfinite, chain(*ring))))
+    return None
+
+
+def _number_fault(value) -> str | None:
+    """Why a loader would refuse value written as a number, else None: it is not an
+    int or float (a bool, a str), or no finite float (nan, inf, an int past the range)."""
+    if type(value) not in _JSON_NUMBERS:
+        return f"not a number: {value!r}"
+    try:
+        return None if math.isfinite(value) else f"non-finite value {value!r}"
+    except OverflowError:
+        return f"non-finite value {value!r}"
 
 
 def _id_field(sid, seen=None) -> str:
@@ -280,13 +303,13 @@ def _site_row(site, attribute_names, seen) -> list[str]:
     """A site's fields; a value load_sites refuses, or no value for a name, raises ValueError."""
     text = _id_field(site.id, seen)
     try:
-        values = [site.x, site.y, *[float(site.attributes[name]) for name in attribute_names]]
+        values = [site.x, site.y, *[site.attributes[name] for name in attribute_names]]
     except KeyError as exc:
         raise ValueError(f"site {site.id!r} has no attribute {exc.args[0]!r}") from None
     for column, value in zip(("x", "y", *attribute_names), values):
-        if not math.isfinite(value):
-            raise ValueError(f"site {site.id!r}: column {column!r}: non-finite value {value!r}")
-    return [text, *map(repr, values)]
+        if (fault := _number_fault(value)) is not None:
+            raise ValueError(f"site {site.id!r}: column {column!r}: {fault}")
+    return [text, repr(site.x), repr(site.y), *[repr(float(v)) for v in values[2:]]]
 
 
 def write_sites_csv(sites, path, attribute_names=None) -> None:
@@ -320,13 +343,18 @@ def write_edges_csv(edges, path) -> None:
 
 
 def write_polygons_json(polygons, path) -> None:
-    """Emit polygons as JSON; an id load_polygons refuses (a bool, an empty
-    string, a repeat) or a non-finite number raises ValueError."""
+    """Emit polygons as JSON; an id (a bool, "", a repeat), a ring or an attribute value
+    load_polygons refuses raises ValueError naming the polygon and the value."""
     records, seen = [], set()
     for polygon in polygons:
         if type(polygon.id) not in (str, int) or polygon.id == "" or polygon.id in seen:
             raise ValueError(f"polygon id {polygon.id!r} is not a str or int, is empty or repeats")
         seen.add(polygon.id)
+        if (fault := _ring_fault(polygon)) is not None:
+            raise ValueError(f"polygon {polygon.id!r}: {fault[0]}: {fault[1]!r}")
+        for name, value in polygon.attributes.items():
+            if (fault := _number_fault(value)) is not None:
+                raise ValueError(f"polygon {polygon.id!r}: attribute {name!r}: {fault}")
         records.append({
             "id": polygon.id,
             "rings": [[[x, y] for x, y in ring] for ring in (polygon.exterior, *polygon.holes)],

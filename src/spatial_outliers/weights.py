@@ -9,16 +9,17 @@ in (0, inf) gives no shares and the rest of the blend is rescaled; with
 nothing usable left, DegenerateFactorsError is raised.  Usable coefficients
 below 0.5 are lifted by one exact power of two, so a tiny one cannot
 underflow every product of its factor to zero.  Zero weights drop.  One weigher,
-bound once per dataset, weighs each center from the factors its regime reads.
+bound once per dataset, weighs each center from the factors its regime reads;
+detection and detect.neighborhood_weights, the one public weighting call, use it.
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .dataset import PolygonSite, SiteId, WeightParams, polygon_area, site_distance
+from .dataset import SiteId, WeightParams
 from .errors import DegenerateFactorsError, NoNeighborsError
-from .neighborhood import NeighborFactors, _factor_view
+from .neighborhood import _factor_view
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,6 @@ def _weigh(
     return neighbor_ids, [w / total for w in weights]
 
 
-def _blend(center: SiteId, neighbor_ids: Sequence[SiteId], terms) -> WeightedNeighborhood:
-    """_weigh's result as a WeightedNeighborhood."""
-    ids, weights = _weigh(center, neighbor_ids, terms)
-    return WeightedNeighborhood(center=center, entries=tuple(zip(ids, weights)))
-
-
 def _cost_shares(costs: Sequence[float | None]) -> list[float] | None:
     """Inverse-cost shares; unreachable neighbors get zero.
 
@@ -130,51 +125,3 @@ def _weigher(dataset, params: WeightParams, regime: str):
         return _weigh(center, ids, _terms(regime, params, distances, column, costs))
 
     return weigh
-
-
-def _factor_weights(factors: list[NeighborFactors], regime: str, params=None):
-    """A point regime's weighting of a non-empty factor list."""
-    if not factors:
-        raise NoNeighborsError("cannot weight an empty neighborhood")
-    centers, ids, distances, counts, costs = zip(*factors)
-    return _blend(centers[0], ids, _terms(regime, params, distances, counts, costs))
-
-
-def distance_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
-    """Inverse-distance weighting: the nearest neighbor matters most."""
-    return _factor_weights(factors, "buffer")
-
-
-def connection_weights(factors: list[NeighborFactors]) -> WeightedNeighborhood:
-    """Weights proportional to the number of direct connections."""
-    return _factor_weights(factors, "graph")
-
-
-def combined_weights(
-    factors: list[NeighborFactors], params: WeightParams
-) -> WeightedNeighborhood:
-    """Blend distance, connection, and cost shares with alpha, beta, delta.
-
-    A factor that is degenerate across the whole neighborhood (no
-    connections anywhere, nothing reachable at a finite cost) contributes
-    nothing and the remaining blend is rescaled.  At the simplex corners
-    this reduces exactly to the single-factor weightings.
-    """
-    return _factor_weights(factors, "combined", params)
-
-
-def polygon_weights(
-    center: PolygonSite, neighbors: list[PolygonSite], gamma: float = WeightParams.gamma
-) -> WeightedNeighborhood:
-    """Mix inverse centroid distance with area for polygon neighbors.
-
-    gamma=1 is pure inverse distance; gamma=0 weights by area alone
-    (bigger zones press harder on their neighbors); WeightParams raises
-    ValueError on a gamma outside [0, 1].
-    """
-    params = WeightParams(gamma=gamma)
-    if not neighbors:
-        raise NoNeighborsError("cannot weight an empty neighborhood")
-    distances = [site_distance(center, nb) for nb in neighbors]
-    terms = _terms("polygon", params, distances, [polygon_area(nb) for nb in neighbors])
-    return _blend(center.id, [nb.id for nb in neighbors], terms)

@@ -3,7 +3,15 @@ import json
 import pytest
 from hypothesis import settings
 
-from spatial_outliers import Edge, PolygonSite, PointSite, SpatialDataset
+from spatial_outliers import (
+    Edge,
+    NoNeighborsError,
+    PolygonSite,
+    PointSite,
+    SpatialDataset,
+    WeightedNeighborhood,
+)
+from spatial_outliers import weights as W
 from spatial_outliers.fixtures import (
     network_dataset,
     survey_dataset,
@@ -21,6 +29,20 @@ def _reject_constant(name):
 def strict_json(text):
     """Parse a JSON report; a NaN, Infinity or -Infinity token raises."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+def weigh_factors(rows, regime, params=None):
+    """A hand-built factor list weighed as the weigher weighs one center's columns.
+
+    rows are NeighborFactors, or (center, neighbor, distance, area, None)
+    tuples under "polygon"; they are split into columns for W._terms and
+    blended by W._weigh.  An empty list names no center and raises.
+    """
+    if not rows:
+        raise NoNeighborsError("cannot weight an empty neighborhood")
+    centers, ids, distances, column, costs = zip(*rows)
+    ids, weights = W._weigh(centers[0], ids, W._terms(regime, params, distances, column, costs))
+    return WeightedNeighborhood(center=centers[0], entries=tuple(zip(ids, weights)))
 
 
 @pytest.fixture(scope="session")

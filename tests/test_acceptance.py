@@ -19,18 +19,14 @@ from spatial_outliers import (
     SpatialDataset,
     WeightParams,
     buffer_neighbors,
-    collect_factors,
-    combined_weights,
     compare_models,
-    connection_weights,
     detect_outliers,
-    distance_weights,
     graph_neighbors,
     min_cost,
+    neighborhood_weights,
     polygon_adjacent_neighbors,
     polygon_area,
     polygon_centroid,
-    polygon_weights,
 )
 from spatial_outliers.fixtures import (
     NETWORK_RADIUS,
@@ -43,8 +39,9 @@ from spatial_outliers.fixtures import (
     village_dataset,
 )
 
-from conftest import grid_point_dataset, grid_polygons, unit_square
+from conftest import grid_point_dataset, grid_polygons, unit_square, weigh_factors
 from test_neighborhood import brute_force_min_cost
+from test_weights import weigh_polygons
 
 # reference z table the survey fixture is built to reproduce: (site, weighted z, classical z)
 SURVEY_Z_TABLE = (
@@ -176,11 +173,11 @@ def test_criterion_5_weight_normalization_suite():
         b = rng.uniform(0.0, 1.0 - a)
         params = WeightParams(alpha=a, beta=b, delta=1.0 - a - b)
 
-        candidates = [distance_weights(factors)]
+        candidates = [weigh_factors(factors, "buffer")]
         if sum(f.connection_count for f in factors) > 0:
-            candidates.append(connection_weights(factors))
+            candidates.append(weigh_factors(factors, "graph"))
         try:
-            candidates.append(combined_weights(factors, params))
+            candidates.append(weigh_factors(factors, "combined", params))
         except DegenerateFactorsError:
             assert params.alpha == 0.0
         for weighting in candidates:
@@ -188,13 +185,13 @@ def test_criterion_5_weight_normalization_suite():
             assert abs(total - 1.0) <= 1e-9, f"sum {total}"
             assert all(0.0 < w <= 1.0 for _, w in weighting.entries)
 
-        corner_d = combined_weights(factors, WeightParams(alpha=1, beta=0, delta=0))
-        pure_d = distance_weights(factors)
+        corner_d = weigh_factors(factors, "combined", WeightParams(alpha=1, beta=0, delta=0))
+        pure_d = weigh_factors(factors, "buffer")
         for (n1, w1), (n2, w2) in zip(corner_d.entries, pure_d.entries):
             assert n1 == n2 and abs(w1 - w2) <= 1e-12
         if sum(f.connection_count for f in factors) > 0:
-            corner_r = combined_weights(factors, WeightParams(alpha=0, beta=1, delta=0))
-            pure_r = connection_weights(factors)
+            corner_r = weigh_factors(factors, "combined", WeightParams(alpha=0, beta=1, delta=0))
+            pure_r = weigh_factors(factors, "graph")
             for (n1, w1), (n2, w2) in zip(corner_r.entries, pure_r.entries):
                 assert n1 == n2 and abs(w1 - w2) <= 1e-12
         lists_checked += 1
@@ -337,17 +334,16 @@ def test_criterion_9_polygon_suite():
     center = unit_square("c")
     near = unit_square("N", ox=2.0)
     far = unit_square("F", ox=8.0)
-    gamma_one = polygon_weights(center, [near, far], gamma=1.0).as_dict()
-    factors = collect_factors(
-        SpatialDataset(sites=(center, near, far)), "c", {"N", "F"}, WeightParams()
-    )
-    pure_distance = distance_weights(factors).as_dict()
+    gamma_one = weigh_polygons(center, [near, far], 1.0).as_dict()
+    pure_distance = neighborhood_weights(
+        SpatialDataset(sites=(center, near, far)), "c", WeightParams(radius=10.0), "buffer"
+    ).as_dict()
     gamma_one_ok = all(
         abs(gamma_one[k] - pure_distance[k]) <= 1e-12 for k in ("N", "F")
     )
     big = PolygonSite(id="P", exterior=((3.0, -1.0), (5.0, -1.0), (5.0, 1.0), (3.0, 1.0)))
     small = unit_square("Q", ox=-4.5, oy=-0.5)
-    gamma_zero = polygon_weights(center, [big, small], gamma=0.0).as_dict()
+    gamma_zero = weigh_polygons(center, [big, small], 0.0).as_dict()
     gamma_zero_ok = (
         abs(gamma_zero["P"] - 0.8) <= 1e-12 and abs(gamma_zero["Q"] - 0.2) <= 1e-12
     )

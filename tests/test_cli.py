@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -689,10 +690,13 @@ def _without_site_packages(*args):
     """Run python -S with the package root as its only PYTHONPATH entry.
 
     The process can import the standard library and the package, nothing installed.
+    It runs in development mode with every warning an error, so a ResourceWarning or
+    DeprecationWarning the command line raises fails the caller's check.
     """
     package_root = os.path.dirname(os.path.dirname(spatial_outliers.__file__))
     return subprocess.run(
-        [sys.executable, "-S", *args], capture_output=True, encoding="utf-8",
+        [sys.executable, "-S", "-X", "dev", "-W", "error", *args],
+        capture_output=True, encoding="utf-8",
         env={**os.environ, "PYTHONPATH": package_root}, check=False,
     )
 
@@ -703,6 +707,19 @@ def test_importing_the_package_loads_only_the_standard_library():
     assert listed.returncode == 0, listed.stderr
     loaded = {name.partition(".")[0] for name in listed.stdout.split()}
     assert loaded - set(sys.stdlib_module_names) == {"spatial_outliers", "__main__"}
+
+
+def test_the_public_surface_is_all_exported_and_documented():
+    # a removed name left in __all__, or a new one left out of it, fails here
+    exported = spatial_outliers.__all__
+    assert exported == sorted(set(exported))
+    bound = {name for name, value in vars(spatial_outliers).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported) == bound
+    assert all(getattr(spatial_outliers, name).__doc__ for name in exported)
+    namespace = {}
+    exec("from spatial_outliers import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(exported)
 
 
 def test_calls_in_one_process_match_fresh_processes(fixture_dir, tmp_path, monkeypatch,

@@ -114,11 +114,8 @@ class TestExpectedWeighted:
         assert expected_weighted(w, {"n": 13.25}) == 13.25
 
     def test_village_weighted_expectation_is_28(self, village):
-        from spatial_outliers import buffer_neighbors, collect_factors, distance_weights
-
         params = WeightParams(radius=VILLAGE_RADIUS)
-        neighbors = buffer_neighbors(village, "27", VILLAGE_RADIUS)
-        w = distance_weights(collect_factors(village, "27", neighbors, params))
+        w = neighborhood_weights(village, "27", params, "buffer")
         values = village.values(VILLAGE_ATTRIBUTE)
         assert expected_weighted(w, values) == pytest.approx(28.0, abs=1e-9)
 

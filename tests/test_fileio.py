@@ -930,6 +930,13 @@ class TestRoundTrips:
         (PointSite(1, 0.0, -math.inf, {"v": 1.0}), "site 1: column 'y': non-finite value -inf"),
         (PointSite("a", 0.0, 0.0, {"v": math.inf}), "site 'a': column 'v': non-finite value inf"),
         (PointSite("a", 0.0, 0.0, {"w": 1.0}), "site 'a' has no attribute 'v'"),
+        # load_sites reads each field as a float; '1' and True would write text
+        # that is not one, 10**400 one that is inf, and '2' would read back as 2.0
+        (PointSite("a", "1", 0.0, {"v": 1.0}), "site 'a': column 'x': not a number: '1'"),
+        (PointSite("a", 0.0, True, {"v": 1.0}), "site 'a': column 'y': not a number: True"),
+        pytest.param(PointSite("a", 10**400, 0.0, {"v": 1.0}),
+                     f"site 'a': column 'x': non-finite value {10**400!r}", id="int-past-floats"),
+        (PointSite("a", 0.0, 0.0, {"v": "2"}), "site 'a': column 'v': not a number: '2'"),
     ])
     def test_sites_the_loader_would_refuse_are_refused(self, tmp_path, site, message):
         sites = (PointSite("b", 0.0, 0.0, {"v": 1.0}), site)
@@ -955,8 +962,19 @@ class TestRoundTrips:
         ((unit_square(""),), "polygon id '' is not a str or int"),
         ((unit_square("a"), unit_square("a", ox=2.0)), "polygon id 'a' is not a str or int"),
         ((unit_square(1), unit_square(1, ox=2.0)), "polygon id 1 is not a str or int"),
-        ((unit_square("a", ox=math.nan),), "Out of range float values are not JSON compliant"),
-        ((unit_square("a", attributes={"v": -math.inf}),), "Out of range float values"),
+        ((unit_square("a", ox=math.nan),), "polygon 'a': ring coordinates must be finite: "
+                                           "((nan, 0.0), (nan, 0.0), (nan, 1.0), (nan, 1.0))"),
+        ((unit_square("a", attributes={"v": -math.inf}),),
+         "polygon 'a': attribute 'v': non-finite value -inf"),
+        # load_polygons refuses these rings, and PolygonSite reads True as 1.0
+        ((PolygonSite("a", ((0, 0), (1, 0), (2, 0))),),
+         "polygon 'a': zero-area ring: ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))"),
+        ((PolygonSite("a", ((True, 0), (1, 0), (1, 1))),),
+         "polygon 'a': ring needs at least 3 distinct vertices: ((1.0, 0.0), (1.0, 0.0), (1.0, 1.0))"),
+        ((unit_square("a", attributes={"v": "1"}),), "polygon 'a': attribute 'v': not a number: '1'"),
+        pytest.param((unit_square("a", attributes={"v": 10**400}),),
+                     f"polygon 'a': attribute 'v': non-finite value {10**400!r}",
+                     id="int-past-floats"),
     ])
     def test_polygons_the_loader_would_refuse_are_refused(self, tmp_path, polygons, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -16,7 +16,6 @@ from spatial_outliers import (
     WeightParams,
     buffer_neighbors,
     collect_factors,
-    combined_weights,
     detect_outliers,
     direct_connection_count,
     graph_neighbors,
@@ -26,7 +25,7 @@ from spatial_outliers import (
 )
 from spatial_outliers.fixtures import NETWORK_RADIUS, NETWORK_SITES
 
-from conftest import grid_polygons, huge_squares_dataset, unit_square
+from conftest import grid_polygons, huge_squares_dataset, unit_square, weigh_factors
 
 
 class TestBufferNeighbors:
@@ -315,7 +314,7 @@ def test_each_cost_column_comes_from_its_own_search():
         steps = {n: abs(ord(n) - ord(center)) for n in costs}
         factors = [NeighborFactors(center, n, float(steps[n]), int(steps[n] == 1), c)
                    for n, c in sorted(costs.items())]
-        return combined_weights(factors, params).entries
+        return weigh_factors(factors, "combined", params).entries
 
     own = {"a": {"b": 0.1, "c": 0.30000000000000004, "d": 0.6000000000000001},
            "d": {"a": 0.6, "b": 0.5, "c": 0.3}}

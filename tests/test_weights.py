@@ -8,19 +8,18 @@ from spatial_outliers import (
     GeometryError,
     NeighborFactors,
     NoNeighborsError,
+    PointSite,
     PolygonSite,
+    SpatialDataset,
     SpatialOutlierError,
     WeightParams,
-    combined_weights,
-    connection_weights,
-    distance_weights,
-    polygon_weights,
+    neighborhood_weights,
 )
 from spatial_outliers import weights as W
 from spatial_outliers.dataset import polygon_area, site_distance
 from spatial_outliers.fixtures import VILLAGE_RADIUS
 
-from conftest import unit_square
+from conftest import unit_square, weigh_factors
 
 
 def make_factors(specs):
@@ -33,6 +32,18 @@ def make_factors(specs):
     ]
 
 
+def weigh_polygons(center, neighbors, gamma):
+    """Polygon neighbors weighed on their centroid distances and areas."""
+    params = WeightParams(gamma=gamma)
+    distances = [site_distance(center, nb) for nb in neighbors]
+    areas = [polygon_area(nb) for nb in neighbors]
+    return weigh_factors(
+        [(center.id, nb.id, d, a, None) for nb, d, a in zip(neighbors, distances, areas)],
+        "polygon",
+        params,
+    )
+
+
 def assert_normalized(weighting):
     total = math.fsum(w for _, w in weighting.entries)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -42,32 +53,33 @@ def assert_normalized(weighting):
 
 class TestDistanceWeights:
     def test_equal_distances_split_evenly(self):
-        w = distance_weights(make_factors([("B", 2.0, 0, None), ("C", 2.0, 0, None)]))
+        w = weigh_factors(make_factors([("B", 2.0, 0, None), ("C", 2.0, 0, None)]), "buffer")
         assert w.as_dict() == pytest.approx({"B": 0.5, "C": 0.5})
 
     def test_inverse_distance_shares(self):
         # oracle: (1/1)/(1/1 + 1/4) = 0.8 and (1/4)/(1.25) = 0.2
-        w = distance_weights(make_factors([("B", 1.0, 0, None), ("C", 4.0, 0, None)]))
+        w = weigh_factors(make_factors([("B", 1.0, 0, None), ("C", 4.0, 0, None)]), "buffer")
         assert w.as_dict() == pytest.approx({"B": 0.8, "C": 0.2})
 
     def test_single_neighbor_gets_everything(self):
-        w = distance_weights(make_factors([("B", 17.3, 0, None)]))
+        w = weigh_factors(make_factors([("B", 17.3, 0, None)]), "buffer")
         assert w.as_dict() == {"B": 1.0}
 
     def test_empty_rejected(self):
+        lone = SpatialDataset(sites=(PointSite("c", 0.0, 0.0),))
         with pytest.raises(NoNeighborsError):
-            distance_weights([])
+            neighborhood_weights(lone, "c", WeightParams(radius=1.0), "buffer")
 
     @given(
         st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20),
         st.floats(0.01, 50.0),
     )
     def test_scale_invariant(self, distances, scale):
-        base = distance_weights(
-            make_factors([(i, d, 0, None) for i, d in enumerate(distances)])
+        base = weigh_factors(
+            make_factors([(i, d, 0, None) for i, d in enumerate(distances)]), "buffer"
         )
-        scaled = distance_weights(
-            make_factors([(i, d * scale, 0, None) for i, d in enumerate(distances)])
+        scaled = weigh_factors(
+            make_factors([(i, d * scale, 0, None) for i, d in enumerate(distances)]), "buffer"
         )
         for (_, w1), (_, w2) in zip(base.entries, scaled.entries):
             assert w2 == pytest.approx(w1, rel=1e-9)
@@ -82,8 +94,8 @@ class TestDistanceWeights:
     @given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=20, unique=True))
     @example([4.0, 47.0, 72.0, 73.0, 100.0, 99.99999999999999])
     def test_closer_means_heavier(self, distances):
-        w = distance_weights(
-            make_factors([(i, d, 0, None) for i, d in enumerate(distances)])
+        w = weigh_factors(
+            make_factors([(i, d, 0, None) for i, d in enumerate(distances)]), "buffer"
         ).as_dict()
         for i, near in enumerate(distances):
             for j, far in enumerate(distances):
@@ -96,28 +108,29 @@ class TestDistanceWeights:
 class TestConnectionWeights:
     def test_counts_to_shares(self):
         # oracle: 2/4, 1/4, 1/4
-        w = connection_weights(
-            make_factors([("B", 1, 2, None), ("C", 1, 1, None), ("D", 1, 1, None)])
+        w = weigh_factors(
+            make_factors([("B", 1, 2, None), ("C", 1, 1, None), ("D", 1, 1, None)]), "graph"
         )
         assert w.as_dict() == pytest.approx({"B": 0.5, "C": 0.25, "D": 0.25})
 
     def test_uniform_counts(self):
-        w = connection_weights(
-            make_factors([(n, 1, 3, None) for n in ("B", "C", "D")])
+        w = weigh_factors(
+            make_factors([(n, 1, 3, None) for n in ("B", "C", "D")]), "graph"
         )
         assert w.as_dict() == pytest.approx({n: 1 / 3 for n in ("B", "C", "D")})
 
     def test_zero_count_neighbor_dropped(self):
-        w = connection_weights(make_factors([("B", 1, 1, None), ("C", 1, 0, None)]))
+        w = weigh_factors(make_factors([("B", 1, 1, None), ("C", 1, 0, None)]), "graph")
         assert w.as_dict() == {"B": 1.0}
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(DegenerateFactorsError):
-            connection_weights(make_factors([("B", 1, 0, None), ("C", 1, 0, None)]))
+            weigh_factors(make_factors([("B", 1, 0, None), ("C", 1, 0, None)]), "graph")
 
     def test_empty_rejected(self):
+        lone = SpatialDataset(sites=(PointSite("c", 0.0, 0.0),))
         with pytest.raises(NoNeighborsError):
-            connection_weights([])
+            neighborhood_weights(lone, "c", WeightParams(), "graph")
 
 
 FACTOR_LISTS = st.lists(
@@ -140,16 +153,16 @@ def _coeffs():
 class TestCombinedWeights:
     def test_distance_corner_matches_distance_weights(self):
         factors = make_factors([("B", 1.0, 2, 3.0), ("C", 4.0, 1, 1.0)])
-        corner = combined_weights(factors, WeightParams(alpha=1, beta=0, delta=0))
-        pure = distance_weights(factors)
+        corner = weigh_factors(factors, "combined", WeightParams(alpha=1, beta=0, delta=0))
+        pure = weigh_factors(factors, "buffer")
         for (n1, w1), (n2, w2) in zip(corner.entries, pure.entries):
             assert n1 == n2
             assert abs(w1 - w2) < 1e-12
 
     def test_connection_corner_matches_connection_weights(self):
         factors = make_factors([("B", 1.0, 2, 3.0), ("C", 4.0, 1, 1.0), ("D", 2.0, 1, None)])
-        corner = combined_weights(factors, WeightParams(alpha=0, beta=1, delta=0))
-        pure = connection_weights(factors)
+        corner = weigh_factors(factors, "combined", WeightParams(alpha=0, beta=1, delta=0))
+        pure = weigh_factors(factors, "graph")
         for (n1, w1), (n2, w2) in zip(corner.entries, pure.entries):
             assert n1 == n2
             assert abs(w1 - w2) < 1e-12
@@ -157,7 +170,7 @@ class TestCombinedWeights:
     def test_identical_factors_give_uniform(self):
         factors = make_factors([(n, 2.0, 1, 5.0) for n in ("B", "C", "D")])
         params = WeightParams(alpha=1 / 3, beta=1 / 3, delta=1 / 3)
-        w = combined_weights(factors, params)
+        w = weigh_factors(factors, "combined", params)
         assert w.as_dict() == pytest.approx({n: 1 / 3 for n in ("B", "C", "D")})
 
     def test_unreachable_neighbor_loses_cost_share_only(self):
@@ -165,27 +178,27 @@ class TestCombinedWeights:
         # unreachable, so only the cost term separates them
         factors = make_factors([("B", 1.0, 1, 2.0), ("C", 1.0, 1, None)])
         params = WeightParams(alpha=0.4, beta=0.3, delta=0.3)
-        w = combined_weights(factors, params).as_dict()
-        assert_normalized(combined_weights(factors, params))
+        w = weigh_factors(factors, "combined", params).as_dict()
+        assert_normalized(weigh_factors(factors, "combined", params))
         assert w["B"] == pytest.approx((0.2 + 0.15 + 0.3) / 1.0)
         assert w["C"] == pytest.approx(0.2 + 0.15)
 
     def test_zero_cost_neighbor_takes_whole_cost_share(self):
         factors = make_factors([("B", 1.0, 1, 0.0), ("C", 1.0, 1, 5.0)])
         params = WeightParams(alpha=0.0, beta=0.0, delta=1.0)
-        w = combined_weights(factors, params).as_dict()
+        w = weigh_factors(factors, "combined", params).as_dict()
         assert w == {"B": 1.0}
 
     def test_zero_cost_ties_split_evenly(self):
         factors = make_factors([("B", 1.0, 0, 0.0), ("C", 1.0, 0, 0.0), ("D", 1.0, 0, 3.0)])
         params = WeightParams(alpha=0.0, beta=0.0, delta=1.0)
-        w = combined_weights(factors, params).as_dict()
+        w = weigh_factors(factors, "combined", params).as_dict()
         assert w == pytest.approx({"B": 0.5, "C": 0.5})
 
     def test_everything_degenerate_rejected(self):
         factors = make_factors([("B", 1.0, 0, None), ("C", 2.0, 0, None)])
         with pytest.raises(DegenerateFactorsError):
-            combined_weights(factors, WeightParams(alpha=0, beta=0.5, delta=0.5))
+            weigh_factors(factors, "combined", WeightParams(alpha=0, beta=0.5, delta=0.5))
 
     def test_infinite_cost_counts_as_unreachable(self):
         # 1/inf is 0: such a neighbor gets no cost share, and when every
@@ -193,11 +206,14 @@ class TestCombinedWeights:
         params = WeightParams(alpha=0.4, beta=0.3, delta=0.3)
         for costs in ((2.0, math.inf), (math.inf, math.inf)):
             unreachable = tuple(None if c == math.inf else c for c in costs)
-            got = combined_weights(
-                make_factors([("B", 1.0, 1, costs[0]), ("C", 2.0, 0, costs[1])]), params
+            got = weigh_factors(
+                make_factors([("B", 1.0, 1, costs[0]), ("C", 2.0, 0, costs[1])]),
+                "combined",
+                params,
             )
-            assert got == combined_weights(
+            assert got == weigh_factors(
                 make_factors([("B", 1.0, 1, unreachable[0]), ("C", 2.0, 0, unreachable[1])]),
+                "combined",
                 params,
             )
 
@@ -206,7 +222,7 @@ class TestCombinedWeights:
         # rescales to pure distance
         factors = make_factors([("B", 1.0, 0, None), ("C", 4.0, 0, None)])
         params = WeightParams(alpha=0.5, beta=0.25, delta=0.25)
-        w = combined_weights(factors, params).as_dict()
+        w = weigh_factors(factors, "combined", params).as_dict()
         assert w == pytest.approx({"B": 0.8, "C": 0.2})
 
     @given(FACTOR_LISTS, _coeffs())
@@ -223,7 +239,7 @@ class TestCombinedWeights:
         except ValueError:
             return  # rounding pushed the simplex sum out of tolerance
         try:
-            w = combined_weights(factors, params)
+            w = weigh_factors(factors, "combined", params)
         except DegenerateFactorsError:
             # only legitimate when no term has any usable factor
             assert alpha == 0.0
@@ -239,7 +255,7 @@ class TestCombinedWeights:
             # path across the simplex from distance-only to an even blend
             alpha = 1.0 - (2.0 * t / 3.0)
             params = WeightParams(alpha=alpha, beta=t / 3.0, delta=t / 3.0)
-            return combined_weights(factors, params).as_dict()
+            return weigh_factors(factors, "combined", params).as_dict()
 
         step = 1e-8
         for t in (0.0, 0.25, 0.5, 0.75, 1.0 - step):
@@ -252,17 +268,17 @@ class TestCombinedWeights:
         factors = make_factors([(i, d, r, c) for i, (d, r, c) in enumerate(rows)])
         params = WeightParams(alpha=0.5, beta=0.3, delta=0.2)
         try:
-            base = combined_weights(factors, params).as_dict()
+            base = weigh_factors(factors, "combined", params).as_dict()
         except DegenerateFactorsError:
             return
         shuffled = factors[:]
         rng.shuffle(shuffled)
-        assert combined_weights(shuffled, params).as_dict() == pytest.approx(base)
+        assert weigh_factors(shuffled, "combined", params).as_dict() == pytest.approx(base)
 
 
 # Reference: the weighting as written before it was reduced to fewer passes,
 # with one explicit degeneracy rule: a factor whose exact sum overflows or is
-# not in (0, inf) gives no shares.  combined_weights must give the same
+# not in (0, inf) gives no shares.  The combined blend must give the same
 # entries, bit for bit, or raise the same error on every factor list.
 
 
@@ -351,7 +367,7 @@ def _bits(fn, *args):
 
 
 def _weigh(factors, params):
-    got = combined_weights(factors, params)
+    got = weigh_factors(factors, "combined", params)
     return got.center, got.entries
 
 
@@ -442,12 +458,8 @@ def _record_weighting(kind, factors, params):
 
 
 def _weighting(kind, factors, params):
-    weigh = {
-        "distance": distance_weights,
-        "connection": connection_weights,
-        "combined": lambda fs: combined_weights(fs, params),
-    }[kind]
-    got = weigh(factors)
+    regime = {"distance": "buffer", "connection": "graph", "combined": "combined"}[kind]
+    got = weigh_factors(factors, regime, params)
     return got.center, got.entries
 
 
@@ -489,7 +501,7 @@ def _polygon_from_zeros(center, neighbors, gamma):
 
 
 def _polygon_weighting(center, neighbors, gamma):
-    got = polygon_weights(center, neighbors, gamma=gamma)
+    got = weigh_polygons(center, neighbors, gamma)
     return got.center, got.entries
 
 
@@ -545,10 +557,9 @@ def test_factor_weightings_across_the_float_range(rows, coeffs):
     alpha, beta, delta = coeffs
     params = WeightParams(alpha=alpha, beta=beta, delta=delta)
     factors = make_factors([(i, d, r, c) for i, (d, r, c) in enumerate(rows)])
-    for weigh in (distance_weights, connection_weights,
-                  lambda fs: combined_weights(fs, params)):
+    for regime in ("buffer", "graph", "combined"):
         try:
-            weighting = weigh(factors)
+            weighting = weigh_factors(factors, regime, params)
         except SpatialOutlierError:
             continue
         assert_usable(weighting)
@@ -560,7 +571,7 @@ def test_factor_weightings_across_the_float_range(rows, coeffs):
 def test_polygon_weights_across_the_float_range(squares, center, gamma):
     neighbors = [_square(f"n{i}", ox, side) for i, (ox, side) in enumerate(squares)]
     try:
-        weighting = polygon_weights(_square("c", *center), neighbors, gamma=gamma)
+        weighting = weigh_polygons(_square("c", *center), neighbors, gamma)
     except SpatialOutlierError:
         return
     assert_usable(weighting)
@@ -571,14 +582,14 @@ class TestPolygonWeights:
         center = unit_square("c")
         lhs = unit_square("L", ox=-3.0)
         rhs = unit_square("R", ox=3.0)
-        w = polygon_weights(center, [lhs, rhs], gamma=0.5)
+        w = weigh_polygons(center, [lhs, rhs], 0.5)
         assert w.as_dict() == pytest.approx({"L": 0.5, "R": 0.5})
 
     def test_gamma_one_is_pure_distance(self):
         center = unit_square("c")
         near = unit_square("N", ox=2.0)
         far = unit_square("F", ox=8.0)
-        w = polygon_weights(center, [near, far], gamma=1.0).as_dict()
+        w = weigh_polygons(center, [near, far], 1.0).as_dict()
         # centroids are 2 and 8 away: shares 0.8 / 0.2
         assert w == pytest.approx({"N": 0.8, "F": 0.2})
 
@@ -588,7 +599,7 @@ class TestPolygonWeights:
             id="P", exterior=((3.0, -1.0), (5.0, -1.0), (5.0, 1.0), (3.0, 1.0))
         )  # area 4, centroid (4, 0)
         small = unit_square("Q", ox=-4.5, oy=-0.5)  # area 1, centroid (-4, 0)
-        w = polygon_weights(center, [big, small], gamma=0.0).as_dict()
+        w = weigh_polygons(center, [big, small], 0.0).as_dict()
         assert w == pytest.approx({"P": 0.8, "Q": 0.2})
 
     def test_bigger_area_heavier_at_gamma_zero(self):
@@ -606,16 +617,17 @@ class TestPolygonWeights:
             )
             for i, s in enumerate(sizes)
         ]
-        w = polygon_weights(center, neighbors, gamma=0.0).as_dict()
+        w = weigh_polygons(center, neighbors, 0.0).as_dict()
         assert w["n0"] < w["n1"] < w["n2"]
 
     def test_coincident_centroids_rejected(self):
         with pytest.raises(GeometryError):
-            polygon_weights(unit_square("c"), [unit_square("n")], gamma=0.5)
+            weigh_polygons(unit_square("c"), [unit_square("n")], 0.5)
 
     def test_empty_rejected(self):
+        lone = SpatialDataset(sites=(unit_square("c"),))
         with pytest.raises(NoNeighborsError):
-            polygon_weights(unit_square("c"), [], gamma=0.5)
+            neighborhood_weights(lone, "c", WeightParams(gamma=0.5), "polygon")
 
     @pytest.mark.parametrize("gamma", [-0.5, -5e-324, 1.0000000000000002, 1.5, math.nan])
     def test_gamma_outside_the_unit_interval_rejected(self, gamma):
@@ -624,7 +636,7 @@ class TestPolygonWeights:
         center = unit_square("c")
         neighbors = [unit_square("a", ox=2.0), unit_square("b", ox=-5.0, size=3.0)]
         with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\], got"):
-            polygon_weights(center, neighbors, gamma=gamma)
+            weigh_polygons(center, neighbors, gamma)
 
     @given(st.floats(0.0, 1.0))
     def test_normalized_for_any_gamma(self, gamma):
@@ -634,17 +646,13 @@ class TestPolygonWeights:
             unit_square("b", ox=-3.0, size=2.0),
             unit_square("d", oy=4.0, size=0.5),
         ]
-        assert_normalized(polygon_weights(center, neighbors, gamma=gamma))
+        assert_normalized(weigh_polygons(center, neighbors, gamma))
 
 
 class TestVillageWeights:
     def test_nearest_gets_41_percent_farthest_5(self, village):
-        from spatial_outliers import collect_factors, buffer_neighbors
-
         params = WeightParams(radius=VILLAGE_RADIUS)
-        neighbors = buffer_neighbors(village, "27", VILLAGE_RADIUS)
-        factors = collect_factors(village, "27", neighbors, params)
-        w = distance_weights(factors).as_dict()
+        w = neighborhood_weights(village, "27", params, "buffer").as_dict()
         assert max(w.values()) == pytest.approx(0.41, abs=1e-9)
         assert min(w.values()) == pytest.approx(0.05, abs=1e-9)
         assert w["29"] == pytest.approx(0.41, abs=1e-9)
